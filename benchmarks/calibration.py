@@ -1,13 +1,13 @@
 """A fixed yardstick of the machine's speed, interleaved with the requests.
 
-The shared virtual machines this benchmark runs on slow down by up to 2x
-for minutes at a time (other tenants, CPU throttling under sustained load),
-which moves every latency of a run together. The kernel below does the same kind of work as
-the program (dense SVD and least squares through numpy on matrices of the
-program's sizes, JSON, Python loops over small products) but is the
-benchmark's own code, so no change to the program moves it. Its fastest
-time in a run, against ``NOMINAL_S``, measures how slow the machine was
-during that run.
+The shared virtual machines this benchmark runs on switch between a fast
+and a slow state (1.5-1.7x) from one tenth of a second to the next and for
+minutes at a time, which moves every latency together. The kernel below
+does the same kind of work as the program (dense SVD and least squares
+through numpy on matrices of the program's sizes, JSON, Python loops over
+small products) but is the benchmark's own code, so no change to the
+program moves it. ``run.run_passes`` times it next to every request and
+reports each request at the speed where the kernel takes ``NOMINAL_S``.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ SOLVE_HANKEL_R = (1, 2, 3)
 SOLVE_RANDOM = ((6, 6, 2, 0), (8, 6, 2, 0), (10, 10, 3, 0),
                 (6, 6, 2, 2), (8, 6, 2, 3), (10, 10, 3, 4))  # m, n, r, l
 # independent draws of every size class; a deficient request costs 0.4-1.2 s
-DRAWS = {"certify": 3, "second-order-full": 4, "second-order-deficient": 1, "solve": 3}
+DRAWS = {"certify": 3, "second-order-full": 4, "second-order-deficient": 2, "solve": 6}
 
 
 @dataclass

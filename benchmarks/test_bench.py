@@ -98,3 +98,12 @@ def test_fixture_rule():
     assert matches_fixture({"path": "b.prob", "x": 1.0 + 1e-7, "k": [True, "inf"]}, golden)
     assert not matches_fixture({"path": "a.prob", "x": 1.01, "k": [True, "inf"]}, golden)
     assert not matches_fixture({"path": "a.prob", "x": 1, "k": [True, "inf"]}, golden)
+
+
+def test_solve_tail_leaves_ten_companion_requests_beyond_it():
+    import numpy as np
+    from instances import certify_family
+    n = run.COMPANION_PASSES["analyze"] * len(certify_family(np.random.default_rng(0)))
+    lat = [float(v) for v in range(n)]
+    tail = run.tail_value(lat, run.TAIL_PERCENTILE["solve"])
+    assert sum(v > tail for v in lat) == 10
