@@ -29,8 +29,20 @@ _M = _rng.standard_normal((64, 64))
 _DOC = json.dumps({"matrix": _A.tolist(), "rows": [[1.5] * 64] * 16})
 
 
-def kernel_seconds() -> float:
-    """Wall time of one run of the fixed kernel."""
+def kernel_seconds(at_least: float = 0.0) -> float:
+    """Mean wall time of one run of the fixed kernel.
+
+    The kernel runs once, and again until its runs take ``at_least`` seconds
+    together, so a long request is set against a sample of comparable weight.
+    """
+    runs, total = 0, 0.0
+    while not runs or total < at_least:
+        total += _kernel_once()
+        runs += 1
+    return total / runs
+
+
+def _kernel_once() -> float:
     start = time.perf_counter()
     acc = 0.0
     for _ in range(6):

@@ -72,6 +72,13 @@ def test_metric_names_match_benchmark_json():
         assert {k: v["unit"] for k, v in got.items()} == declared
 
 
+def test_no_operation_fails_and_the_penalty_probe_reports_its_exit():
+    res = result("certify", 0)
+    assert res["correct"] and res["failed"] == 0
+    assert res["metrics"]["ok_frac"]["value"] == 1.0
+    assert result("certify", 1)["metrics"]["solver.penalty_diverges"]["value"] in (0, 4)
+
+
 def test_every_traced_name_is_wrapped():
     sys.path.insert(0, str(run.SRC))
     import rankmoa.cli  # noqa: F401
@@ -104,6 +111,15 @@ def test_solve_tail_leaves_ten_companion_requests_beyond_it():
     import numpy as np
     from instances import certify_family
     n = run.COMPANION_PASSES["analyze"] * len(certify_family(np.random.default_rng(0)))
+    assert n >= run.tail_requests(run.TAIL_PERCENTILE["solve"])
     lat = [float(v) for v in range(n)]
     tail = run.tail_value(lat, run.TAIL_PERCENTILE["solve"])
     assert sum(v > tail for v in lat) == 10
+
+
+@pytest.mark.parametrize("percentile", [50.0, 93.0, 95.0])
+def test_a_run_of_tail_requests_has_ten_at_or_beyond_the_tail(percentile):
+    n = run.tail_requests(percentile)
+    lat = [float(v) for v in range(n)]
+    tail = run.tail_value(lat, percentile)
+    assert sum(v >= tail for v in lat) >= 10
