@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, least_squares, rank_estimate
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,10 @@ class AffineMap:
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
         W = self._check_shape(W)
-        w = W.ravel()
-        scale = max(1.0, float(np.linalg.norm(w)))
-        if self.l == 0:
-            ok = np.linalg.norm(w) <= tol * scale
-            return (ok, np.zeros(0)) if ok else (False, None)
-        y, *_ = np.linalg.lstsq(self.stack.T, w, rcond=None)
-        resid = float(np.linalg.norm(self.stack.T @ y - w))
-        if resid <= tol * scale:
+        y, resid = least_squares(self.mats, W, DEFAULT_RANK_TOL)
+        if resid <= tol * max(1.0, float(np.linalg.norm(W))):
             return True, y
         return False, None
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        if self.l == 0:
-            return 0
-        s = np.linalg.svd(self.stack, compute_uv=False)
-        return int(np.count_nonzero(s > rank_tol * s[0]))
+        return rank_estimate(self.stack, rank_tol)

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, ProblemFormatError, QualificationError
-from .linalg import orient_svd
 from .problems import load_problem
-from .qualification import CASE_NOT_CERTIFIED, bq_certificates
+from .qualification import CASE_NOT_CERTIFIED
 from .second_order import check_second_order
 from .solver import MODE_EXACT, MODE_PENALTY, SolverConfig, solve, write_iterate_log
-from .stationarity import classify_first_order
+from .stationarity import PointAnalysis, classify_first_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -100,13 +99,12 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    svd = orient_svd(X, prob.rank_tol)
-    qual = bq_certificates(svd, prob.affine, prob.r,
-                           min(prob.tol, prob.rank_tol))
-    rep = classify_first_order(prob, X, alpha=args.alpha)
+    pa = PointAnalysis(prob, X)
+    rep = classify_first_order(prob, pa, alpha=args.alpha)
+    qual = pa.qualification
     second = None
     if rep.is_F:
-        second = check_second_order(prob, X, rep.y, samples=args.samples,
+        second = check_second_order(prob, pa, rep.y, samples=args.samples,
                                     seed=args.seed)
 
     doc = {
@@ -117,8 +115,8 @@ def cmd_analyze(args) -> int:
         },
         "point": {"label": label, "matrix": X.tolist()},
         "svd": {
-            "singular_values": svd.sigma.tolist(),
-            "numerical_rank": svd.rank,
+            "singular_values": pa.svd.sigma.tolist(),
+            "numerical_rank": pa.svd.rank,
         },
         "qualification": qual.to_dict(),
         "stationarity": rep.to_dict(),
@@ -206,7 +204,7 @@ def cmd_solve(args) -> int:
 
     cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
                        stop_tol=args.stop_tol, affine_mode=args.mode,
-                       rho=args.rho, seed=args.seed)
+                       rho=args.rho)
     try:
         result = solve(prob, X0, cfg)
     except DivergenceError as exc:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, as_matrix
+from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, rank_estimate
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,7 @@ def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
     t = project_tangent_fixed_rank(q.svd, W)
     if float(np.linalg.norm(t)) > q.tol * scale:
         return False
-    sv = np.linalg.svd(W, compute_uv=False)
-    top = float(sv[0]) if sv.size else 0.0
-    rank_w = int(np.count_nonzero(sv > q.svd.rank_tol * top)) if top > 0 else 0
-    return rank_w <= min(q.svd.m, q.svd.n) - q.r
+    return rank_estimate(W, q.svd.rank_tol) <= min(q.svd.m, q.svd.n) - q.r
 
 
 def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:

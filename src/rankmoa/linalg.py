@@ -2,8 +2,8 @@
 
 Every rank decision in the package is relative: a singular value counts
 toward the numerical rank when it exceeds ``rank_tol * sigma_1`` of the
-matrix being ranked. The cone and qualification modules reuse this single
-notion of numerical rank.
+matrix being ranked. ``rank_estimate`` is that rule, and ``least_squares``
+truncates every multiplier solve by it.
 
 All functions are pure; returned arrays should be treated as read-only.
 """
@@ -193,3 +193,17 @@ def rank_estimate(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     s = np.linalg.svd(X, compute_uv=False)
     return int(np.count_nonzero(s > rank_tol * s[0]))
+
+
+def least_squares(cols, target, rank_tol: float = DEFAULT_RANK_TOL):
+    """Minimum-norm y minimizing ||sum_i y_i cols[i] - target||_F.
+
+    Returns (y, residual norm). Singular values of the column system at or
+    below ``rank_tol * sigma_1`` are dropped, the rule of ``rank_estimate``:
+    a direction the columns span only to rounding error would otherwise
+    enter y with the inverse of a value near machine precision.
+    """
+    t = np.ravel(target)
+    C = np.column_stack([np.ravel(c) for c in cols]) if len(cols) else np.zeros((t.size, 0))
+    y, *_ = np.linalg.lstsq(C, t, rcond=rank_tol)
+    return y, float(np.linalg.norm(C @ y - t))

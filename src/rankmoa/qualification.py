@@ -24,7 +24,8 @@ import numpy as np
 from .affine import AffineMap
 from .cones import project_tangent_fixed_rank
 from .errors import QualificationError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, least_squares,
+                     rank_estimate)
 
 CASE_FULL_RANK = "eq_full_rank"
 CASE_RANK_DEFICIENT = "eq_rank_deficient"
@@ -92,49 +93,32 @@ def _check_shapes(svd: ThinSVD, amap: AffineMap) -> None:
         )
 
 
-def _stack_rank(rows: list, tol: float) -> int:
-    if not rows:
-        return 0
-    stack = np.stack([np.asarray(r).ravel() for r in rows])
-    if stack.shape[1] == 0:
-        return 0
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > tol * sv[0]))
+def _independent(mats: list, bound: int, what: str, tol: float):
+    """(verdict, rank) for linear independence of a stack of l matrices."""
+    l = len(mats)
+    if l > bound:
+        warnings.warn(
+            f"{l} constraints exceed the dimension {bound} available to the "
+            f"{what} cannot hold",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    rank = rank_estimate(np.stack([a.ravel() for a in mats]), tol) if mats else 0
+    return rank == l, rank
 
 
 def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the T^i stack; returns (verdict, rank)."""
-    mats = build_T(svd, amap)
-    l = amap.l
     s = svd.rank
     bound = svd.m * svd.n - (svd.m - s) * (svd.n - s)
-    if l > bound:
-        warnings.warn(
-            f"{l} constraints exceed the dimension {bound} available to the "
-            "compressed matrices; the first qualification cannot hold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    rank = _stack_rank(mats, tol)
-    return rank == l, rank
+    return _independent(build_T(svd, amap), bound,
+                        "compressed matrices; the first qualification", tol)
 
 
 def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    mats = build_R(svd, amap)
-    l = amap.l
-    bound = max(svd.m, svd.n) * svd.rank
-    if l > bound:
-        warnings.warn(
-            f"{l} constraints exceed the dimension {bound} available to the "
-            "column-compressed matrices; the second qualification cannot hold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    rank = _stack_rank(mats, tol)
-    return rank == l, rank
+    return _independent(build_R(svd, amap), max(svd.m, svd.n) * svd.rank,
+                        "column-compressed matrices; the second qualification", tol)
 
 
 def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
@@ -142,9 +126,10 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
     """Qualification verdicts plus the intersection-rule case at the base point.
 
     The basic-qualification flag tests triviality of the kernel of
-    y -> tangent-projection of sum_i y_i A^i, which coincides with the first
-    qualification; the Mordukhovich variant follows because that normal cone
-    sits inside the fixed-rank normal space.
+    y -> tangent-projection of sum_i y_i A^i. It equals the first
+    qualification: the tangent projection of A^i is U T^i V^T, so both stacks
+    have the same singular values. The Mordukhovich variant follows because
+    that normal cone sits inside the fixed-rank normal space.
     """
     s = svd.rank
     notes = []
@@ -153,10 +138,6 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
         a1, t_rank = assumption1_holds(svd, amap, tol)
         a2, r_rank = assumption2_holds(svd, amap, tol)
     notes.extend(str(w.message) for w in caught)
-
-    projected = [project_tangent_fixed_rank(svd, a) for a in amap.mats]
-    bq_subspace = _stack_rank(projected, tol) == amap.l
-    bq_mordukhovich = bq_subspace
 
     if s == r and a1:
         case = CASE_FULL_RANK
@@ -175,7 +156,7 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
     return QualificationReport(
         s=s, r=int(r), l=amap.l, t_rank=t_rank, r_rank=r_rank,
         assumption1=a1, assumption2=a2,
-        bq_subspace=bq_subspace, bq_mordukhovich=bq_mordukhovich,
+        bq_subspace=a1, bq_mordukhovich=a1,
         intersection_rule_case=case, warnings=tuple(notes),
     )
 
@@ -206,18 +187,11 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     if W.shape != (svd.m, svd.n):
         raise ValueError(f"W has shape {W.shape}, expected {(svd.m, svd.n)}")
     if svd.rank == r:
-        cols = [project_tangent_fixed_rank(svd, a).ravel() for a in amap.mats]
-        target = project_tangent_fixed_rank(svd, W).ravel()
+        cols = [project_tangent_fixed_rank(svd, a) for a in amap.mats]
+        W_fit = project_tangent_fixed_rank(svd, W)
     else:
-        cols = [a.ravel() for a in amap.mats]
-        target = W.ravel()
-    if cols:
-        C = np.column_stack(cols)
-        y, *_ = np.linalg.lstsq(C, target, rcond=None)
-        resid = float(np.linalg.norm(C @ y - target))
-    else:
-        y = np.zeros(0)
-        resid = float(np.linalg.norm(target))
+        cols, W_fit = amap.mats, W
+    y, resid = least_squares(cols, W_fit, svd.rank_tol)
     member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
     return member, y, resid
 

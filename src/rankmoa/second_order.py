@@ -29,9 +29,9 @@ import scipy.linalg
 from .affine import AffineMap
 from .cones import (ConeQuery, in_tangent_bouligand_Mr,
                     project_normal_fixed_rank, project_tangent_fixed_rank)
-from .linalg import ThinSVD, as_matrix, orient_svd, project_low_rank, pseudo_inverse
+from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
-from .stationarity import lagrangian_grad
+from .stationarity import PointAnalysis, lagrangian_grad
 
 CASE_FULL = "full_rank"
 CASE_DEFICIENT = "rank_deficient"
@@ -143,21 +143,19 @@ def _extreme_eigs(Q: np.ndarray):
 
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
                        seed: int = 0, curvature_coeff: float = -2.0) -> SecondOrderReport:
-    """Second-order necessary/sufficient verdicts at an F-stationary point."""
-    X = as_matrix(X, "X")
+    """Second-order necessary/sufficient verdicts at an F-stationary point.
+
+    X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
+    """
+    pa = PointAnalysis.of(prob, X)
+    X, svd, s = pa.X, pa.svd, pa.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    svd = orient_svd(X, prob.rank_tol)
-    s = svd.rank
-    gradL = lagrangian_grad(prob, X, y)
-    scale = max(1.0, float(np.linalg.norm(prob.objective.grad(X))))
-    if s == prob.r:
-        resid = float(np.linalg.norm(project_tangent_fixed_rank(svd, gradL)))
-    else:
-        resid = float(np.linalg.norm(gradL))
-    if resid > prob.tol * scale:
+    gradL = pa.grad_lagrangian(y)
+    resid = pa.frechet_residual(gradL)
+    if resid > prob.tol * pa.scale:
         raise ValueError(
             f"point is not F-stationary at the supplied multiplier "
-            f"(residual {resid:.3e} > {prob.tol * scale:.3e})"
+            f"(residual {resid:.3e} > {prob.tol * pa.scale:.3e})"
         )
 
     if s == prob.r:

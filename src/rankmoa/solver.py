@@ -26,12 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .affine import AffineMap
-from .cones import project_tangent_fixed_rank
 from .errors import DivergenceError
-from .linalg import DEFAULT_TOL, as_matrix, orient_svd, project_low_rank, spectral_norm
+from .linalg import DEFAULT_TOL, as_matrix, project_low_rank, spectral_norm
 from .model import ProblemSpec
-from .stationarity import (StationarityReport, _grad_scale, _recover_multiplier,
-                           classify_first_order)
+from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
 MODE_EXACT = "exact_projection"
 MODE_PENALTY = "quadratic_penalty"
@@ -47,7 +45,6 @@ class SolverConfig:
     stop_tol: float = 1e-10
     affine_mode: str = MODE_EXACT
     rho: float = 10.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -97,22 +94,16 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     Combines the tangential (or full) Lagrangian-gradient norm, the excess of
     the spectral norm over sigma_r / alpha, and the feasibility residual.
     """
-    X = as_matrix(X, "X")
-    svd = orient_svd(X, prob.rank_tol)
-    g = prob.objective.grad(X)
-    scale = _grad_scale(g)
-    feas = prob.affine.residual(X) / max(1.0, float(np.linalg.norm(prob.affine.rhs)))
+    pa = PointAnalysis(prob, X)
+    feas = pa.feasibility_residual / max(1.0, float(np.linalg.norm(prob.affine.rhs)))
     if prob.r == 0:
         return feas, np.zeros(prob.l)
-    if svd.rank == prob.r:
-        y, _ = _recover_multiplier(prob, svd, g, tangential=True)
-        gradL = g + prob.affine.adjoint(y)
-        tang = float(np.linalg.norm(project_tangent_fixed_rank(svd, gradL)))
-        excess = max(0.0, spectral_norm(gradL) - float(svd.sigma[prob.r - 1]) / alpha)
-        return (tang + excess) / scale + feas, y
-    y, _ = _recover_multiplier(prob, svd, g, tangential=False)
-    gradL = g + prob.affine.adjoint(y)
-    return float(np.linalg.norm(gradL)) / scale + feas, y
+    y, _ = pa.multiplier(tangential=pa.s == prob.r)
+    gradL = pa.grad_lagrangian(y)
+    excess = 0.0
+    if pa.s == prob.r:
+        excess = max(0.0, spectral_norm(gradL) - float(pa.svd.sigma[prob.r - 1]) / alpha)
+    return (pa.frechet_residual(gradL) + excess) / pa.scale + feas, y
 
 
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:

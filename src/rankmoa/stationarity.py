@@ -13,8 +13,10 @@ Three nested notions are certified at a feasible point X of rank s:
 * M-stationary: -grad_X L in the Mordukhovich normal cone, i.e. tangential
   part vanishes and rank(grad_X L) <= min(m, n) - r.
 
-Multipliers are recovered by minimum-norm least squares; M-stationarity over
-the affine family of multipliers is only certified at the tested y values.
+Multipliers are recovered by minimum-norm least squares truncated at
+rank_tol; M-stationarity over the affine family of multipliers is only
+certified at the tested y values. All tests at one point read a single
+``PointAnalysis`` of it.
 Infeasible inputs produce reports with all verdicts false, never exceptions.
 """
 
@@ -22,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cones import project_normal_fixed_rank, project_tangent_fixed_rank
-from .linalg import ThinSVD, as_matrix, orient_svd, rank_estimate, spectral_norm
+from .cones import project_tangent_fixed_rank
+from .linalg import as_matrix, least_squares, orient_svd, rank_estimate, spectral_norm
 from .model import ProblemSpec
-from .qualification import CASE_FULL_RANK, CASE_RANK_DEFICIENT, bq_certificates
+from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
+                            bq_certificates)
 
 
 @dataclass
@@ -82,31 +86,74 @@ def lagrangian_grad(prob: ProblemSpec, X, y) -> np.ndarray:
     return prob.objective.grad(X) + prob.affine.adjoint(y)
 
 
-def _feasible(prob: ProblemSpec, X, svd: ThinSVD):
-    res = prob.affine.residual(X)
-    scale = max(1.0, float(np.linalg.norm(prob.affine.rhs)))
-    return (res <= prob.tol * scale) and (svd.rank <= prob.r), res
+class PointAnalysis:
+    """The quantities every check at one point X reads, each computed once.
+
+    The oriented SVD, the objective gradient and feasibility are taken on
+    construction; recovered multipliers and the qualification report on
+    first use. Every check that takes a point also accepts an analysis of
+    it, which is how one ``analyze`` run factors its point once.
+    """
+
+    def __init__(self, prob: ProblemSpec, X):
+        self.prob = prob
+        self.X = as_matrix(X, "X")
+        self.svd = orient_svd(self.X, prob.rank_tol)
+        self.s = self.svd.rank
+        self.grad = prob.objective.grad(self.X)
+        # stationarity residuals are compared against tol * scale
+        self.scale = max(1.0, float(np.linalg.norm(self.grad)))
+        self.feasibility_residual = prob.affine.residual(self.X)
+        rhs_scale = max(1.0, float(np.linalg.norm(prob.affine.rhs)))
+        self.feasible = (self.feasibility_residual <= prob.tol * rhs_scale
+                         and self.s <= prob.r)
+        self._multipliers = {}
+
+    @classmethod
+    def of(cls, prob: ProblemSpec, X) -> "PointAnalysis":
+        """X itself when it is an analysis of prob, else a new analysis of X."""
+        if not isinstance(X, cls):
+            return cls(prob, X)
+        if X.prob is not prob:
+            raise ValueError("the point analysis belongs to another problem")
+        return X
+
+    def multiplier(self, tangential: bool):
+        """(y, residual) minimizing the tangential part of grad L, or all of it."""
+        if tangential not in self._multipliers:
+            self._multipliers[tangential] = _recover_multiplier(self, tangential)
+        return self._multipliers[tangential]
+
+    @cached_property
+    def qualification(self) -> QualificationReport:
+        prob = self.prob
+        return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol))
+
+    def grad_lagrangian(self, y) -> np.ndarray:
+        return self.grad + self.prob.affine.adjoint(y)
+
+    def tangential_norm(self, Z) -> float:
+        return float(np.linalg.norm(project_tangent_fixed_rank(self.svd, Z)))
+
+    def frechet_residual(self, gradL) -> float:
+        """Norm of the part of grad L that F-stationarity needs to vanish.
+
+        That part is the tangential one when s == r and the whole gradient
+        when s < r, where the Frechet normal cone collapses to {O}.
+        """
+        if self.s == self.prob.r:
+            return self.tangential_norm(gradL)
+        return float(np.linalg.norm(gradL))
 
 
-def _grad_scale(g: np.ndarray) -> float:
-    return max(1.0, float(np.linalg.norm(g)))
-
-
-def _recover_multiplier(prob: ProblemSpec, svd: ThinSVD, g: np.ndarray,
-                        tangential: bool):
+def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
     if tangential:
-        cols = [project_tangent_fixed_rank(svd, a).ravel() for a in prob.affine.mats]
-        target = -project_tangent_fixed_rank(svd, g).ravel()
+        cols = [project_tangent_fixed_rank(pa.svd, a) for a in pa.prob.affine.mats]
+        g = project_tangent_fixed_rank(pa.svd, pa.grad)
     else:
-        cols = [a.ravel() for a in prob.affine.mats]
-        target = -g.ravel()
-    if not cols:
-        return np.zeros(0), float(np.linalg.norm(target))
-    C = np.column_stack(cols)
-    y, *_ = np.linalg.lstsq(C, target, rcond=None)
-    resid = float(np.linalg.norm(C @ y - target))
-    return y, resid
+        cols, g = pa.prob.affine.mats, pa.grad
+    return least_squares(cols, -g, pa.prob.rank_tol)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
@@ -115,19 +162,16 @@ def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
     s == r: minimize the tangential norm of grad f + adjoint(y) over y.
     s <  r: minimize the full norm (the Frechet cone collapses to {O}).
     """
-    X = as_matrix(X, "X")
-    svd = orient_svd(X, prob.rank_tol)
-    feasible, feas_res = _feasible(prob, X, svd)
-    rep = StationarityReport(feasible=feasible, feasibility_residual=feas_res,
-                             s=svd.rank)
-    if not feasible:
+    pa = PointAnalysis.of(prob, X)
+    rep = StationarityReport(feasible=pa.feasible,
+                             feasibility_residual=pa.feasibility_residual, s=pa.s)
+    if not rep.feasible:
         return rep
-    g = prob.objective.grad(X)
-    y, resid = _recover_multiplier(prob, svd, g, tangential=(svd.rank == prob.r))
+    y, resid = pa.multiplier(tangential=pa.s == prob.r)
     rep.y = y
     rep.f_residual = resid
-    rep.grad_lagrangian = g + prob.affine.adjoint(y)
-    rep.is_F = resid <= prob.tol * _grad_scale(g)
+    rep.grad_lagrangian = pa.grad_lagrangian(y)
+    rep.is_F = resid <= prob.tol * pa.scale
     return rep
 
 
@@ -142,42 +186,33 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    X = as_matrix(X, "X")
-    svd = orient_svd(X, prob.rank_tol)
-    feasible, _ = _feasible(prob, X, svd)
-    if not feasible:
+    pa = PointAnalysis.of(prob, X)
+    if not pa.feasible:
         return False
-    gradL = lagrangian_grad(prob, X, y)
-    scale = _grad_scale(prob.objective.grad(X))
+    gradL = pa.grad_lagrangian(y)
     if prob.r == 0:
         return True  # the only rank-0 matrix is X = O, a fixed point of any step
     if method == "projection":
-        Z = X - alpha * gradL
+        Z = pa.X - alpha * gradL
         sv = np.linalg.svd(Z, compute_uv=False)
         best = float(np.sqrt(np.sum(sv[prob.r:] ** 2)))
         dist = alpha * float(np.linalg.norm(gradL))
         return abs(dist - best) <= prob.tol * max(1.0, float(np.linalg.norm(Z)))
     if method != "characterization":
         raise ValueError(f"unknown method {method!r}")
-    if svd.rank == prob.r:
-        tang = float(np.linalg.norm(project_tangent_fixed_rank(svd, gradL)))
-        if tang > prob.tol * scale:
-            return False
-        sigma_r = float(svd.sigma[prob.r - 1])
-        return spectral_norm(gradL) <= sigma_r / alpha + prob.tol
-    return float(np.linalg.norm(gradL)) <= prob.tol * scale
+    if pa.frechet_residual(gradL) > prob.tol * pa.scale:
+        return False
+    return pa.s < prob.r or (
+        spectral_norm(gradL) <= float(pa.svd.sigma[prob.r - 1]) / alpha + prob.tol)
 
 
 def beta_bound(prob: ProblemSpec, X, y) -> float:
     """sigma_r(X) / ||grad_X L||_2; infinity when the gradient vanishes."""
-    X = as_matrix(X, "X")
-    gradL = lagrangian_grad(prob, X, y)
-    scale = _grad_scale(prob.objective.grad(X))
-    if float(np.linalg.norm(gradL)) <= prob.tol * scale or prob.r == 0:
+    pa = PointAnalysis.of(prob, X)
+    gradL = pa.grad_lagrangian(y)
+    if float(np.linalg.norm(gradL)) <= prob.tol * pa.scale or prob.r == 0:
         return math.inf
-    svd = orient_svd(X, prob.rank_tol)
-    sigma_r = float(svd.sigma[prob.r - 1]) if prob.r <= svd.sigma.size else 0.0
-    return sigma_r / spectral_norm(gradL)
+    return float(pa.svd.sigma[prob.r - 1]) / spectral_norm(gradL)
 
 
 def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
@@ -186,22 +221,17 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     Returns (verdict, y). Only the tested multiplier certifies or refutes;
     the admissible family is affine and is not searched exhaustively.
     """
-    X = as_matrix(X, "X")
-    svd = orient_svd(X, prob.rank_tol)
-    feasible, _ = _feasible(prob, X, svd)
-    if not feasible:
+    pa = PointAnalysis.of(prob, X)
+    if not pa.feasible:
         return False, None
-    g = prob.objective.grad(X)
     if y_hint is None:
-        y, _ = _recover_multiplier(prob, svd, g, tangential=True)
+        y, _ = pa.multiplier(tangential=True)
     else:
         y = np.atleast_1d(np.asarray(y_hint, dtype=float))
-    gradL = g + prob.affine.adjoint(y)
-    scale = _grad_scale(g)
-    tang = float(np.linalg.norm(project_tangent_fixed_rank(svd, gradL)))
-    if tang > prob.tol * scale:
+    gradL = pa.grad_lagrangian(y)
+    if pa.tangential_norm(gradL) > prob.tol * pa.scale:
         return False, y
-    if float(np.linalg.norm(gradL)) <= prob.tol * scale:
+    if float(np.linalg.norm(gradL)) <= prob.tol * pa.scale:
         return True, y  # numerically zero gradient belongs to every normal cone
     ok = rank_estimate(gradL, prob.rank_tol) <= min(prob.m, prob.n) - prob.r
     return ok, y
@@ -214,14 +244,14 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     modulus l_f, alpha-stationarity is probed at 1/l_f, the smallest step for
     which the uniqueness conclusion applies.
     """
-    X = as_matrix(X, "X")
-    rep = check_F_stationary(prob, X)
+    pa = PointAnalysis.of(prob, X)
+    rep = check_F_stationary(prob, pa)
     if not rep.feasible:
         return rep
-    svd = orient_svd(X, prob.rank_tol)
-    ok_hint, _ = check_M_stationary(prob, X, y_hint=rep.y)
-    rep.is_M = ok_hint or check_M_stationary(prob, X)[0]
-    rep.beta = beta_bound(prob, X, rep.y)
+    # at s == r the retry would recover the same tangential multiplier as F
+    rep.is_M = (check_M_stationary(prob, pa, y_hint=rep.y)[0]
+                or (rep.s < prob.r and check_M_stationary(prob, pa)[0]))
+    rep.beta = beta_bound(prob, pa, rep.y)
 
     lf = prob.objective.strong_convexity_modulus
     a = alpha
@@ -229,14 +259,14 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
         a = 1.0 / lf
     if a is not None:
         rep.alpha_tested = float(a)
-        rep.is_alpha = check_alpha_stationary(prob, X, rep.y, a)
+        rep.is_alpha = check_alpha_stationary(prob, pa, rep.y, a)
     unique_ok = False
     if lf:
         a_unique = 1.0 / lf
         if rep.alpha_tested is not None and rep.alpha_tested >= a_unique * (1 - 1e-12):
             unique_ok = bool(rep.is_alpha)
         else:  # the caller's step is below the uniqueness threshold; probe it
-            unique_ok = check_alpha_stationary(prob, X, rep.y, a_unique)
+            unique_ok = check_alpha_stationary(prob, pa, rep.y, a_unique)
 
     convex = prob.objective.convex
     cls = rep.classification
@@ -250,7 +280,7 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")
 
-    qual = bq_certificates(svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol))
+    qual = pa.qualification
     if qual.intersection_rule_case == CASE_FULL_RANK:
         k = 1
     elif qual.intersection_rule_case == CASE_RANK_DEFICIENT:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,27 @@ def test_analyze_json_golden_schema(problem_files, capsys):
             assert a == b, where
 
     compare(got, golden)
+
+
+def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
+    # count through every module alias, since callers import these by name
+    from rankmoa.linalg import orient_svd
+    from rankmoa.qualification import bq_certificates
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "rankmoa" or name.startswith("rankmoa.")]
+    for fn in (orient_svd, bq_certificates):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    code = main(["analyze", str(problem_files["hankel33"]), "--point", "Xbar", "--json"])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == {"orient_svd": 1, "bq_certificates": 1}
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
-                     RankBound, SolverConfig, project_affine, project_low_rank,
-                     rank_estimate, solve)
+                     RankBound, SolverConfig, build_hankel, project_affine,
+                     project_low_rank, rank_estimate, solve)
 from rankmoa.solver import MODE_PENALTY, stationarity_residual, write_iterate_log
 
 
@@ -124,6 +124,17 @@ def test_stationarity_residual_at_solution(trace_case):
     assert abs(y[0] + 2.0 / 3.0) <= 1e-9
     res1, _ = stationarity_residual(spec, points["X1"], alpha=0.5)
     assert res1 > 1e-3
+
+
+def test_reference_hankel_solve_keeps_the_multiplier_bounded():
+    # the tangential multiplier system here is 64 x 49 with only 24 singular
+    # values above rank_tol; inverting one near 1e-14 gives residuals near 1e12
+    G = np.random.default_rng(0).standard_normal((8, 8))
+    H = G + G.T
+    x0, _ = project_low_rank(H, 2)
+    result = solve(build_hankel(H, 2), x0, SolverConfig(alpha=0.5, max_iters=3))
+    assert len(result.log) == 3
+    assert all(stat < 1.0 for _, _, _, stat in result.log)
 
 
 def test_write_iterate_log(tmp_path, hankel_case):
