@@ -84,13 +84,12 @@ class AffineMap:
         """Euclidean feasibility residual ||A(X) - b||."""
         return float(np.linalg.norm(self.apply(X) - self.rhs))
 
-    def kernel_basis(self) -> list:
-        """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}."""
+    def kernel_basis(self) -> np.ndarray:
+        """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}, as k x m x n."""
         m, n = self.shape
         if self.l == 0:
-            return [e.reshape(m, n) for e in np.eye(m * n)]
-        ns = scipy.linalg.null_space(self.stack)
-        return [ns[:, j].reshape(m, n) for j in range(ns.shape[1])]
+            return np.eye(m * n).reshape(m * n, m, n)
+        return scipy.linalg.null_space(self.stack).T.reshape(-1, m, n)
 
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""

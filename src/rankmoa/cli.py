@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, ProblemFormatError, QualificationError
+from .errors import DivergenceError, ProblemFormatError
 from .problems import load_problem
 from .qualification import CASE_NOT_CERTIFIED
 from .second_order import check_second_order
@@ -239,7 +239,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import SUITES, run_suite
+    from .oracle import run_suite
     try:
         ok, lines = run_suite(args.suite, seed=args.seed)
     except ValueError as exc:

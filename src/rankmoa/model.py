@@ -8,7 +8,7 @@ classification logic only uses these flags, never re-derives them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

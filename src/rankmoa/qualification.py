@@ -17,7 +17,7 @@ verdicts are recorded independently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

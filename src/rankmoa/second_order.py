@@ -71,6 +71,26 @@ class SecondOrderReport:
         }
 
 
+def _gram_form(objective, X, B, gradL=None, pinv=None,
+               curvature_coeff: float = -2.0) -> np.ndarray:
+    """Gram matrix of the second-order form on the d x m x n basis B.
+
+    Entry (i, j) is hess f[B_i, B_j] + coeff * sym <grad_X L, B_i X^+ B_j>;
+    without ``gradL`` it is the plain Hessian form of the rank-deficient
+    case. The Hessian is applied once to each B_i and contracted with every
+    B_j; the upper triangle (i <= j) is mirrored so the result is exactly
+    symmetric even for a Hessian that is symmetric only up to rounding.
+    """
+    d = len(B)
+    flat = B.reshape(d, X.size)
+    H = np.array([objective.hess_apply(X, b) for b in B]).reshape(d, X.size)
+    Q = H @ flat.T
+    if gradL is not None:
+        C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
+        Q = Q + curvature_coeff * 0.5 * (C + C.T)
+    return np.triu(Q) + np.triu(Q, 1).T
+
+
 def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
                     curvature_coeff: float = -2.0) -> float:
     """hess f(X)[Xi, Xi] + coeff * <grad_X L(X; y), Xi X^+ Xi> at s == r."""
@@ -82,35 +102,29 @@ def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
     Xi = as_matrix(Xi, "Xi")
     X = svd.reconstruct()
     gradL = lagrangian_grad(prob, X, y)
-    pinv = pseudo_inverse(svd)
-    curvature = float(np.tensordot(gradL, Xi @ pinv @ Xi))
-    return prob.objective.hess_quad(X, Xi) + curvature_coeff * curvature
+    return float(_gram_form(prob.objective, X, Xi[None], gradL,
+                            pseudo_inverse(svd), curvature_coeff)[0, 0])
 
 
 def plain_quad(prob: ProblemSpec, X, Xi) -> float:
     """hess f(X)[Xi, Xi]; the rank-deficient case carries no curvature term."""
-    return prob.objective.hess_quad(as_matrix(X, "X"), as_matrix(Xi, "Xi"))
+    return float(_gram_form(prob.objective, as_matrix(X, "X"),
+                            as_matrix(Xi, "Xi")[None])[0, 0])
 
 
-def _tangent_directions(svd: ThinSVD) -> list:
-    """Orthonormal directions u_i v_j^T spanning the fixed-rank tangent space."""
+def _reduced_basis(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
+    """Orthonormal d x m x n basis of ker A intersected with the rank-s tangent space.
+
+    The tangent space is spanned by the orthonormal directions u_i v_j^T with
+    i < s or j < s; ker A is cut out of their span by one null-space solve.
+    """
     s, m, n = svd.rank, svd.m, svd.n
-    dirs = []
-    for i in range(m):
-        for j in range(n):
-            if i >= s and j >= s:
-                continue
-            dirs.append(np.outer(svd.u[:, i], svd.v[:, j]))
-    return dirs
-
-
-def _intersect_with_kernel(dirs: list, amap: AffineMap) -> list:
-    if amap.l == 0 or not dirs:
-        return dirs
-    C = np.column_stack([amap.apply(d) for d in dirs])
-    ns = scipy.linalg.null_space(C)
-    stack = np.stack([d.ravel() for d in dirs])
-    return [(ns[:, t] @ stack).reshape(amap.shape) for t in range(ns.shape[1])]
+    i, j = np.divmod(np.arange(m * n), n)
+    dirs = np.einsum("ai,bj->ijab", svd.u, svd.v).reshape(m * n, m * n)
+    dirs = dirs[(i < s) | (j < s)]
+    if amap.l:
+        dirs = scipy.linalg.null_space(amap.stack @ dirs.T).T @ dirs
+    return dirs.reshape(-1, m, n)
 
 
 def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
@@ -122,16 +136,7 @@ def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
         )
     if amap.shape != (svd.m, svd.n):
         raise ValueError("constraint shape disagrees with the base point")
-    return _intersect_with_kernel(_tangent_directions(svd), amap)
-
-
-def _form_matrix(basis: list, bilinear) -> np.ndarray:
-    d = len(basis)
-    Q = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            Q[i, j] = Q[j, i] = bilinear(basis[i], basis[j])
-    return Q
+    return list(_reduced_basis(svd, amap))
 
 
 def _extreme_eigs(Q: np.ndarray):
@@ -159,15 +164,10 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         )
 
     if s == prob.r:
-        basis = tangent_intersection_basis(svd, prob.affine, prob.r)
-        pinv = pseudo_inverse(svd)
-
-        def bil(P, R):
-            hess = float(np.tensordot(prob.objective.hess_apply(X, P), R))
-            curv = 0.5 * float(np.tensordot(gradL, P @ pinv @ R + R @ pinv @ P))
-            return hess + curvature_coeff * curv
-
-        Q = _form_matrix(basis, bil)
+        basis = np.reshape(tangent_intersection_basis(svd, prob.affine, prob.r),
+                           (-1, prob.m, prob.n))
+        Q = _gram_form(prob.objective, X, basis, gradL, pseudo_inverse(svd),
+                       curvature_coeff)
         lo, hi = _extreme_eigs(Q)
         rep = SecondOrderReport(
             case=CASE_FULL, basis_dim=len(basis), min_eig=lo, max_eig=hi,
@@ -182,13 +182,10 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         return rep
 
     # rank-deficient point: certificate on supersets, falsification by sampling
-    def bil_plain(P, R):
-        return float(np.tensordot(prob.objective.hess_apply(X, P), R))
-
-    sub_basis = _intersect_with_kernel(_tangent_directions(svd), prob.affine)
-    sub_lo, _ = _extreme_eigs(_form_matrix(sub_basis, bil_plain))
+    sub_basis = _reduced_basis(svd, prob.affine)
+    sub_lo, _ = _extreme_eigs(_gram_form(prob.objective, X, sub_basis))
     ker = prob.affine.kernel_basis()
-    lo, hi = _extreme_eigs(_form_matrix(ker, bil_plain))
+    lo, hi = _extreme_eigs(_gram_form(prob.objective, X, ker))
 
     rep = SecondOrderReport(
         case=CASE_DEFICIENT, basis_dim=len(ker), min_eig=lo, max_eig=hi,
@@ -203,6 +200,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
 
     rng = np.random.default_rng(seed)
     q = ConeQuery(svd, prob.r, prob.tol)
+    K = ker.reshape(len(ker), -1)
     tested = violations = 0
     for _ in range(int(samples)):
         g1 = rng.standard_normal((prob.m, prob.n))
@@ -210,11 +208,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         xi0 = project_tangent_fixed_rank(svd, g1)
         xi0 += project_low_rank(project_normal_fixed_rank(svd, g2),
                                 prob.r - s, prob.rank_tol)[0]
-        if prob.l:
-            coeffs = [float(np.tensordot(k, xi0)) for k in ker]
-            xi = sum(c * k for c, k in zip(coeffs, ker))
-        else:
-            xi = xi0
+        xi = (K.T @ (K @ xi0.ravel())).reshape(xi0.shape) if prob.l else xi0
         norm = float(np.linalg.norm(xi))
         if norm < 1e-10:
             continue

@@ -21,7 +21,7 @@ multiplier; the final point is classified by the first-order machinery.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

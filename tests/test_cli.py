@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmoa import save_problem
+from rankmoa import FrobeniusDistance, save_problem
 from rankmoa.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -139,10 +139,18 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
+    # the reduced second-order form applies the Hessian once per basis direction
+    hess_apply = FrobeniusDistance.hess_apply
+
+    def counted_hess(self, X, Xi):
+        calls["hess_apply"] += 1
+        return hess_apply(self, X, Xi)
+    monkeypatch.setattr(FrobeniusDistance, "hess_apply", counted_hess)
     code = main(["analyze", str(problem_files["hankel33"]), "--point", "Xbar", "--json"])
-    capsys.readouterr()
     assert code == 0
-    assert calls == {"orient_svd": 1, "bq_certificates": 1}
+    basis_dim = json.loads(capsys.readouterr().out)["second_order"]["basis_dim"]
+    assert basis_dim == 4
+    assert calls == {"orient_svd": 1, "bq_certificates": 1, "hess_apply": basis_dim}
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

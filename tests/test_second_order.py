@@ -225,21 +225,60 @@ def test_riemannian_quad_invariant_under_reorientation(rng, hankel_case):
     assert abs(riemannian_quad(spec, flipped, np.zeros(4), xi) - base) <= 1e-9
 
 
-def test_form_matrix_symmetry(hankel_case):
-    from rankmoa.second_order import _form_matrix, _tangent_directions
+def test_gram_form_symmetry(hankel_case):
+    from rankmoa.linalg import pseudo_inverse
+    from rankmoa.second_order import _gram_form, _reduced_basis
     spec, points = hankel_case
     svd = orient_svd(points["Xbar"])
-    from rankmoa.linalg import pseudo_inverse
     pinv = pseudo_inverse(svd)
     gradL = np.zeros((3, 3))
     gradL[2, 2] = -1e-6
     X = points["Xbar"]
-
-    def bil(P, R):
-        hess = float(np.tensordot(spec.objective.hess_apply(X, P), R))
-        curv = 0.5 * float(np.tensordot(gradL, P @ pinv @ R + R @ pinv @ P))
-        return hess - 2.0 * curv
-
-    basis = _tangent_directions(svd)
-    Q = _form_matrix(basis, bil)
+    basis = _reduced_basis(svd, AffineMap([], [], shape=(3, 3)))
+    Q = _gram_form(spec.objective, X, basis, gradL, pinv)
     assert np.linalg.norm(Q - Q.T) <= 1e-12
+    for i, P in enumerate(basis):
+        for j, R in enumerate(basis[i:], start=i):
+            hess = float(np.tensordot(spec.objective.hess_apply(X, P), R))
+            curv = 0.5 * float(np.tensordot(gradL, P @ pinv @ R + R @ pinv @ P))
+            assert abs(Q[i, j] - (hess - 2.0 * curv)) <= 1e-12 * max(1.0, abs(Q[i, j]))
+
+
+def _stationary_full_rank_point(rng, m, n, r, l):
+    """(prob, X, y) with X of rank r and grad f + A*(y) normal to M^r at X."""
+    X = random_rank_matrix(rng, m, n, r)
+    svd = orient_svd(X)
+    W = project_normal_fixed_rank(svd, rng.standard_normal((m, n)))
+    mats = [rng.standard_normal((m, n)) for _ in range(l)]
+    y = rng.standard_normal(l)
+    H = X + W + sum((yi * a for yi, a in zip(y, mats)), np.zeros((m, n)))
+    amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats], shape=(m, n))
+    return ProblemSpec(FrobeniusDistance(H), amap, RankBound(r)), X, y
+
+
+@pytest.mark.parametrize("coeff", [-2.0, 2.0])
+def test_reduced_form_matches_polarized_oracle(rng, hankel_case, coeff):
+    # rebuild the reduced matrix entry by entry from quadratic values only:
+    # hess_apply for the Hessian part and the factored oracle assembly of the
+    # curvature term, polarized over B_i + B_j and B_i - B_j
+    spec, points = hankel_case
+    cases = [(spec, points["Xbar"], np.zeros(4)),
+             _stationary_full_rank_point(rng, 5, 4, 2, 0),
+             _stationary_full_rank_point(rng, 5, 5, 2, 3)]
+    for prob, X, y in cases:
+        G = prob.objective.grad(X) + prob.affine.adjoint(y)
+        basis = tangent_intersection_basis(orient_svd(X), prob.affine, prob.r)
+
+        def q(xi):
+            hess = float(np.tensordot(prob.objective.hess_apply(X, xi), xi))
+            return hess + coeff * curvature_quadratic_terms(X, G, xi)[0]
+
+        d = len(basis)
+        M = np.array([[(q(basis[i] + basis[j]) - q(basis[i] - basis[j])) / 4.0
+                       for j in range(d)] for i in range(d)])
+        eigs = np.linalg.eigvalsh(M)
+        rep = check_second_order(prob, X, y, curvature_coeff=coeff)
+        assert rep.basis_dim == d > 0
+        scale = max(1.0, float(np.abs(eigs).max()))
+        assert abs(rep.min_eig - eigs[0]) <= 1e-10 * scale
+        assert abs(rep.max_eig - eigs[-1]) <= 1e-10 * scale
