@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, rank_estimate
+from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_stack, rank_estimate
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,20 @@ def enumerate_J(s: int, n: int, r: int, cap: int = 10**6) -> list:
             for combo in itertools.combinations(range(s, n), r - s)]
 
 
-def _check_ambient(svd: ThinSVD, Z, name="Z") -> np.ndarray:
-    Z = as_matrix(Z, name)
-    if Z.shape != (svd.m, svd.n):
+def _check_ambient(svd: ThinSVD, Z, name="Z", stack=False) -> np.ndarray:
+    """Z validated as one m x n matrix, or as a (..., m, n) stack of them."""
+    Z = (as_stack if stack else as_matrix)(Z, name)
+    if Z.shape[-2:] != (svd.m, svd.n):
         raise ValueError(f"{name} has shape {Z.shape}, expected {(svd.m, svd.n)}")
     return Z
 
 
 def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
-    """Pu Z Pv + Pu Z Pv_perp + Pu_perp Z Pv with Pu = U_g U_g^T etc."""
-    Z = _check_ambient(svd, Z)
+    """Pu Z Pv + Pu Z Pv_perp + Pu_perp Z Pv with Pu = U_g U_g^T etc.
+
+    Z may be a (..., m, n) stack; every matrix in it is projected.
+    """
+    Z = _check_ambient(svd, Z, stack=True)
     if svd.rank == 0:
         return np.zeros_like(Z)
     ug, vg = svd.u_gamma, svd.v_gamma
@@ -95,27 +99,28 @@ def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
 
 
 def project_normal_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
-    """Pu_perp Z Pv_perp, the complement of the tangent projection."""
-    Z = _check_ambient(svd, Z)
+    """Pu_perp Z Pv_perp, the complement of the tangent projection; Z may be a stack."""
+    Z = _check_ambient(svd, Z, stack=True)
     up, vp = svd.u_perp, svd.v_perp
     return up @ (up.T @ Z @ vp) @ vp.T
 
 
-def in_tangent_bouligand_Mr(q: ConeQuery, H) -> bool:
+def in_tangent_bouligand_Mr(q: ConeQuery, H):
     """H is tangent iff its normal component has rank at most r - s.
 
     The rank decision is taken relative to the scale of H itself, not of its
-    (possibly vanishing) normal part, so exactly tangent directions pass.
+    (possibly vanishing) normal part, so exactly tangent directions pass;
+    H = O passes, its normal part being O. H may be a (..., m, n) stack; the
+    result is then a boolean array of the leading shape.
     """
-    H = _check_ambient(q.svd, H, "H")
+    H = _check_ambient(q.svd, H, "H", stack=True)
     N = project_normal_fixed_rank(q.svd, H)
     sv_h = np.linalg.svd(H, compute_uv=False)
-    top = float(sv_h[0]) if sv_h.size else 0.0
-    if top == 0.0:
-        return True
+    top = sv_h[..., :1] if sv_h.shape[-1] else np.zeros(H.shape[:-2] + (1,))
     sv = np.linalg.svd(N, compute_uv=False)
-    rank_n = int(np.count_nonzero(sv > q.svd.rank_tol * top))
-    return rank_n <= q.r - q.s
+    rank_n = np.count_nonzero(sv > q.svd.rank_tol * top, axis=-1)
+    member = rank_n <= q.r - q.s
+    return bool(member) if H.ndim == 2 else member
 
 
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:

@@ -23,6 +23,18 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     X = np.asarray(x, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {X.shape}")
+    return _finite(X, name)
+
+
+def as_stack(x, name: str = "matrix") -> np.ndarray:
+    """Validate and return a finite float array of matrices, shape (..., m, n)."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim < 2:
+        raise ValueError(f"{name} must be at least 2-d, got shape {X.shape}")
+    return _finite(X, name)
+
+
+def _finite(X: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{name} has non-finite entries")
     return X
@@ -162,20 +174,28 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     """Nearest matrix of rank at most r in Frobenius norm, by truncation.
 
     Returns (projection, tie_flag). The tie flag is set when
-    sigma_r <= sigma_{r+1} + cutoff, in which case the projection is not
-    unique and the returned representative is the one from orient_svd.
+    sigma_r <= sigma_{r+1} + rank_tol * sigma_1, in which case the projection
+    is not unique. Z may be a (..., m, n) stack; each matrix is projected on
+    its own and the tie flag is then a boolean array of the leading shape.
+    The singular vectors' signs cancel in sum_k sigma_k u_k v_k^T, so no
+    orientation is applied.
     """
-    Z = as_matrix(Z)
+    Z = as_stack(Z)
     r = _coerce_rank(r)
-    k = min(Z.shape)
+    k = min(Z.shape[-2:])
     if not 0 <= r <= k:
         raise ValueError(f"rank bound r={r} out of range for shape {Z.shape}")
-    f = orient_svd(Z, rank_tol)
-    kept = f.sigma.copy()
-    kept[r:] = 0.0
-    P = (f.u[:, :k] * kept) @ f.v[:, :k].T
-    tie = bool(0 < r < k and f.sigma[r - 1] <= f.sigma[r] + f.threshold)
-    return P, tie
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    u, sigma, vh = np.linalg.svd(Z)
+    kept = sigma.copy()
+    kept[..., r:] = 0.0
+    P = (u[..., :k] * kept[..., None, :]) @ vh[..., :k, :]
+    if 0 < r < k:
+        tie = sigma[..., r - 1] <= sigma[..., r] + rank_tol * sigma[..., 0]
+    else:
+        tie = np.zeros(Z.shape[:-2], dtype=bool)
+    return P, (bool(tie) if Z.ndim == 2 else tie)
 
 
 def spectral_norm(X) -> float:
@@ -204,6 +224,6 @@ def least_squares(cols, target, rank_tol: float = DEFAULT_RANK_TOL):
     enter y with the inverse of a value near machine precision.
     """
     t = np.ravel(target)
-    C = np.column_stack([np.ravel(c) for c in cols]) if len(cols) else np.zeros((t.size, 0))
+    C = np.ascontiguousarray(np.reshape(cols, (len(cols), t.size)).T)
     y, *_ = np.linalg.lstsq(C, t, rcond=rank_tol)
     return y, float(np.linalg.norm(C @ y - t))

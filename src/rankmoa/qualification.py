@@ -187,7 +187,8 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     if W.shape != (svd.m, svd.n):
         raise ValueError(f"W has shape {W.shape}, expected {(svd.m, svd.n)}")
     if svd.rank == r:
-        cols = [project_tangent_fixed_rank(svd, a) for a in amap.mats]
+        mats = amap.stack.reshape(amap.l, svd.m, svd.n)
+        cols = project_tangent_fixed_rank(svd, mats)
         W_fit = project_tangent_fixed_rank(svd, W)
     else:
         cols, W_fit = amap.mats, W

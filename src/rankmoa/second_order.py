@@ -35,6 +35,8 @@ from .stationarity import PointAnalysis, lagrangian_grad
 
 CASE_FULL = "full_rank"
 CASE_DEFICIENT = "rank_deficient"
+# cone directions drawn, projected and tested together; bounds the sampler's memory
+CONE_BLOCK = 512
 
 
 @dataclass
@@ -82,13 +84,16 @@ def _gram_form(objective, X, B, gradL=None, pinv=None,
     symmetric even for a Hessian that is symmetric only up to rounding.
     """
     d = len(B)
-    flat = B.reshape(d, X.size)
-    H = np.array([objective.hess_apply(X, b) for b in B]).reshape(d, X.size)
-    Q = H @ flat.T
+    Q = _hess_rows(objective, X, B) @ B.reshape(d, X.size).T
     if gradL is not None:
         C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
         Q = Q + curvature_coeff * 0.5 * (C + C.T)
     return np.triu(Q) + np.triu(Q, 1).T
+
+
+def _hess_rows(objective, X, B) -> np.ndarray:
+    """d x mn matrix whose row i is hess f(X)[B_i], one hess_apply per direction."""
+    return np.array([objective.hess_apply(X, b) for b in B]).reshape(len(B), X.size)
 
 
 def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
@@ -202,21 +207,25 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     q = ConeQuery(svd, prob.r, prob.tol)
     K = ker.reshape(len(ker), -1)
     tested = violations = 0
-    for _ in range(int(samples)):
-        g1 = rng.standard_normal((prob.m, prob.n))
-        g2 = rng.standard_normal((prob.m, prob.n))
-        xi0 = project_tangent_fixed_rank(svd, g1)
-        xi0 += project_low_rank(project_normal_fixed_rank(svd, g2),
-                                prob.r - s, prob.rank_tol)[0]
-        xi = (K.T @ (K @ xi0.ravel())).reshape(xi0.shape) if prob.l else xi0
-        norm = float(np.linalg.norm(xi))
-        if norm < 1e-10:
-            continue
-        if not in_tangent_bouligand_Mr(q, xi):
-            continue  # the kernel projection may have broken the rank bound
-        tested += 1
-        if plain_quad(prob, X, xi) / norm**2 < -prob.tol:
-            violations += 1
+    samples = int(samples)
+    for start in range(0, samples, CONE_BLOCK):
+        b = min(CONE_BLOCK, samples - start)
+        # draw k holds (g1, g2) in the order a per-draw loop would take them
+        g = rng.standard_normal((b, 2, prob.m, prob.n))
+        xi = project_tangent_fixed_rank(svd, g[:, 0])
+        xi += project_low_rank(project_normal_fixed_rank(svd, g[:, 1]),
+                               prob.r - s, prob.rank_tol)[0]
+        flat = xi.reshape(b, -1)
+        if prob.l:
+            flat = (flat @ K.T) @ K
+            xi = flat.reshape(xi.shape)
+        norm = np.linalg.norm(flat, axis=1)
+        keep = np.flatnonzero(norm >= 1e-10)
+        # the kernel projection may have broken the rank bound
+        keep = keep[in_tangent_bouligand_Mr(q, xi[keep])]
+        quad = np.einsum("ij,ij->i", _hess_rows(prob.objective, X, xi[keep]), flat[keep])
+        tested += keep.size
+        violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
     rep.cone_samples_tested = tested
     rep.cone_violations = violations
     if violations:

@@ -148,12 +148,14 @@ class PointAnalysis:
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
+    prob = pa.prob
     if tangential:
-        cols = [project_tangent_fixed_rank(pa.svd, a) for a in pa.prob.affine.mats]
+        mats = prob.affine.stack.reshape(prob.l, prob.m, prob.n)
+        cols = project_tangent_fixed_rank(pa.svd, mats)
         g = project_tangent_fixed_rank(pa.svd, pa.grad)
     else:
-        cols, g = pa.prob.affine.mats, pa.grad
-    return least_squares(cols, -g, pa.prob.rank_tol)
+        cols, g = prob.affine.mats, pa.grad
+    return least_squares(cols, -g, prob.rank_tol)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:

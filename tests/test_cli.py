@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -7,8 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmoa import FrobeniusDistance, save_problem
+from rankmoa import AffineMap, FrobeniusDistance, ProblemSpec, RankBound, save_problem
 from rankmoa.cli import main
+from rankmoa.cones import in_tangent_bouligand_Mr
+from rankmoa.linalg import project_low_rank
+from rankmoa.second_order import CONE_BLOCK
+
+from conftest import random_rank_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +157,43 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
     basis_dim = json.loads(capsys.readouterr().out)["second_order"]["basis_dim"]
     assert basis_dim == 4
     assert calls == {"orient_svd": 1, "bq_certificates": 1, "hess_apply": basis_dim}
+
+
+def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
+    # the rank-deficient sampler factors its draws as stacks: SVDs and cone
+    # calls grow with the number of blocks, not with the number of samples
+    X = random_rank_matrix(np.random.default_rng(3), 5, 4, 1)
+    path = tmp_path / "deficient.prob"
+    save_problem(ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(5, 4)),
+                             RankBound(3)), path, named_points={"X": X})
+    calls = Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "rankmoa" or name.startswith("rankmoa.")]
+    for fn in (in_tangent_bouligand_Mr, project_low_rank, np.linalg.svd):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules + [np.linalg]:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    def run(*extra):
+        calls.clear()
+        code = main(["analyze", str(path), "--point", "X", "--json", *extra])
+        assert code == 0
+        second = json.loads(capsys.readouterr().out)["second_order"]
+        assert second["case"] == "rank_deficient"
+        return dict(calls), second["cone_samples_tested"]
+
+    base, _ = run("--samples", "0")
+    sampled, tested = run()  # the default 2000 samples
+    assert tested == 2000
+    blocks = math.ceil(2000 / CONE_BLOCK)
+    for k in ("in_tangent_bouligand_Mr", "project_low_rank"):
+        assert sampled.get(k, 0) - base.get(k, 0) <= blocks
+    # one truncation and two membership spectra per block
+    assert sampled["svd"] - base["svd"] <= 3 * blocks
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

@@ -212,3 +212,40 @@ def test_cone_query_validates_rank():
     svd = orient_svd(np.eye(3))
     with pytest.raises(ValueError):
         ConeQuery(svd, 2)
+
+
+def test_stacked_projections_and_bouligand_membership_match_slices(rng):
+    for m, n, s, r in ((5, 4, 1, 3), (4, 6, 2, 3), (3, 3, 0, 2)):
+        q = _query(rng, m, n, s, r)
+        svd = q.svd
+        H = np.stack([sample_tangent(rng, svd), sample_bouligand(rng, svd, r),
+                      rng.standard_normal((m, n)), np.zeros((m, n)),
+                      sample_bouligand(rng, svd, r) + 1e-3 * rng.standard_normal((m, n))])
+        stack = H.reshape(5, 1, m, n)
+        for project in (project_tangent_fixed_rank, project_normal_fixed_rank):
+            P = project(svd, stack)
+            assert P.shape == stack.shape
+            for i, h in enumerate(H):
+                assert np.array_equal(P[i, 0], project(svd, h))
+        mask = in_tangent_bouligand_Mr(q, stack)
+        assert mask.shape == (5, 1) and mask.dtype == bool
+        want = [in_tangent_bouligand_Mr(q, h) for h in H]
+        assert mask[:, 0].tolist() == want
+        assert want[:2] == [True, True] and want[3]
+        assert not want[2]
+
+
+def test_stacked_projection_validation(rng):
+    q = _query(rng, 4, 3, 1, 2)
+    bad = np.zeros((2, 4, 3))
+    bad[1, 2, 2] = np.inf
+    for project in (project_tangent_fixed_rank, project_normal_fixed_rank):
+        with pytest.raises(ValueError):
+            project(q.svd, bad)
+        with pytest.raises(ValueError):
+            project(q.svd, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            project(q.svd, np.zeros(12))
+    for H in (bad, np.zeros((2, 3, 4)), np.zeros(12)):
+        with pytest.raises(ValueError):
+            in_tangent_bouligand_Mr(q, H)

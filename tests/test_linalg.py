@@ -198,3 +198,35 @@ def test_spectral_norm_and_rank_estimate(hankel_case, trace_case):
     _, hpoints = hankel_case
     assert abs(spectral_norm(hpoints["Xbar"]) - 112.5) <= 1e-9
     assert rank_estimate(hpoints["Xbar"]) == 2
+
+
+def test_project_low_rank_stack_matches_slices_and_oriented_truncation(rng):
+    # each slice of a stacked projection is bitwise the 2-d projection of that
+    # slice, and both equal the truncation of the sign-oriented factors
+    for m, n in ((7, 6), (4, 5), (3, 3)):
+        k = min(m, n)
+        Z = rng.standard_normal((2, 3, m, n))
+        Z[0, 0] = np.eye(m, n)  # sigma_r = sigma_{r+1}: a tie for every 0 < r < k
+        for r in range(k + 1):
+            P, tie = project_low_rank(Z, r)
+            assert P.shape == Z.shape and tie.shape == (2, 3)
+            for idx in np.ndindex(2, 3):
+                P1, tie1 = project_low_rank(Z[idx], r)
+                assert np.array_equal(P[idx], P1) and tie[idx] == tie1
+                assert isinstance(tie1, bool)
+                f = orient_svd(Z[idx])
+                kept = f.sigma.copy()
+                kept[r:] = 0.0
+                assert np.array_equal(P1, (f.u[:, :k] * kept) @ f.v[:, :k].T)
+            assert tie[0, 0] == (0 < r < k)
+
+
+def test_project_low_rank_stack_validation():
+    with pytest.raises(ValueError):
+        project_low_rank(np.ones(3), 1)
+    bad = np.zeros((2, 3, 3))
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(ValueError):
+        project_low_rank(bad, 1)
+    with pytest.raises(ValueError):
+        project_low_rank(np.zeros((2, 3, 3)), 4)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec,
-                     RankBound, check_second_order, orient_svd, plain_quad,
-                     riemannian_quad, tangent_intersection_basis)
+from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, LinearTrace, ProblemSpec,
+                     RankBound, check_second_order, in_tangent_bouligand_Mr,
+                     orient_svd, plain_quad, project_low_rank, riemannian_quad,
+                     tangent_intersection_basis)
 from rankmoa.cones import project_normal_fixed_rank, project_tangent_fixed_rank
 from rankmoa.linalg import ThinSVD
+from rankmoa.model import CustomObjective
+from rankmoa.problems import hankel_constraints
 from rankmoa.oracle import curvature_quadratic_terms, fd_quad
 
 from conftest import random_rank_matrix
@@ -182,7 +185,6 @@ def test_negative_curvature_detected_by_sampling(rng):
     n = 3
     X = np.zeros((n, n))
 
-    from rankmoa.model import CustomObjective
     obj = CustomObjective(
         "concave-quadratic", (n, n),
         value_fn=lambda Y: -0.5 * float(np.sum(Y * Y)),
@@ -282,3 +284,64 @@ def test_reduced_form_matches_polarized_oracle(rng, hankel_case, coeff):
         scale = max(1.0, float(np.abs(eigs).max()))
         assert abs(rep.min_eig - eigs[0]) <= 1e-10 * scale
         assert abs(rep.max_eig - eigs[-1]) <= 1e-10 * scale
+
+
+def _reference_cone_counts(prob, X, samples, seed):
+    """Cumulative (tested, violations) after each draw of a per-draw sampler."""
+    svd = orient_svd(X, prob.rank_tol)
+    q = ConeQuery(svd, prob.r, prob.tol)
+    K = prob.affine.kernel_basis().reshape(-1, X.size)
+    rng = np.random.default_rng(seed)
+    tested = violations = 0
+    counts = [(0, 0)]
+    for _ in range(samples):
+        g1 = rng.standard_normal(X.shape)
+        g2 = rng.standard_normal(X.shape)
+        xi = project_tangent_fixed_rank(svd, g1) + project_low_rank(
+            project_normal_fixed_rank(svd, g2), prob.r - svd.rank, prob.rank_tol)[0]
+        if prob.l:
+            xi = (K.T @ (K @ xi.ravel())).reshape(X.shape)
+        norm = float(np.linalg.norm(xi))
+        if norm >= 1e-10 and in_tangent_bouligand_Mr(q, xi):
+            tested += 1
+            violations += plain_quad(prob, X, xi) / norm**2 < -prob.tol
+        counts.append((tested, violations))
+    return counts
+
+
+def _column_weighted(X, d):
+    """f(Y) = 0.5 tr(Y D Y^T) - <X D, Y>, stationary at X, curvature of both signs."""
+    D = np.diag(d)
+    return CustomObjective("column-weighted", X.shape,
+                           value_fn=lambda Y: 0.5 * float(np.sum((Y @ D) * Y - 2 * (X @ D) * Y)),
+                           grad_fn=lambda Y: (Y - X) @ D,
+                           hess_apply_fn=lambda Y, Xi: Xi @ D)
+
+
+def test_cone_sampler_matches_per_draw_reference(rng):
+    d = np.array([0.5, -1.0, 0.3, 0.2])
+    X = random_rank_matrix(rng, 5, 4, 1)
+    free = ProblemSpec(_column_weighted(X, d), AffineMap([], [], shape=(5, 4)), RankBound(3))
+    # constraints inside the tangent space keep kernel-projected draws in the cone
+    u1 = orient_svd(X).u[:, :1]
+    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
+    tangent_ker = ProblemSpec(_column_weighted(X, d),
+                              AffineMap(mats, [float(np.tensordot(a, X)) for a in mats]),
+                              RankBound(3))
+    # rank-1 Hankel point H = X + A*(y0), F-stationary at y0
+    z = 0.8 ** np.arange(5)
+    Xh = 2.0 * np.outer(z, z)
+    amap = hankel_constraints(5, 5)
+    y0 = rng.standard_normal(amap.l)
+    hankel = ProblemSpec(FrobeniusDistance(Xh + amap.adjoint(y0)), amap, RankBound(3))
+    cases = [(free, X, np.zeros(0)), (tangent_ker, X, np.zeros(2)), (hankel, Xh, y0)]
+    for prob, point, y in cases:
+        ref = _reference_cone_counts(prob, point, 2000, seed=5)
+        for samples in (0, 1, 513, 2000):
+            rep = check_second_order(prob, point, y, samples=samples, seed=5)
+            assert rep.case == "rank_deficient"
+            assert (rep.cone_samples_tested, rep.cone_violations) == ref[samples]
+    # the first two cases test draws and find curvature of both signs
+    for prob, point, y in cases[:2]:
+        rep = check_second_order(prob, point, y, seed=5)
+        assert 0 < rep.cone_violations < rep.cone_samples_tested
