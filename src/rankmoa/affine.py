@@ -18,6 +18,9 @@ class AffineMap:
     Constraint matrices are stored dense; redundant (linearly dependent)
     matrices are allowed, the stack rank is reported so qualification checks
     can warn. ``shape`` is required when there are no constraints.
+
+    ``stack`` and its pseudo-inverse ``stack_pinv`` are computed on first use
+    and cached, so the constraint matrices must not be mutated afterwards.
     """
 
     mats: tuple
@@ -61,6 +64,19 @@ class AffineMap:
         if not self.mats:
             return np.zeros((0, m * n))
         return np.stack([a.ravel() for a in self.mats])
+
+    @cached_property
+    def stack_pinv(self) -> np.ndarray:
+        """(m*n) x l pseudo-inverse of ``stack``, from one SVD.
+
+        ``stack_pinv @ t`` is the minimum-norm least-squares solution that
+        ``np.linalg.lstsq(stack, t, rcond=None)`` returns: singular values at
+        or below lstsq's default cutoff eps * max(l, m*n) * sigma_1 are
+        dropped. The cutoff is lstsq's, not ``rank_tol``.
+        """
+        u, sigma, vt = np.linalg.svd(self.stack, full_matrices=False)
+        keep = sigma > np.finfo(float).eps * max(self.stack.shape) * sigma.max(initial=0.0)
+        return vt[keep].T @ (u[:, keep].T / sigma[keep, None])
 
     def _check_shape(self, X: np.ndarray) -> np.ndarray:
         X = as_matrix(X, "X")

@@ -67,23 +67,19 @@ class QualificationReport:
 def build_T(svd: ThinSVD, amap: AffineMap) -> list:
     """Compressed constraint matrices with the trailing (m-s) x (n-s) block zeroed."""
     _check_shapes(svd, amap)
-    ug, vg, up, vp = svd.u_gamma, svd.v_gamma, svd.u_perp, svd.v_perp
     s = svd.rank
-    out = []
-    for a in amap.mats:
-        out.append(np.block([
-            [ug.T @ a @ vg, ug.T @ a @ vp],
-            [up.T @ a @ vg, np.zeros((svd.m - s, svd.n - s))],
-        ]))
-    return out
+    T = svd.u.T @ amap.stack.reshape(amap.l, svd.m, svd.n) @ svd.v
+    T[:, s:, s:] = 0.0
+    return list(T)
 
 
 def build_R(svd: ThinSVD, amap: AffineMap) -> list:
     """U^T A^i V_g (transposed convention when the point is wider than tall)."""
     _check_shapes(svd, amap)
+    A = amap.stack.reshape(amap.l, svd.m, svd.n)
     if svd.m >= svd.n:
-        return [svd.u.T @ a @ svd.v_gamma for a in amap.mats]
-    return [svd.v.T @ a.T @ svd.u_gamma for a in amap.mats]
+        return list(svd.u.T @ A @ svd.v_gamma)
+    return list(svd.v.T @ A.transpose(0, 2, 1) @ svd.u_gamma)
 
 
 def _check_shapes(svd: ThinSVD, amap: AffineMap) -> None:
@@ -103,7 +99,7 @@ def _independent(mats: list, bound: int, what: str, tol: float):
             RuntimeWarning,
             stacklevel=3,
         )
-    rank = rank_estimate(np.stack([a.ravel() for a in mats]), tol) if mats else 0
+    rank = rank_estimate(np.reshape(mats, (l, -1)), tol) if mats else 0
     return rank == l, rank
 
 

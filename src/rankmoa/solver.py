@@ -10,7 +10,10 @@ such in the result:
   affine-projected last so feasibility holds at report time. A fixed round
   count leaves an error floor: the gradient step re-enters the infeasible
   region by O(alpha * ||grad f||) every outer iteration, so the inner loop
-  must re-converge rather than run a constant number of sweeps.
+  must re-converge rather than run a constant number of sweeps. The affine
+  projection is two matrix-vector products with the constraint stack and its
+  pseudo-inverse, which ``AffineMap.stack_pinv`` factors once per map, so
+  the inner rounds never re-solve the constraint least-squares system.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 
@@ -71,14 +74,15 @@ class SolveResult:
 def project_affine(amap: AffineMap, X) -> np.ndarray:
     """Frobenius-nearest matrix satisfying the constraints (least squares).
 
-    Falls back to the least-squares projection with a warning when the
-    constraint system is inconsistent.
+    The correction is the map's cached pseudo-inverse applied to b - A(X).
+    Falls back to the least-squares projection with a warning, on every call,
+    when the constraint system is inconsistent.
     """
     X = as_matrix(X, "X")
     if amap.l == 0:
         return X
     target = amap.rhs - amap.apply(X)
-    c, *_ = np.linalg.lstsq(amap.stack, target, rcond=None)
+    c = amap.stack_pinv @ target
     gap = float(np.linalg.norm(amap.stack @ c - target))
     if gap > DEFAULT_TOL * max(1.0, float(np.linalg.norm(amap.rhs))):
         warnings.warn(

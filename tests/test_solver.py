@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
                      RankBound, SolverConfig, build_hankel, project_affine,
                      project_low_rank, rank_estimate, solve)
+from rankmoa import solver
 from rankmoa.solver import MODE_PENALTY, stationarity_residual, write_iterate_log
 
 
@@ -35,12 +40,58 @@ def test_project_affine_matches_hankel_averaging(hankel_case, rng):
         assert spec.affine.residual(got) <= 1e-10
 
 
+def _lstsq_projection(amap, X):
+    """Reference projection: one np.linalg.lstsq(rcond=None) solve per call."""
+    if amap.l == 0:
+        return X
+    c, *_ = np.linalg.lstsq(amap.stack, amap.rhs - amap.apply(X), rcond=None)
+    return X + c.reshape(amap.shape)
+
+
+def _consistent_map(rng, m, n, rows):
+    """Constraints A^i = B^rows[i] from random m x n matrices B, with b = A(X0)."""
+    basis = rng.standard_normal((max(rows) + 1, m, n))
+    x0 = rng.standard_normal((m, n))
+    mats = [basis[i] for i in rows]
+    return AffineMap(mats, [float(np.vdot(a, x0)) for a in mats])
+
+
+def test_project_affine_matches_lstsq_reference(rng):
+    maps = [
+        _consistent_map(rng, 4, 3, range(5)),
+        _consistent_map(rng, 2, 5, range(10)),  # l = mn: the only feasible point
+        _consistent_map(rng, 4, 3, [0, 1, 2, 0, 2, 1, 1]),  # linearly dependent
+        AffineMap([], [], shape=(3, 4)),
+    ]
+    for amap in maps:
+        for _ in range(5):
+            X = 10.0 * rng.standard_normal(amap.shape)
+            ref = _lstsq_projection(amap, X)
+            assert np.max(np.abs(project_affine(amap, X) - ref)) <= 1e-12 * max(
+                1.0, np.max(np.abs(ref)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8), st.integers(0, 10**6))
+def test_project_affine_is_the_affine_projection(m, n, l, seed):
+    rng = np.random.default_rng(seed)
+    independent = int(rng.integers(1, min(l, m * n) + 1))
+    amap = _consistent_map(rng, m, n, rng.integers(0, independent, size=l))
+    X = 10.0 * rng.standard_normal((m, n))
+    P = project_affine(amap, X)
+    scale = max(1.0, float(np.linalg.norm(X)))
+    assert np.linalg.norm(project_affine(amap, P) - P) <= 1e-10 * scale
+    assert amap.residual(P) <= 1e-10 * scale
+    assert amap.normal_space_member(X - P)[0]
+
+
 def test_project_affine_inconsistent_warns():
     a = np.eye(2)
     amap = AffineMap([a, a.copy()], [0.0, 1.0])
-    with pytest.warns(RuntimeWarning):
-        Y = project_affine(amap, np.zeros((2, 2)))
-    assert np.isclose(np.trace(Y), 0.5)  # least-squares compromise
+    for _ in range(2):  # the cached pseudo-inverse must not silence later calls
+        with pytest.warns(RuntimeWarning):
+            Y = project_affine(amap, np.zeros((2, 2)))
+        assert np.isclose(np.trace(Y), 0.5)  # least-squares compromise
 
 
 def test_solver_config_validation():
@@ -126,15 +177,53 @@ def test_stationarity_residual_at_solution(trace_case):
     assert res1 > 1e-3
 
 
-def test_reference_hankel_solve_keeps_the_multiplier_bounded():
-    # the tangential multiplier system here is 64 x 49 with only 24 singular
-    # values above rank_tol; inverting one near 1e-14 gives residuals near 1e12
+def _reference_hankel():
     G = np.random.default_rng(0).standard_normal((8, 8))
     H = G + G.T
     x0, _ = project_low_rank(H, 2)
-    result = solve(build_hankel(H, 2), x0, SolverConfig(alpha=0.5, max_iters=3))
+    return build_hankel(H, 2), x0
+
+
+def test_reference_hankel_solve_keeps_the_multiplier_bounded():
+    # the tangential multiplier system here is 64 x 49 with only 24 singular
+    # values above rank_tol; inverting one near 1e-14 gives residuals near 1e12
+    prob, x0 = _reference_hankel()
+    result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert len(result.log) == 3
     assert all(stat < 1.0 for _, _, _, stat in result.log)
+
+
+def test_reference_hankel_solve_factors_the_projector_once(monkeypatch):
+    # the inner rounds apply the cached pseudo-inverse of the constraint stack;
+    # lstsq is left to the multiplier solves, one per iteration and one for
+    # the final classification
+    prob, x0 = _reference_hankel()
+    stack = prob.affine.stack
+    calls = Counter()
+    lstsq, svd, project = np.linalg.lstsq, np.linalg.svd, solver.project_affine
+
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        if a is stack and kwargs.get("compute_uv", True):
+            calls["factor"] += 1
+        return svd(a, *args, **kwargs)
+
+    def counting_project(*args, **kwargs):
+        calls["project"] += 1
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(solver, "project_affine", counting_project)
+    result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
+    assert result.iterations == 3
+    assert calls["project"] >= 3 * solver._INNER_MIN
+    assert calls["lstsq"] <= result.iterations + 1
+    solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
+    assert calls["factor"] <= 1  # cached on the AffineMap
 
 
 def test_write_iterate_log(tmp_path, hankel_case):
