@@ -8,27 +8,46 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, as_matrix, least_squares, rank_estimate
+from .cones import project_tangent_fixed_rank
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, least_squares,
+                     rank_estimate)
 
 
 @dataclass(frozen=True)
 class AffineMap:
     """The linear map X -> (<A^1,X>, ..., <A^l,X>) together with its rhs b.
 
-    Constraint matrices are stored dense; redundant (linearly dependent)
-    matrices are allowed, the stack rank is reported so qualification checks
-    can warn. ``shape`` is required when there are no constraints.
+    The constraints are held once, as ``mats``: a read-only float array of
+    shape (l, m, n), copied from the caller's input on construction, so it
+    indexes and iterates like a sequence of m x n matrices. ``stack`` is its
+    (l, m*n) view. Redundant (linearly dependent) matrices are allowed, the
+    stack rank is reported so qualification checks can warn. ``shape`` is
+    required when there are no constraints.
 
-    ``stack`` and its pseudo-inverse ``stack_pinv`` are computed on first use
-    and cached, so the constraint matrices must not be mutated afterwards.
+    The pseudo-inverse ``stack_pinv`` is computed on first use and cached;
+    the read-only array keeps it valid.
     """
 
-    mats: tuple
+    mats: np.ndarray
     rhs: np.ndarray
     shape: tuple | None = None
 
     def __post_init__(self):
-        mats = tuple(as_matrix(a, f"A^{i + 1}") for i, a in enumerate(self.mats))
+        try:
+            mats = np.array(self.mats, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("constraint matrices must be numeric and of one shape") from exc
+        if mats.size == 0 and mats.ndim < 3:
+            if self.shape is None:
+                raise ValueError("shape is required when there are no constraints")
+            mats = mats.reshape(0, int(self.shape[0]), int(self.shape[1]))
+        if mats.ndim != 3:
+            raise ValueError(f"constraint matrices form shape {mats.shape}, expected (l, m, n)")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("constraint matrices have non-finite entries")
+        shape = mats.shape[1:]
+        if self.shape is not None and tuple(self.shape) != shape:
+            raise ValueError("declared shape disagrees with constraint matrices")
         rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
         if rhs.ndim != 1:
             raise ValueError("rhs must be a vector")
@@ -38,17 +57,7 @@ class AffineMap:
             raise ValueError(
                 f"{len(mats)} constraint matrices but {rhs.size} rhs entries"
             )
-        if mats:
-            shape = mats[0].shape
-            for i, a in enumerate(mats):
-                if a.shape != shape:
-                    raise ValueError(f"A^{i + 1} has shape {a.shape}, expected {shape}")
-            if self.shape is not None and tuple(self.shape) != shape:
-                raise ValueError("declared shape disagrees with constraint matrices")
-        else:
-            if self.shape is None:
-                raise ValueError("shape is required when there are no constraints")
-            shape = (int(self.shape[0]), int(self.shape[1]))
+        mats.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "shape", shape)
@@ -57,13 +66,10 @@ class AffineMap:
     def l(self) -> int:
         return len(self.mats)
 
-    @cached_property
+    @property
     def stack(self) -> np.ndarray:
-        """l x (m*n) matrix whose rows are the vectorized constraint matrices."""
-        m, n = self.shape
-        if not self.mats:
-            return np.zeros((0, m * n))
-        return np.stack([a.ravel() for a in self.mats])
+        """l x (m*n) view of ``mats``: row i is the vectorized A^i."""
+        return self.mats.reshape(self.l, self.shape[0] * self.shape[1])
 
     @cached_property
     def stack_pinv(self) -> np.ndarray:
@@ -110,10 +116,24 @@ class AffineMap:
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
         W = self._check_shape(W)
-        y, resid = least_squares(self.mats, W, DEFAULT_RANK_TOL)
+        y, resid = self.fit_multiplier(W)
         if resid <= tol * max(1.0, float(np.linalg.norm(W))):
             return True, y
         return False, None
+
+    def fit_multiplier(self, W, rank_tol: float = DEFAULT_RANK_TOL,
+                       tangent: ThinSVD | None = None):
+        """(y, residual) for the minimum-norm least-squares fit sum_i y_i A^i ~ W.
+
+        With ``tangent``, the ranked SVD of a point, both sides are first
+        projected onto the fixed-rank tangent space there, so only the
+        tangential part of W is fitted.
+        """
+        cols = self.mats
+        if tangent is not None:
+            cols = project_tangent_fixed_rank(tangent, cols)
+            W = project_tangent_fixed_rank(tangent, W)
+        return least_squares(cols, W, rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return rank_estimate(self.stack, rank_tol)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes are the only success signal: 0 analysis/solve succeeded, 2 a file
-failed to parse or resolve, 3 strict mode hit an uncertified qualification,
-4 the solver diverged. Stdout text is informational; --json emits a
+failed to parse or resolve or a solver setting is invalid, 3 strict mode hit
+an uncertified qualification, 4 the solver diverged. Stdout text is informational; --json emits a
 schema-stable document (fixed keys, matrices as row-major nested arrays).
 """
 
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DivergenceError, ProblemFormatError
 from .problems import load_problem
 from .qualification import CASE_NOT_CERTIFIED
+from .report import jsonable
 from .second_order import check_second_order
 from .solver import MODE_EXACT, MODE_PENALTY, SolverConfig, solve, write_iterate_log
 from .stationarity import PointAnalysis, classify_first_order
@@ -38,25 +39,6 @@ def _default_seed() -> int:
         return 0
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.floating, float)):
-        v = float(x)
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    return x
-
-
 def _load_point(label: str, named: dict, shape):
     if label in named:
         X, name = named[label], label
@@ -67,16 +49,21 @@ def _load_point(label: str, named: dict, shape):
                 f"point {label!r} is neither a named point "
                 f"({', '.join(sorted(named)) or 'none defined'}) nor a readable file"
             )
-        if path.suffix.lower() == ".json":
-            with open(path, "r", encoding="utf-8") as fh:
-                X = np.asarray(json.load(fh), dtype=float)
-        else:
-            X = np.loadtxt(path, ndmin=2)
         name = path.name
+        try:
+            if path.suffix.lower() == ".json":
+                with open(path, "r", encoding="utf-8") as fh:
+                    X = np.asarray(json.load(fh), dtype=float)
+            else:
+                X = np.loadtxt(path, ndmin=2)
+        except (TypeError, ValueError) as exc:
+            raise ProblemFormatError(f"point {name} is not a numeric matrix: {exc}") from exc
     if X.shape != shape:
         raise ProblemFormatError(
             f"point {name} has shape {X.shape}, problem expects {shape}"
         )
+    if not np.all(np.isfinite(X)):
+        raise ProblemFormatError(f"point {name} has non-finite entries")
     return X, name
 
 
@@ -123,7 +110,7 @@ def cmd_analyze(args) -> int:
         "second_order": None if second is None else second.to_dict(),
     }
     if args.json:
-        print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+        print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
     else:
         _print_analysis(doc, rep, qual, second)
     if args.strict and qual.intersection_rule_case == CASE_NOT_CERTIFIED:
@@ -185,26 +172,21 @@ def _print_analysis(doc, rep, qual, second):
 
 
 def cmd_solve(args) -> int:
+    rng = np.random.default_rng(args.seed)
     try:
         loaded = load_problem(args.problem)
         prob = loaded.spec
-    except ProblemFormatError as exc:
+        if args.x0 == "rand":
+            X0 = rng.standard_normal((prob.m, prob.n))
+        else:
+            X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
+        cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
+                           stop_tol=args.stop_tol, affine_mode=args.mode,
+                           rho=args.rho)
+    except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    rng = np.random.default_rng(args.seed)
-    if args.x0 == "rand":
-        X0 = rng.standard_normal((prob.m, prob.n))
-    else:
-        try:
-            X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
-        except ProblemFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-
-    cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
-                       stop_tol=args.stop_tol, affine_mode=args.mode,
-                       rho=args.rho)
     try:
         result = solve(prob, X0, cfg)
     except DivergenceError as exc:
@@ -230,7 +212,7 @@ def cmd_solve(args) -> int:
         "report": result.report.to_dict(),
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"solved: {'converged' if result.converged else 'max iterations'} "
           f"after {result.iterations} iterations; outputs in {out}/")

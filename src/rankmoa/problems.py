@@ -75,11 +75,8 @@ class LRRInstance:
     def build(self, rank_tol: float = DEFAULT_RANK_TOL,
               tol: float = DEFAULT_TOL) -> ProblemSpec:
         n = len(self.b_mats)
-        mats = []
-        for i in range(n):
-            e = np.zeros((n, n))
-            e[i, :] = 1.0
-            mats.append(e)
+        mats = np.zeros((n, n, n))
+        mats[np.arange(n), np.arange(n), :] = 1.0  # A^i is the indicator of row i
         return ProblemSpec(
             objective=RowQuadratic(self.b_mats),
             affine=AffineMap(mats, np.ones(n)),
@@ -94,14 +91,12 @@ def hankel_constraints(m: int, n: int) -> AffineMap:
     Index order is row-major over k = 2..m then j = 1..n-1 (one-based), so
     every referenced unit vector exists.
     """
-    mats = []
-    for k in range(1, m):
-        for j in range(n - 1):
-            a = np.zeros((m, n))
-            a[k, j] = 1.0
-            a[k - 1, j + 1] = -1.0
-            mats.append(a)
-    return AffineMap(mats, np.zeros(len(mats)))
+    idx = np.arange((m - 1) * (n - 1))
+    k, j = np.divmod(idx, n - 1)
+    mats = np.zeros((idx.size, m, n))
+    mats[idx, k + 1, j] = 1.0
+    mats[idx, k, j + 1] = -1.0
+    return AffineMap(mats, np.zeros(idx.size), shape=(m, n))
 
 
 def build_hankel(h_target, r: int, rank_tol: float = DEFAULT_RANK_TOL,
@@ -192,6 +187,15 @@ def _matrix_from_doc(doc, m, n, where):
     return arr
 
 
+def _float_array(doc, shape):
+    """doc as a finite float array of the given shape, or None."""
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return arr if arr.shape == shape and np.all(np.isfinite(arr)) else None
+
+
 def save_problem(prob: ProblemSpec, path, named_points=None) -> None:
     """Write the problem document; round-trips through load_problem."""
     doc = {
@@ -258,14 +262,17 @@ def load_problem(path) -> LoadedProblem:
         raise ProblemFormatError(
             f"{path}: l={l} but {len(constraints)} constraints listed"
         )
-    mats, rhs = [], []
-    for i, c in enumerate(constraints):
-        if not isinstance(c, dict) or "matrix" not in c or "rhs" not in c:
-            raise ProblemFormatError(
-                f"{path}: constraints[{i}] needs 'matrix' and 'rhs'"
-            )
-        mats.append(_matrix_from_doc(c["matrix"], m, n, f"{path}: constraints[{i}]"))
-        rhs.append(float(c["rhs"]))
+    bad = [i for i, c in enumerate(constraints)
+           if not isinstance(c, dict) or "matrix" not in c or "rhs" not in c]
+    if bad:
+        raise ProblemFormatError(f"{path}: constraints[{bad[0]}] needs 'matrix' and 'rhs'")
+    mats = _float_array([c["matrix"] for c in constraints], (l, m, n))
+    if mats is None:  # convert entry by entry to name the first bad one
+        mats = np.array([_matrix_from_doc(c["matrix"], m, n, f"{path}: constraints[{i}]")
+                         for i, c in enumerate(constraints)]).reshape(l, m, n)
+    rhs = _float_array([c["rhs"] for c in constraints], (l,))
+    if rhs is None:
+        raise ProblemFormatError(f"{path}: every constraint 'rhs' must be a finite number")
     try:
         objective = objective_from_doc(need("objective", dict))
     except (KeyError, ValueError) as exc:
@@ -274,8 +281,11 @@ def load_problem(path) -> LoadedProblem:
         raise ProblemFormatError(
             f"{path}: objective shape {objective.shape} differs from ({m}, {n})"
         )
+    named = doc.get("named_points", [])
+    if not isinstance(named, list):
+        raise ProblemFormatError(f"{path}: field 'named_points' has the wrong type")
     points = {}
-    for i, p in enumerate(doc.get("named_points", [])):
+    for i, p in enumerate(named):
         if not isinstance(p, dict) or "label" not in p or "matrix" not in p:
             raise ProblemFormatError(
                 f"{path}: named_points[{i}] needs 'label' and 'matrix'"

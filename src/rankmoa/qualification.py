@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
-from .cones import project_tangent_fixed_rank
 from .errors import QualificationError
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, least_squares,
-                     rank_estimate)
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, rank_estimate
+from .report import JsonReport
 
 CASE_FULL_RANK = "eq_full_rank"
 CASE_RANK_DEFICIENT = "eq_rank_deficient"
@@ -33,7 +32,7 @@ CASE_NOT_CERTIFIED = "not_certified"
 
 
 @dataclass(frozen=True)
-class QualificationReport:
+class QualificationReport(JsonReport):
     """Ranks and verdicts of the two qualifications at a base point."""
 
     s: int
@@ -48,38 +47,22 @@ class QualificationReport:
     intersection_rule_case: str
     warnings: tuple = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "r": self.r,
-            "l": self.l,
-            "t_rank": self.t_rank,
-            "r_rank": self.r_rank,
-            "assumption1": self.assumption1,
-            "assumption2": self.assumption2,
-            "bq_subspace": self.bq_subspace,
-            "bq_mordukhovich": self.bq_mordukhovich,
-            "intersection_rule_case": self.intersection_rule_case,
-            "warnings": list(self.warnings),
-        }
 
-
-def build_T(svd: ThinSVD, amap: AffineMap) -> list:
-    """Compressed constraint matrices with the trailing (m-s) x (n-s) block zeroed."""
+def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
+    """l x m x n compressed constraint matrices, trailing (m-s) x (n-s) block zeroed."""
     _check_shapes(svd, amap)
     s = svd.rank
-    T = svd.u.T @ amap.stack.reshape(amap.l, svd.m, svd.n) @ svd.v
+    T = svd.u.T @ amap.mats @ svd.v
     T[:, s:, s:] = 0.0
-    return list(T)
+    return T
 
 
-def build_R(svd: ThinSVD, amap: AffineMap) -> list:
-    """U^T A^i V_g (transposed convention when the point is wider than tall)."""
+def build_R(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
+    """U^T A^i V_g stacked (transposed convention when the point is wider than tall)."""
     _check_shapes(svd, amap)
-    A = amap.stack.reshape(amap.l, svd.m, svd.n)
     if svd.m >= svd.n:
-        return list(svd.u.T @ A @ svd.v_gamma)
-    return list(svd.v.T @ A.transpose(0, 2, 1) @ svd.u_gamma)
+        return svd.u.T @ amap.mats @ svd.v_gamma
+    return svd.v.T @ amap.mats.transpose(0, 2, 1) @ svd.u_gamma
 
 
 def _check_shapes(svd: ThinSVD, amap: AffineMap) -> None:
@@ -89,8 +72,8 @@ def _check_shapes(svd: ThinSVD, amap: AffineMap) -> None:
         )
 
 
-def _independent(mats: list, bound: int, what: str, tol: float):
-    """(verdict, rank) for linear independence of a stack of l matrices."""
+def _independent(mats: np.ndarray, bound: int, what: str, tol: float):
+    """(verdict, rank) for linear independence of an l x p x q stack."""
     l = len(mats)
     if l > bound:
         warnings.warn(
@@ -99,7 +82,7 @@ def _independent(mats: list, bound: int, what: str, tol: float):
             RuntimeWarning,
             stacklevel=3,
         )
-    rank = rank_estimate(np.reshape(mats, (l, -1)), tol) if mats else 0
+    rank = rank_estimate(mats.reshape(l, -1), tol) if l else 0
     return rank == l, rank
 
 
@@ -182,13 +165,7 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     W = as_matrix(W, "W")
     if W.shape != (svd.m, svd.n):
         raise ValueError(f"W has shape {W.shape}, expected {(svd.m, svd.n)}")
-    if svd.rank == r:
-        mats = amap.stack.reshape(amap.l, svd.m, svd.n)
-        cols = project_tangent_fixed_rank(svd, mats)
-        W_fit = project_tangent_fixed_rank(svd, W)
-    else:
-        cols, W_fit = amap.mats, W
-    y, resid = least_squares(cols, W_fit, svd.rank_tol)
+    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if svd.rank == r else None)
     member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
     return member, y, resid
 

@@ -31,6 +31,7 @@ from .cones import (ConeQuery, in_tangent_bouligand_Mr,
                     project_normal_fixed_rank, project_tangent_fixed_rank)
 from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
+from .report import JsonReport
 from .stationarity import PointAnalysis, lagrangian_grad
 
 CASE_FULL = "full_rank"
@@ -40,7 +41,7 @@ CONE_BLOCK = 512
 
 
 @dataclass
-class SecondOrderReport:
+class SecondOrderReport(JsonReport):
     case: str
     basis_dim: int
     min_eig: float
@@ -51,26 +52,6 @@ class SecondOrderReport:
     cone_violations: int = 0
     subspace_min_eig: float | None = None
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        def _num(x):
-            if x is None:
-                return None
-            if math.isinf(x):
-                return "inf" if x > 0 else "-inf"
-            return x
-        return {
-            "case": self.case,
-            "basis_dim": self.basis_dim,
-            "min_eig": _num(self.min_eig),
-            "max_eig": _num(self.max_eig),
-            "necessary_ok": self.necessary_ok,
-            "sufficient_ok": self.sufficient_ok,
-            "cone_samples_tested": self.cone_samples_tested,
-            "cone_violations": self.cone_violations,
-            "subspace_min_eig": _num(self.subspace_min_eig),
-            "notes": list(self.notes),
-        }
 
 
 def _gram_form(objective, X, B, gradL=None, pinv=None,
@@ -169,8 +150,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         )
 
     if s == prob.r:
-        basis = np.reshape(tangent_intersection_basis(svd, prob.affine, prob.r),
-                           (-1, prob.m, prob.n))
+        basis = _reduced_basis(svd, prob.affine)
         Q = _gram_form(prob.objective, X, basis, gradL, pseudo_inverse(svd),
                        curvature_coeff)
         lo, hi = _extreme_eigs(Q)

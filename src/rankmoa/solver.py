@@ -13,7 +13,8 @@ such in the result:
   must re-converge rather than run a constant number of sweeps. The affine
   projection is two matrix-vector products with the constraint stack and its
   pseudo-inverse, which ``AffineMap.stack_pinv`` factors once per map, so
-  the inner rounds never re-solve the constraint least-squares system.
+  the inner rounds never re-solve the constraint least-squares system. The
+  map's constraint array is read-only, so that factorization cannot go stale.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 

@@ -29,14 +29,15 @@ from functools import cached_property
 import numpy as np
 
 from .cones import project_tangent_fixed_rank
-from .linalg import as_matrix, least_squares, orient_svd, rank_estimate, spectral_norm
+from .linalg import as_matrix, orient_svd, rank_estimate, spectral_norm
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
                             bq_certificates)
+from .report import JsonReport
 
 
 @dataclass
-class StationarityReport:
+class StationarityReport(JsonReport):
     feasible: bool
     feasibility_residual: float
     s: int
@@ -50,27 +51,6 @@ class StationarityReport:
     beta: float | None = None
     classification: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        beta = self.beta
-        if beta is not None and math.isinf(beta):
-            beta = "inf"
-        return {
-            "feasible": self.feasible,
-            "feasibility_residual": self.feasibility_residual,
-            "s": self.s,
-            "y": None if self.y is None else self.y.tolist(),
-            "grad_lagrangian": None if self.grad_lagrangian is None
-            else self.grad_lagrangian.tolist(),
-            "f_residual": self.f_residual,
-            "is_F": self.is_F,
-            "is_M": self.is_M,
-            "alpha_tested": self.alpha_tested,
-            "is_alpha": self.is_alpha,
-            "beta": beta,
-            "classification": list(self.classification),
-            "notes": list(self.notes),
-        }
 
 
 def lagrangian(prob: ProblemSpec, X, y) -> float:
@@ -148,14 +128,8 @@ class PointAnalysis:
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
-    prob = pa.prob
-    if tangential:
-        mats = prob.affine.stack.reshape(prob.l, prob.m, prob.n)
-        cols = project_tangent_fixed_rank(pa.svd, mats)
-        g = project_tangent_fixed_rank(pa.svd, pa.grad)
-    else:
-        cols, g = prob.affine.mats, pa.grad
-    return least_squares(cols, -g, prob.rank_tol)
+    return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol,
+                                         pa.svd if tangential else None)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:

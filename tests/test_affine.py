@@ -111,6 +111,31 @@ def test_shape_validation():
         amap.adjoint([1.0, 2.0])
 
 
+def test_constraints_are_one_read_only_array():
+    rng = np.random.default_rng(0)
+    given = [rng.standard_normal((3, 2)) for _ in range(4)]
+    amap = AffineMap(given, np.zeros(4))
+    assert amap.mats.shape == (4, 3, 2) and amap.stack.shape == (4, 6)
+    assert np.shares_memory(amap.stack, amap.mats)
+    with pytest.raises(ValueError):
+        amap.mats[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        amap.stack[0, 0] = 1.0
+    # the map holds a copy: the caller's arrays stay writable and unshared
+    for a, b in zip(given, amap.mats):
+        assert a.flags.writeable and not np.shares_memory(a, amap.mats)
+        assert np.array_equal(a, b)
+    one = np.stack(given)
+    assert not np.shares_memory(one, AffineMap(one, np.zeros(4)).mats)
+    assert one.flags.writeable
+    empty = AffineMap([], [], shape=(3, 2))
+    assert empty.mats.shape == (0, 3, 2) and empty.stack.shape == (0, 6)
+    with pytest.raises(ValueError):
+        AffineMap([np.eye(2), np.eye(3)], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        AffineMap([np.eye(2), np.ones((2, 3))], [0.0, 0.0])
+
+
 def test_hankel_constraints_count():
     amap = hankel_constraints(4, 5)
     assert amap.l == 12

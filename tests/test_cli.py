@@ -68,6 +68,39 @@ def test_analyze_wrong_shape_point_exit_2(problem_files, tmp_path, capsys):
     assert "shape" in capsys.readouterr().err
 
 
+def _set_rhs(value):
+    return lambda doc: doc["constraints"][0].update(rhs=value)
+
+
+@pytest.mark.parametrize("argv, edit, point_row", [
+    pytest.param(["solve"], _set_rhs("abc"), None, id="solve-rhs-not-a-number"),
+    pytest.param(["solve"], _set_rhs(None), None, id="solve-rhs-null"),
+    pytest.param(["analyze", "--point", "X4"], _set_rhs(None), None, id="analyze-rhs-null"),
+    pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(named_points=5),
+                 None, id="named-points-not-a-list"),
+    pytest.param(["analyze", "--point"], None, "nan 0 0 0", id="analyze-point-nan"),
+    pytest.param(["solve", "--x0"], None, "nan 0 0 0", id="solve-x0-nan"),
+    pytest.param(["solve", "--x0"], None, "a b c d", id="solve-x0-not-numeric"),
+    pytest.param(["solve", "--iters", "0"], None, None, id="solve-iters-0"),
+    pytest.param(["solve", "--alpha", "-1"], None, None, id="solve-alpha-negative"),
+])
+def test_malformed_input_exit_2(problem_files, tmp_path, capsys, argv, edit, point_row):
+    doc = json.loads(problem_files["tr"].read_text())
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "case.prob"
+    path.write_text(json.dumps(doc))
+    args = [argv[0], str(path), *argv[1:]]
+    if point_row is not None:
+        point = tmp_path / "point.txt"
+        point.write_text("\n".join([point_row] + ["0 0 0 0"] * 3) + "\n")
+        args.append(str(point))
+    code = main(args)  # an uncaught exception here is the traceback under test
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_analyze_strict_uncertified_exit_3(problem_files, capsys):
     code = main(["analyze", str(problem_files["diag"]), "--point", "Xbar",
                  "--strict"])

@@ -39,6 +39,11 @@ def test_build_hankel_two_by_two():
 def test_hankel_matrices_are_feasible(rng):
     for m, n in [(3, 3), (4, 5), (5, 2)]:
         amap = hankel_constraints(m, n)
+        # one constraint per (k, j) in row-major order, as a per-matrix loop builds them
+        want = np.zeros((amap.l, m, n))
+        for i, (k, j) in enumerate((k, j) for k in range(1, m) for j in range(n - 1)):
+            want[i, k, j], want[i, k - 1, j + 1] = 1.0, -1.0
+        assert np.array_equal(amap.mats, want)
         for _ in range(5):
             x = rng.standard_normal(m + n - 1)
             assert amap.residual(_hankel_matrix(x, m, n)) <= 1e-12
