@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 
 from .cones import project_tangent_fixed_rank
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, least_squares,
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, least_squares,
                      rank_estimate)
 
 
@@ -84,16 +84,9 @@ class AffineMap:
         keep = sigma > np.finfo(float).eps * max(self.stack.shape) * sigma.max(initial=0.0)
         return vt[keep].T @ (u[:, keep].T / sigma[keep, None])
 
-    def _check_shape(self, X: np.ndarray) -> np.ndarray:
-        X = as_matrix(X, "X")
-        if X.shape != self.shape:
-            raise ValueError(f"X has shape {X.shape}, constraints expect {self.shape}")
-        return X
-
     def apply(self, X) -> np.ndarray:
         """Component i is <A^i, X>."""
-        X = self._check_shape(X)
-        return self.stack @ X.ravel()
+        return self.stack @ as_shaped(X, self.shape, "X").ravel()
 
     def adjoint(self, y) -> np.ndarray:
         """sum_i y_i A^i."""
@@ -115,7 +108,7 @@ class AffineMap:
 
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
-        W = self._check_shape(W)
+        W = as_shaped(W, self.shape, "W")
         y, resid = self.fit_multiplier(W)
         if resid <= tol * max(1.0, float(np.linalg.norm(W))):
             return True, y

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes are the only success signal: 0 analysis/solve succeeded, 2 a file
-failed to parse or resolve or a solver setting is invalid, 3 strict mode hit
-an uncertified qualification, 4 the solver diverged. Stdout text is informational; --json emits a
-schema-stable document (fixed keys, matrices as row-major nested arrays).
+failed to parse or resolve or a numeric setting is invalid, 3 strict mode hit
+an uncertified qualification, 4 the solver diverged. Stdout text is
+informational; --json emits a schema-stable document (fixed keys, matrices as
+row-major nested arrays, infinities as "inf", never NaN).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, ProblemFormatError
+from .linalg import check_positive
 from .problems import load_problem
 from .qualification import CASE_NOT_CERTIFIED
 from .report import jsonable
@@ -80,6 +82,10 @@ def cmd_analyze(args) -> int:
         prob = loaded.spec
         if args.tol is not None:
             prob = replace(prob, tol=args.tol)
+        if args.alpha is not None:
+            check_positive(args.alpha, "--alpha")
+        if args.samples < 0:
+            raise ValueError(f"--samples must be nonnegative, got {args.samples}")
         X, label = _load_point(args.point, loaded.named_points,
                                (prob.m, prob.n))
     except (ProblemFormatError, OSError, ValueError) as exc:
@@ -110,7 +116,7 @@ def cmd_analyze(args) -> int:
         "second_order": None if second is None else second.to_dict(),
     }
     if args.json:
-        print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
+        print(json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False))
     else:
         _print_analysis(doc, rep, qual, second)
     if args.strict and qual.intersection_rule_case == CASE_NOT_CERTIFIED:
@@ -212,7 +218,7 @@ def cmd_solve(args) -> int:
         "report": result.report.to_dict(),
     }
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"solved: {'converged' if result.converged else 'max iterations'} "
           f"after {result.iterations} iterations; outputs in {out}/")

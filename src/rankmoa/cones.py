@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_stack, rank_estimate
+from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_shaped, rank_estimate
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,12 @@ def enumerate_J(s: int, n: int, r: int, cap: int = 10**6) -> list:
             for combo in itertools.combinations(range(s, n), r - s)]
 
 
-def _check_ambient(svd: ThinSVD, Z, name="Z", stack=False) -> np.ndarray:
-    """Z validated as one m x n matrix, or as a (..., m, n) stack of them."""
-    Z = (as_stack if stack else as_matrix)(Z, name)
-    if Z.shape[-2:] != (svd.m, svd.n):
-        raise ValueError(f"{name} has shape {Z.shape}, expected {(svd.m, svd.n)}")
-    return Z
-
-
 def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
     """Pu Z Pv + Pu Z Pv_perp + Pu_perp Z Pv with Pu = U_g U_g^T etc.
 
     Z may be a (..., m, n) stack; every matrix in it is projected.
     """
-    Z = _check_ambient(svd, Z, stack=True)
+    Z = as_shaped(Z, (svd.m, svd.n), "Z", stack=True)
     if svd.rank == 0:
         return np.zeros_like(Z)
     ug, vg = svd.u_gamma, svd.v_gamma
@@ -100,7 +92,7 @@ def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
 
 def project_normal_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
     """Pu_perp Z Pv_perp, the complement of the tangent projection; Z may be a stack."""
-    Z = _check_ambient(svd, Z, stack=True)
+    Z = as_shaped(Z, (svd.m, svd.n), "Z", stack=True)
     up, vp = svd.u_perp, svd.v_perp
     return up @ (up.T @ Z @ vp) @ vp.T
 
@@ -113,7 +105,7 @@ def in_tangent_bouligand_Mr(q: ConeQuery, H):
     H = O passes, its normal part being O. H may be a (..., m, n) stack; the
     result is then a boolean array of the leading shape.
     """
-    H = _check_ambient(q.svd, H, "H", stack=True)
+    H = as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True)
     N = project_normal_fixed_rank(q.svd, H)
     sv_h = np.linalg.svd(H, compute_uv=False)
     top = sv_h[..., :1] if sv_h.shape[-1] else np.zeros(H.shape[:-2] + (1,))
@@ -125,7 +117,7 @@ def in_tangent_bouligand_Mr(q: ConeQuery, H):
 
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
     """Frechet normality: tangential part vanishes if s == r, else W = O."""
-    W = _check_ambient(q.svd, W, "W")
+    W = as_shaped(W, (q.svd.m, q.svd.n), "W")
     scale = max(1.0, float(np.linalg.norm(W)))
     if q.s == q.r:
         t = project_tangent_fixed_rank(q.svd, W)
@@ -135,7 +127,7 @@ def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
 
 def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
     """Tangential part vanishes and rank(W) <= min(m, n) - r."""
-    W = _check_ambient(q.svd, W, "W")
+    W = as_shaped(W, (q.svd.m, q.svd.n), "W")
     scale = max(1.0, float(np.linalg.norm(W)))
     t = project_tangent_fixed_rank(q.svd, W)
     if float(np.linalg.norm(t)) > q.tol * scale:
@@ -147,7 +139,7 @@ def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
     """Normal-space test for the flat U B V_J^T through X: U^T W V_J = O."""
     if svd.m < svd.n:
         return in_normal_MXJ(svd.transposed(), J, as_matrix(W, "W").T, tol)
-    W = _check_ambient(svd, W, "W")
+    W = as_shaped(W, (svd.m, svd.n), "W")
     idx = J.indices if isinstance(J, IndexSetJ) else tuple(int(i) for i in J)
     if not set(range(svd.rank)).issubset(idx):
         raise ValueError("index set must contain the rank prefix of the base point")
@@ -163,7 +155,7 @@ def in_normal_frechet_MXr(q: ConeQuery, W) -> bool:
     if q.svd.m < q.svd.n:
         qt = ConeQuery(q.svd.transposed(), q.r, q.tol)
         return in_normal_frechet_MXr(qt, as_matrix(W, "W").T)
-    W = _check_ambient(q.svd, W, "W")
+    W = as_shaped(W, (q.svd.m, q.svd.n), "W")
     scale = max(1.0, float(np.linalg.norm(W)))
     if q.s == q.r:
         resid = float(np.linalg.norm(q.svd.u.T @ W @ q.svd.v_gamma))

@@ -34,10 +34,24 @@ def as_stack(x, name: str = "matrix") -> np.ndarray:
     return _finite(X, name)
 
 
+def as_shaped(x, shape: tuple, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """as_matrix of the given (m, n) shape, or with ``stack`` an as_stack of them."""
+    X = (as_stack if stack else as_matrix)(x, name)
+    if X.shape[-2:] != shape:
+        raise ValueError(f"{name} has shape {X.shape}, expected {shape}")
+    return X
+
+
 def _finite(X: np.ndarray, name: str) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError(f"{name} has non-finite entries")
     return X
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ValueError unless value is a finite positive number (NaN fails)."""
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -147,20 +161,20 @@ def orient_svd(X, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
     min(m, n) are oriented on their own.
     """
     f = thin_svd(X, rank_tol)
-    u = f.u.copy()
-    v = f.v.copy()
+    su, sv = _column_signs(f.u), _column_signs(f.v)
     k = min(f.m, f.n)
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            if j < k:
-                v[:, j] = -v[:, j]
-    for j in range(k, v.shape[1]):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0:
-            v[:, j] = -v[:, j]
-    return ThinSVD(u=u, v=v, sigma=f.sigma, gamma=f.gamma, rank_tol=f.rank_tol)
+    sv[:k] = su[:k]  # paired v columns follow their u column
+    # C order (v is a transposed view): later products then round the same way
+    return ThinSVD(u=np.multiply(f.u, su, order="C"), v=np.multiply(f.v, sv, order="C"),
+                   sigma=f.sigma, gamma=f.gamma, rank_tol=f.rank_tol)
+
+
+def _column_signs(a: np.ndarray) -> np.ndarray:
+    """Per column, -1.0 where its first entry of largest magnitude is negative, else 1.0."""
+    if a.size == 0:
+        return np.ones(a.shape[1])
+    top = a[np.argmax(np.abs(a), axis=0), np.arange(a.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
 
 
 def pseudo_inverse(svd: ThinSVD) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Objective models and the full problem record.
 
 An objective exposes value, gradient, the Hessian as a linear map on
-directions, and the induced quadratic form. Convexity and a strong-convexity
-modulus are recorded where they can be certified at construction; the
-classification logic only uses these flags, never re-derives them.
+directions (applied to a whole stack of them in one call), and the induced
+quadratic form. Convexity and a strong-convexity modulus are recorded where
+they can be certified at construction; the classification logic only uses
+these flags, never re-derives them.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, RankBound, as_matrix
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, RankBound, as_matrix, as_shaped,
+                     check_positive)
 
 
 class Objective:
-    """Base interface for twice continuously differentiable objectives."""
+    """Base interface for twice continuously differentiable objectives.
+
+    ``hess_apply`` maps a (..., m, n) stack of directions to the same shape,
+    slice by slice, so a whole basis or block of directions costs one call.
+    """
 
     kind = "abstract"
     convex = False
@@ -34,7 +40,7 @@ class Objective:
         raise NotImplementedError
 
     def hess_apply(self, X, Xi) -> np.ndarray:
-        """Hessian applied to a direction, d/dt grad(X + t*Xi) at t=0."""
+        """Per slice of the (..., m, n) stack Xi, d/dt grad(X + t*Xi) at t=0."""
         raise NotImplementedError
 
     def hess_quad(self, X, Xi) -> float:
@@ -45,11 +51,8 @@ class Objective:
     def params(self) -> dict:
         raise NotImplementedError
 
-    def _check(self, X) -> np.ndarray:
-        X = as_matrix(X, "X")
-        if X.shape != self.shape:
-            raise ValueError(f"X has shape {X.shape}, objective expects {self.shape}")
-        return X
+    def _check(self, X, name: str = "X", stack: bool = False) -> np.ndarray:
+        return as_shaped(X, self.shape, name, stack)
 
 
 class FrobeniusDistance(Objective):
@@ -74,7 +77,7 @@ class FrobeniusDistance(Objective):
         return self._check(X) - self.target
 
     def hess_apply(self, X, Xi) -> np.ndarray:
-        return as_matrix(Xi, "Xi").copy()
+        return self._check(Xi, "Xi", stack=True).copy()
 
     def params(self) -> dict:
         return {"target": self.target.tolist()}
@@ -83,6 +86,8 @@ class FrobeniusDistance(Objective):
 class RowQuadratic(Objective):
     """f(W) = 0.5 * sum_i w_i B^i w_i^T over the rows w_i of an N x N matrix.
 
+    The row matrices are held once, as ``mats``: a read-only float array of
+    shape (N, N, N) whose slice i is B^i, copied and validated in one pass.
     Gradients use the symmetrized row matrices 0.5 * (B^i + B^i^T) so they
     match finite differences for arbitrary B^i. The objective is convex when
     every symmetrized matrix is positive semidefinite; the smallest eigenvalue
@@ -92,43 +97,39 @@ class RowQuadratic(Objective):
     kind = "row_quadratic"
 
     def __init__(self, mats):
-        mats = [as_matrix(b, f"B^{i + 1}") for i, b in enumerate(mats)]
-        if not mats:
-            raise ValueError("row_quadratic needs at least one matrix")
-        n = mats[0].shape[0]
-        for i, b in enumerate(mats):
-            if b.shape != (n, n):
-                raise ValueError(f"B^{i + 1} has shape {b.shape}, expected ({n}, {n})")
-        if len(mats) != n:
-            raise ValueError(f"expected {n} row matrices, got {len(mats)}")
+        try:
+            mats = np.array(mats, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("row matrices must be numeric and of one shape") from exc
+        if mats.ndim != 3 or mats.shape[0] == 0 or mats.shape[1:] != (len(mats),) * 2:
+            raise ValueError(f"row matrices form shape {mats.shape}, expected (N, N, N)")
+        if not np.all(np.isfinite(mats)):
+            raise ValueError("row matrices have non-finite entries")
+        mats.flags.writeable = False
         self.mats = mats
-        self._sym = [0.5 * (b + b.T) for b in mats]
-        eigs = np.concatenate([np.linalg.eigvalsh(s) for s in self._sym])
+        self._sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+        eigs = np.linalg.eigvalsh(self._sym)
         lo = float(eigs.min())
         self.convex = bool(lo >= -1e-10 * max(1.0, float(np.abs(eigs).max())))
         self.strong_convexity_modulus = lo if lo > 0 else None
 
     @property
     def shape(self):
-        n = len(self.mats)
-        return (n, n)
+        return self.mats.shape[1:]
 
     def value(self, X) -> float:
         W = self._check(X)
-        return 0.5 * float(sum(W[i] @ self.mats[i] @ W[i] for i in range(len(self.mats))))
+        return 0.5 * float(np.einsum("ij,ijk,ik->", W, self.mats, W))
 
     def grad(self, X) -> np.ndarray:
-        W = self._check(X)
-        return np.stack([W[i] @ self._sym[i] for i in range(len(self.mats))])
+        return self.hess_apply(X, self._check(X))
 
     def hess_apply(self, X, Xi) -> np.ndarray:
-        Xi = as_matrix(Xi, "Xi")
-        if Xi.shape != self.shape:
-            raise ValueError(f"Xi has shape {Xi.shape}, expected {self.shape}")
-        return np.stack([Xi[i] @ self._sym[i] for i in range(len(self.mats))])
+        # row i of every slice times its symmetrized row matrix
+        return np.einsum("...ij,ijk->...ik", self._check(Xi, "Xi", stack=True), self._sym)
 
     def params(self) -> dict:
-        return {"mats": [b.tolist() for b in self.mats]}
+        return {"mats": self.mats.tolist()}
 
 
 class LinearTrace(Objective):
@@ -152,14 +153,18 @@ class LinearTrace(Objective):
         return self.cost.copy()
 
     def hess_apply(self, X, Xi) -> np.ndarray:
-        return np.zeros(self.shape)
+        return np.zeros(self._check(Xi, "Xi", stack=True).shape)
 
     def params(self) -> dict:
         return {"cost": self.cost.tolist()}
 
 
 class CustomObjective(Objective):
-    """Registered user objective; hess_apply must be a symmetric linear map."""
+    """Registered user objective; hess_apply must be a symmetric linear map.
+
+    ``hess_apply_fn(X, Xi)`` takes one m x n direction; ``hess_apply`` calls
+    it once per slice of a (..., m, n) stack.
+    """
 
     kind = "registered_custom"
 
@@ -185,8 +190,9 @@ class CustomObjective(Objective):
         return np.asarray(self._grad(self._check(X)), dtype=float)
 
     def hess_apply(self, X, Xi) -> np.ndarray:
-        return np.asarray(self._hess_apply(self._check(X), as_matrix(Xi, "Xi")),
-                          dtype=float)
+        X, Xi = self._check(X), self._check(Xi, "Xi", stack=True)
+        out = [self._hess_apply(X, xi) for xi in Xi.reshape(-1, *self.shape)]
+        return np.array(out, dtype=float).reshape(Xi.shape)
 
     def params(self) -> dict:
         return {"id": self.obj_id, "params": self.init_params}
@@ -245,8 +251,8 @@ class ProblemSpec:
             )
         m, n = self.affine.shape
         self.rank_bound.check_shape(m, n)
-        if self.rank_tol <= 0 or self.tol <= 0:
-            raise ValueError("tolerances must be positive")
+        check_positive(self.rank_tol, "rank_tol")
+        check_positive(self.tol, "tol")
 
     @property
     def m(self) -> int:

@@ -54,23 +54,19 @@ class HankelInstance:
 
 @dataclass(frozen=True)
 class LRRInstance:
-    """Row-quadratic objective with unit row sums; one constraint per row."""
+    """Row-quadratic objective with unit row sums; one constraint per row.
 
-    b_mats: tuple
+    ``b_mats`` is validated by building the ``RowQuadratic`` objective and
+    kept as its read-only (N, N, N) array.
+    """
+
+    b_mats: np.ndarray
     r: int
 
     def __post_init__(self):
-        mats = tuple(as_matrix(b, f"B^{i + 1}") for i, b in enumerate(self.b_mats))
-        if not mats:
-            raise ValueError("need at least one row matrix")
-        n = mats[0].shape[0]
-        for i, b in enumerate(mats):
-            if b.shape != (n, n):
-                raise ValueError(f"B^{i + 1} has shape {b.shape}, expected ({n}, {n})")
-        if len(mats) != n:
-            raise ValueError(f"expected {n} row matrices, got {len(mats)}")
-        object.__setattr__(self, "b_mats", mats)
-        RankBound(self.r).check_shape(n, n)
+        objective = RowQuadratic(self.b_mats)
+        object.__setattr__(self, "b_mats", objective.mats)
+        RankBound(self.r).check_shape(*objective.shape)
 
     def build(self, rank_tol: float = DEFAULT_RANK_TOL,
               tol: float = DEFAULT_TOL) -> ProblemSpec:
@@ -108,7 +104,7 @@ def build_hankel(h_target, r: int, rank_tol: float = DEFAULT_RANK_TOL,
 def build_lrr(b_mats, r: int, rank_tol: float = DEFAULT_RANK_TOL,
               tol: float = DEFAULT_TOL) -> ProblemSpec:
     """Problem: minimize 0.5 sum_i w_i B^i w_i^T with unit row sums, rank <= r."""
-    return LRRInstance(tuple(b_mats), r).build(rank_tol, tol)
+    return LRRInstance(b_mats, r).build(rank_tol, tol)
 
 
 def build_hankel_example():

@@ -23,7 +23,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import QualificationError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_matrix, rank_estimate
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, rank_estimate
 from .report import JsonReport
 
 CASE_FULL_RANK = "eq_full_rank"
@@ -162,9 +162,7 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
             f"(s={rep.s}, r={rep.r}, assumption1={rep.assumption1}, "
             f"assumption2={rep.assumption2})"
         )
-    W = as_matrix(W, "W")
-    if W.shape != (svd.m, svd.n):
-        raise ValueError(f"W has shape {W.shape}, expected {(svd.m, svd.n)}")
+    W = as_shaped(W, (svd.m, svd.n), "W")
     y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if svd.rank == r else None)
     member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
     return member, y, resid

@@ -60,21 +60,17 @@ def _gram_form(objective, X, B, gradL=None, pinv=None,
 
     Entry (i, j) is hess f[B_i, B_j] + coeff * sym <grad_X L, B_i X^+ B_j>;
     without ``gradL`` it is the plain Hessian form of the rank-deficient
-    case. The Hessian is applied once to each B_i and contracted with every
-    B_j; the upper triangle (i <= j) is mirrored so the result is exactly
-    symmetric even for a Hessian that is symmetric only up to rounding.
+    case. The Hessian is applied to the whole basis in one call and
+    contracted with every B_j; the upper triangle (i <= j) is mirrored so the
+    result is exactly symmetric even for a Hessian that is symmetric only up
+    to rounding.
     """
-    d = len(B)
-    Q = _hess_rows(objective, X, B) @ B.reshape(d, X.size).T
+    flat = B.reshape(len(B), X.size)
+    Q = objective.hess_apply(X, B).reshape(flat.shape) @ flat.T
     if gradL is not None:
         C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
         Q = Q + curvature_coeff * 0.5 * (C + C.T)
     return np.triu(Q) + np.triu(Q, 1).T
-
-
-def _hess_rows(objective, X, B) -> np.ndarray:
-    """d x mn matrix whose row i is hess f(X)[B_i], one hess_apply per direction."""
-    return np.array([objective.hess_apply(X, b) for b in B]).reshape(len(B), X.size)
 
 
 def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
@@ -203,7 +199,8 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         keep = np.flatnonzero(norm >= 1e-10)
         # the kernel projection may have broken the rank bound
         keep = keep[in_tangent_bouligand_Mr(q, xi[keep])]
-        quad = np.einsum("ij,ij->i", _hess_rows(prob.objective, X, xi[keep]), flat[keep])
+        hess = prob.objective.hess_apply(X, xi[keep]).reshape(keep.size, X.size)
+        quad = np.einsum("ij,ij->i", hess, flat[keep])
         tested += keep.size
         violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
     rep.cone_samples_tested = tested

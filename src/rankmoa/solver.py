@@ -31,7 +31,8 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import DEFAULT_TOL, as_matrix, project_low_rank, spectral_norm
+from .linalg import (DEFAULT_TOL, as_matrix, as_shaped, check_positive, project_low_rank,
+                     spectral_norm)
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
@@ -51,16 +52,14 @@ class SolverConfig:
     rho: float = 10.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("step alpha must be positive")
+        check_positive(self.alpha, "step alpha")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive")
+        check_positive(self.stop_tol, "stop_tol")
         if self.affine_mode not in (MODE_EXACT, MODE_PENALTY):
             raise ValueError(f"unknown affine_mode {self.affine_mode!r}")
-        if self.affine_mode == MODE_PENALTY and self.rho <= 0:
-            raise ValueError("penalty weight rho must be positive")
+        if self.affine_mode == MODE_PENALTY:
+            check_positive(self.rho, "penalty weight rho")
 
 
 @dataclass
@@ -113,9 +112,7 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
 
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Iterate projected gradient steps until alpha-stationarity or max_iters."""
-    X = as_matrix(X0, "X0")
-    if X.shape != (prob.m, prob.n):
-        raise ValueError(f"X0 has shape {X.shape}, expected {(prob.m, prob.n)}")
+    X = as_shaped(X0, (prob.m, prob.n), "X0")
     log = []
     converged = False
     iterations = 0

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import project_tangent_fixed_rank
-from .linalg import as_matrix, orient_svd, rank_estimate, spectral_norm
+from .linalg import as_matrix, check_positive, orient_svd, rank_estimate, spectral_norm
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
                             bq_certificates)
@@ -160,8 +160,7 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
     stays correct when the truncation is not unique (tie-aware: X passes if
     it attains the optimal distance).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_positive(alpha, "alpha")
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         return False
@@ -216,9 +215,10 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:
     """Aggregate first-order report with theorem-backed conclusions.
 
-    When no step is supplied and the objective declares a strong-convexity
-    modulus l_f, alpha-stationarity is probed at 1/l_f, the smallest step for
-    which the uniqueness conclusion applies.
+    ``is_alpha`` is tested at the supplied step, else at 1/l_f when the
+    objective declares a strong-convexity modulus l_f. Uniqueness (Thm 4.2 ii)
+    needs alpha-stationarity at a step >= 1/l_f, which implies it at 1/l_f,
+    so it is always probed at 1/l_f whatever step the caller tests.
     """
     pa = PointAnalysis.of(prob, X)
     rep = check_F_stationary(prob, pa)
@@ -230,19 +230,13 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     rep.beta = beta_bound(prob, pa, rep.y)
 
     lf = prob.objective.strong_convexity_modulus
-    a = alpha
-    if a is None and lf:
-        a = 1.0 / lf
+    a_unique = 1.0 / lf if lf else None
+    unique_ok = bool(lf) and check_alpha_stationary(prob, pa, rep.y, a_unique)
+    a = a_unique if alpha is None else alpha
     if a is not None:
         rep.alpha_tested = float(a)
-        rep.is_alpha = check_alpha_stationary(prob, pa, rep.y, a)
-    unique_ok = False
-    if lf:
-        a_unique = 1.0 / lf
-        if rep.alpha_tested is not None and rep.alpha_tested >= a_unique * (1 - 1e-12):
-            unique_ok = bool(rep.is_alpha)
-        else:  # the caller's step is below the uniqueness threshold; probe it
-            unique_ok = check_alpha_stationary(prob, pa, rep.y, a_unique)
+        rep.is_alpha = (unique_ok if a == a_unique
+                        else check_alpha_stationary(prob, pa, rep.y, a))
 
     convex = prob.objective.convex
     cls = rep.classification

@@ -83,6 +83,24 @@ def _set_rhs(value):
     pytest.param(["solve", "--x0"], None, "a b c d", id="solve-x0-not-numeric"),
     pytest.param(["solve", "--iters", "0"], None, None, id="solve-iters-0"),
     pytest.param(["solve", "--alpha", "-1"], None, None, id="solve-alpha-negative"),
+    pytest.param(["analyze", "--point", "X4", "--alpha", "-1"], None, None,
+                 id="analyze-alpha-negative"),
+    pytest.param(["analyze", "--point", "X4", "--alpha", "0"], None, None,
+                 id="analyze-alpha-0"),
+    pytest.param(["analyze", "--point", "X4", "--alpha", "nan"], None, None,
+                 id="analyze-alpha-nan"),
+    pytest.param(["analyze", "--point", "X4", "--tol", "nan"], None, None,
+                 id="analyze-tol-nan"),
+    pytest.param(["analyze", "--point", "X4", "--tol", "inf"], None, None,
+                 id="analyze-tol-inf"),
+    pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(tol=math.nan),
+                 None, id="analyze-file-tol-nan"),
+    pytest.param(["analyze", "--point", "X4", "--samples", "-5"], None, None,
+                 id="analyze-samples-negative"),
+    pytest.param(["solve", "--alpha", "nan"], None, None, id="solve-alpha-nan"),
+    pytest.param(["solve", "--mode", "quadratic_penalty", "--rho", "nan"], None, None,
+                 id="solve-rho-nan"),
+    pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
 ])
 def test_malformed_input_exit_2(problem_files, tmp_path, capsys, argv, edit, point_row):
     doc = json.loads(problem_files["tr"].read_text())
@@ -163,6 +181,15 @@ def test_analyze_json_golden_schema(problem_files, capsys):
     compare(got, golden)
 
 
+def _count_hess_apply(monkeypatch, calls):
+    hess_apply = FrobeniusDistance.hess_apply
+
+    def counted_hess(self, X, Xi):
+        calls["hess_apply"] += 1
+        return hess_apply(self, X, Xi)
+    monkeypatch.setattr(FrobeniusDistance, "hess_apply", counted_hess)
+
+
 def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
     # count through every module alias, since callers import these by name
     from rankmoa.linalg import orient_svd
@@ -178,23 +205,18 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
-    # the reduced second-order form applies the Hessian once per basis direction
-    hess_apply = FrobeniusDistance.hess_apply
-
-    def counted_hess(self, X, Xi):
-        calls["hess_apply"] += 1
-        return hess_apply(self, X, Xi)
-    monkeypatch.setattr(FrobeniusDistance, "hess_apply", counted_hess)
+    # the reduced second-order form applies the Hessian to its whole basis at once
+    _count_hess_apply(monkeypatch, calls)
     code = main(["analyze", str(problem_files["hankel33"]), "--point", "Xbar", "--json"])
     assert code == 0
     basis_dim = json.loads(capsys.readouterr().out)["second_order"]["basis_dim"]
     assert basis_dim == 4
-    assert calls == {"orient_svd": 1, "bq_certificates": 1, "hess_apply": basis_dim}
+    assert calls == {"orient_svd": 1, "bq_certificates": 1, "hess_apply": 1}
 
 
 def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
-    # the rank-deficient sampler factors its draws as stacks: SVDs and cone
-    # calls grow with the number of blocks, not with the number of samples
+    # the rank-deficient sampler factors its draws as stacks: SVDs, cone and
+    # Hessian calls grow with the number of blocks, not with the number of samples
     X = random_rank_matrix(np.random.default_rng(3), 5, 4, 1)
     path = tmp_path / "deficient.prob"
     save_problem(ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(5, 4)),
@@ -210,6 +232,7 @@ def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
+    _count_hess_apply(monkeypatch, calls)
 
     def run(*extra):
         calls.clear()
@@ -223,7 +246,7 @@ def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
     sampled, tested = run()  # the default 2000 samples
     assert tested == 2000
     blocks = math.ceil(2000 / CONE_BLOCK)
-    for k in ("in_tangent_bouligand_Mr", "project_low_rank"):
+    for k in ("in_tangent_bouligand_Mr", "project_low_rank", "hess_apply"):
         assert sampled.get(k, 0) - base.get(k, 0) <= blocks
     # one truncation and two membership spectra per block
     assert sampled["svd"] - base["svd"] <= 3 * blocks

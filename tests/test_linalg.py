@@ -92,13 +92,29 @@ def test_orient_hankel_matches_hand_basis(hankel_case):
 
 
 def test_orient_convention_on_every_column(rng):
+    # integer matrices give ties in |entry|; the first largest entry decides
+    mats = []
     for _ in range(20):
         m, n = rng.integers(2, 6, size=2)
-        f = orient_svd(rng.standard_normal((m, n)))
-        for j in range(m):
-            i = int(np.argmax(np.abs(f.u[:, j])))
-            assert f.u[i, j] >= 0
-        _check_factorization(f.reconstruct(), f)
+        mats.append(rng.standard_normal((m, n)))
+        mats.append(rng.integers(-1, 2, size=(m, n)).astype(float))
+    for X in mats:
+        m, n = X.shape
+        k = min(m, n)
+        f = orient_svd(X)
+        # every u column, and the v columns beyond min(m, n), on their own
+        for a, cols in ((f.u, range(m)), (f.v, range(k, n))):
+            for j in cols:
+                i = int(np.argmax(np.abs(a[:, j])))
+                assert a[i, j] >= 0
+        # paired v columns carry the sign of their u column
+        raw = thin_svd(X)
+        flip = np.sign(np.sum(f.u * raw.u, axis=0))
+        assert np.array_equal(f.u, raw.u * flip)
+        assert np.array_equal(f.v[:, :k], raw.v[:, :k] * flip[:k])
+        # C-ordered factors keep downstream products rounding the same way
+        assert f.u.flags.c_contiguous and f.v.flags.c_contiguous
+        _check_factorization(X, f)
 
 
 def test_pseudo_inverse_diagonal():

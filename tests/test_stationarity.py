@@ -100,8 +100,9 @@ def test_alpha_stationarity_trace_example(trace_case):
         assert check_alpha_stationary(spec, X4, y, a)
     for a in (2.1, 3.0):
         assert not check_alpha_stationary(spec, X4, y, a)
-    with pytest.raises(ValueError):
-        check_alpha_stationary(spec, X4, y, 0.0)
+    for a in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            check_alpha_stationary(spec, X4, y, a)
 
 
 def test_alpha_stationarity_lrr_any_step(lrr_case):
@@ -152,6 +153,18 @@ def test_classify_trace_x4(trace_case):
     f4 = spec.objective.value(points["X4"])
     others = min(spec.objective.value(points[k]) for k in ("X1", "X2", "X3"))
     assert f4 < others
+
+
+@pytest.mark.parametrize("alpha", [None, 1.0, 2.0, 3.0])
+def test_uniqueness_probed_at_inverse_modulus(trace_case, alpha):
+    # X4 is alpha-stationary for every step up to beta = 2, so also at
+    # 1/l_f = 1: Thm 4.2 ii holds whatever step is tested, even at 3 where
+    # X4 is not alpha-stationary
+    spec, points = trace_case
+    rep = classify_first_order(spec, points["X4"], alpha=alpha)
+    assert rep.alpha_tested == (1.0 if alpha is None else alpha)
+    assert rep.is_alpha == (alpha != 3.0)
+    assert "unique global minimizer (Thm 4.2 ii)" in rep.classification
 
 
 def test_classify_lrr_global(lrr_case):
