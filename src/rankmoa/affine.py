@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .cones import project_tangent_fixed_rank
+from .cones import tangent_coordinates
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, least_squares,
                      rank_estimate)
 
@@ -101,10 +101,7 @@ class AffineMap:
 
     def kernel_basis(self) -> np.ndarray:
         """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}, as k x m x n."""
-        m, n = self.shape
-        if self.l == 0:
-            return np.eye(m * n).reshape(m * n, m, n)
-        return scipy.linalg.null_space(self.stack).T.reshape(-1, m, n)
+        return scipy.linalg.null_space(self.stack).T.reshape(-1, *self.shape)
 
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
@@ -118,15 +115,13 @@ class AffineMap:
                        tangent: ThinSVD | None = None):
         """(y, residual) for the minimum-norm least-squares fit sum_i y_i A^i ~ W.
 
-        With ``tangent``, the ranked SVD of a point, both sides are first
-        projected onto the fixed-rank tangent space there, so only the
-        tangential part of W is fitted.
+        With ``tangent``, the ranked SVD of a point, only the tangential part
+        of W is fitted: both sides are read in the point's tangent coordinates.
         """
-        cols = self.mats
-        if tangent is not None:
-            cols = project_tangent_fixed_rank(tangent, cols)
-            W = project_tangent_fixed_rank(tangent, W)
-        return least_squares(cols, W, rank_tol)
+        if tangent is None:
+            return least_squares(self.mats, W, rank_tol)
+        return least_squares(tangent_coordinates(tangent, self.mats),
+                             tangent_coordinates(tangent, W), rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return rank_estimate(self.stack, rank_tol)

@@ -12,6 +12,9 @@ larger Mordukhovich normal cone:
 where s is the numerical rank of the base point. Cones are never
 materialized; only projections and tolerance-relative predicates exist.
 
+Constraints are read through one map: ``compress`` (U^T Z V) and its d_T
+tangent entries, ``tangent_coordinates``, an isometry of the tangent space.
+
 Membership tests for the flat subspaces U B V_J^T through the base point
 assume the wider-than-tall case is transposed first; the public functions do
 that transposition internally.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_shaped, rank_estimate
+from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_shaped, check_positive, rank_estimate
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,7 @@ class ConeQuery:
             raise ValueError(
                 f"base point has numerical rank {self.s} above the bound r={self.r}"
             )
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        check_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,22 @@ def enumerate_J(s: int, n: int, r: int, cap: int = 10**6) -> list:
     prefix = tuple(range(s))
     return [IndexSetJ(prefix + combo, s)
             for combo in itertools.combinations(range(s, n), r - s)]
+
+
+def compress(svd: ThinSVD, Z) -> np.ndarray:
+    """U^T Z V, Z in the point's singular-vector basis; Z may be a (..., m, n) stack."""
+    return svd.u.T @ as_shaped(Z, (svd.m, svd.n), "Z", stack=True) @ svd.v
+
+
+def tangent_mask(svd: ThinSVD) -> np.ndarray:
+    """(m, n) mask of the tangent entries i < s or j < s of a compressed matrix."""
+    i, j = np.indices((svd.m, svd.n))
+    return (i < svd.rank) | (j < svd.rank)
+
+
+def tangent_coordinates(svd: ThinSVD, Z) -> np.ndarray:
+    """The d_T tangent entries of compress(svd, Z) in row-major order, (..., d_T)."""
+    return compress(svd, Z)[..., tangent_mask(svd)]
 
 
 def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:

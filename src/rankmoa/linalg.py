@@ -144,8 +144,7 @@ class ThinSVD:
 def thin_svd(X, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
     """Full SVD of X with the index set of numerically nonzero singular values."""
     X = as_matrix(X)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    check_positive(rank_tol, "rank_tol")
     u, s, vh = np.linalg.svd(X, full_matrices=True)
     cutoff = rank_tol * (float(s[0]) if s.size else 0.0)
     gamma = np.flatnonzero(s > cutoff)
@@ -199,8 +198,7 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     k = min(Z.shape[-2:])
     if not 0 <= r <= k:
         raise ValueError(f"rank bound r={r} out of range for shape {Z.shape}")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    check_positive(rank_tol, "rank_tol")
     u, sigma, vh = np.linalg.svd(Z)
     kept = sigma.copy()
     kept[..., r:] = 0.0

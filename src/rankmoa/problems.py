@@ -171,25 +171,17 @@ def build_trace_example():
     return spec, points
 
 
-def _matrix_from_doc(doc, m, n, where):
+def _float_array(doc, shape, where):
+    """doc as a finite float array of the given shape; raises ProblemFormatError."""
     try:
         arr = np.asarray(doc, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{where}: not a numeric matrix") from exc
-    if arr.shape != (m, n):
-        raise ProblemFormatError(f"{where}: shape {arr.shape} differs from ({m}, {n})")
+        raise ProblemFormatError(f"{where}: not numeric") from exc
+    if arr.shape != shape:
+        raise ProblemFormatError(f"{where}: shape {arr.shape} differs from {shape}")
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError(f"{where}: non-finite entries")
     return arr
-
-
-def _float_array(doc, shape):
-    """doc as a finite float array of the given shape, or None."""
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    return arr if arr.shape == shape and np.all(np.isfinite(arr)) else None
 
 
 def save_problem(prob: ProblemSpec, path, named_points=None) -> None:
@@ -262,13 +254,12 @@ def load_problem(path) -> LoadedProblem:
            if not isinstance(c, dict) or "matrix" not in c or "rhs" not in c]
     if bad:
         raise ProblemFormatError(f"{path}: constraints[{bad[0]}] needs 'matrix' and 'rhs'")
-    mats = _float_array([c["matrix"] for c in constraints], (l, m, n))
-    if mats is None:  # convert entry by entry to name the first bad one
-        mats = np.array([_matrix_from_doc(c["matrix"], m, n, f"{path}: constraints[{i}]")
+    try:
+        mats = _float_array([c["matrix"] for c in constraints], (l, m, n), f"{path}: constraints")
+    except ProblemFormatError:  # convert entry by entry to name the first bad one
+        mats = np.array([_float_array(c["matrix"], (m, n), f"{path}: constraints[{i}]")
                          for i, c in enumerate(constraints)]).reshape(l, m, n)
-    rhs = _float_array([c["rhs"] for c in constraints], (l,))
-    if rhs is None:
-        raise ProblemFormatError(f"{path}: every constraint 'rhs' must be a finite number")
+    rhs = _float_array([c["rhs"] for c in constraints], (l,), f"{path}: constraint 'rhs'")
     try:
         objective = objective_from_doc(need("objective", dict))
     except (KeyError, ValueError) as exc:
@@ -286,9 +277,8 @@ def load_problem(path) -> LoadedProblem:
             raise ProblemFormatError(
                 f"{path}: named_points[{i}] needs 'label' and 'matrix'"
             )
-        points[str(p["label"])] = _matrix_from_doc(
-            p["matrix"], m, n, f"{path}: named_points[{i}]"
-        )
+        points[str(p["label"])] = _float_array(p["matrix"], (m, n),
+                                               f"{path}: named_points[{i}]")
     try:
         spec = ProblemSpec(
             objective=objective,

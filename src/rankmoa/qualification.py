@@ -3,15 +3,15 @@
 Two linear-independence conditions on compressed constraint matrices decide
 when the Frechet normal cone of the feasible set splits into the sum of the
 normal space of the affine manifold and the Frechet normal cone of the
-low-rank set:
+low-rank set. Both are slices of ``cones.compress``, U^T A^i V:
 
     T^i = [[Ug^T A^i Vg, Ug^T A^i Vp], [Up^T A^i Vg, 0]]     (m x n)
     R^i = U^T A^i Vg                                          (m x s)
 
-Assumption 1 asks for linearly independent T^i, Assumption 2 for linearly
-independent R^i. The split is certified at full-rank points (s == r) under
-Assumption 1 and at rank-deficient points (s < r) under Assumption 2; both
-verdicts are recorded independently.
+Assumption 1 asks for linearly independent T^i (ranked on their nonzero
+entries, the tangent coordinates), Assumption 2 for linearly independent
+R^i. The split is certified at s == r under Assumption 1 and at s < r under
+Assumption 2; ``bq_certificates`` records both verdicts independently.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
+from .cones import compress, tangent_coordinates
 from .errors import QualificationError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, rank_estimate
 from .report import JsonReport
@@ -50,31 +51,23 @@ class QualificationReport(JsonReport):
 
 def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     """l x m x n compressed constraint matrices, trailing (m-s) x (n-s) block zeroed."""
-    _check_shapes(svd, amap)
-    s = svd.rank
-    T = svd.u.T @ amap.mats @ svd.v
-    T[:, s:, s:] = 0.0
+    T = compress(svd, amap.mats)
+    T[:, svd.rank:, svd.rank:] = 0.0
     return T
 
 
 def build_R(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     """U^T A^i V_g stacked (transposed convention when the point is wider than tall)."""
-    _check_shapes(svd, amap)
+    C = compress(svd, amap.mats)
     if svd.m >= svd.n:
-        return svd.u.T @ amap.mats @ svd.v_gamma
-    return svd.v.T @ amap.mats.transpose(0, 2, 1) @ svd.u_gamma
+        return C[:, :, :svd.rank]
+    return C[:, :svd.rank, :].transpose(0, 2, 1)
 
 
-def _check_shapes(svd: ThinSVD, amap: AffineMap) -> None:
-    if amap.shape != (svd.m, svd.n):
-        raise ValueError(
-            f"constraints have shape {amap.shape}, base point is {(svd.m, svd.n)}"
-        )
-
-
-def _independent(mats: np.ndarray, bound: int, what: str, tol: float):
-    """(verdict, rank) for linear independence of an l x p x q stack."""
+def _independent(mats: np.ndarray, what: str, tol: float):
+    """(verdict, rank) for independence of an l x ... stack; its row width bounds l."""
     l = len(mats)
+    bound = int(np.prod(mats.shape[1:]))
     if l > bound:
         warnings.warn(
             f"{l} constraints exceed the dimension {bound} available to the "
@@ -82,21 +75,19 @@ def _independent(mats: np.ndarray, bound: int, what: str, tol: float):
             RuntimeWarning,
             stacklevel=3,
         )
-    rank = rank_estimate(mats.reshape(l, -1), tol) if l else 0
+    rank = rank_estimate(mats.reshape(l, bound), tol)
     return rank == l, rank
 
 
 def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
-    """Linear independence of the T^i stack; returns (verdict, rank)."""
-    s = svd.rank
-    bound = svd.m * svd.n - (svd.m - s) * (svd.n - s)
-    return _independent(build_T(svd, amap), bound,
+    """Linear independence of the T^i, ranked on their l x d_T nonzero entries; (verdict, rank)."""
+    return _independent(tangent_coordinates(svd, amap.mats),
                         "compressed matrices; the first qualification", tol)
 
 
 def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    return _independent(build_R(svd, amap), max(svd.m, svd.n) * svd.rank,
+    return _independent(build_R(svd, amap),
                         "column-compressed matrices; the second qualification", tol)
 
 
@@ -153,17 +144,23 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     """Least-squares split W = sum_i y_i A^i + Delta with Delta Frechet-normal.
 
     Returns (member, y, residual). Requires a certified intersection-rule
-    case; the split formula is only valid under the matching qualification.
+    case; the split formula is only valid under the matching qualification,
+    the only one checked (Assumption 1 at s == r, Assumption 2 at s < r).
     """
-    rep = bq_certificates(svd, amap, r, min(tol, DEFAULT_RANK_TOL))
-    if rep.intersection_rule_case == CASE_NOT_CERTIFIED:
+    s = svd.rank
+    if s > r:
+        raise QualificationError(f"base point has rank {s} above the bound r={r}")
+    holds = assumption1_holds if s == r else assumption2_holds
+    with warnings.catch_warnings():  # a dimension-bound warning only restates the error
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ok, _ = holds(svd, amap, min(tol, DEFAULT_RANK_TOL))
+    if not ok:
         raise QualificationError(
-            "intersection rule is not certified at this point "
-            f"(s={rep.s}, r={rep.r}, assumption1={rep.assumption1}, "
-            f"assumption2={rep.assumption2})"
+            "intersection rule is not certified at this point: "
+            f"Assumption {1 if s == r else 2} fails (s={s}, r={r})"
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
-    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if svd.rank == r else None)
+    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if s == r else None)
     member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
     return member, y, resid
 

@@ -6,7 +6,9 @@ At a full-rank F-stationary point (s == r) the relevant quadratic form is
 
 evaluated on an orthonormal basis of T_L(X) intersected with the tangent
 space of the fixed-rank manifold; its extreme eigenvalues decide the
-necessary (min >= 0) and sufficient (min > 0) conditions. The curvature
+necessary (min >= 0) and sufficient (min > 0) conditions. That basis is the
+null space of the constraints' tangent coordinates, read by Assumption 1
+and the tangential multiplier fit too. The curvature
 coefficient defaults to -2 but is a parameter: the two standard assemblies
 of the correction term disagree in sign, and reports note which one ran so
 the check can be repeated under the opposite convention.
@@ -27,8 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from .affine import AffineMap
-from .cones import (ConeQuery, in_tangent_bouligand_Mr,
-                    project_normal_fixed_rank, project_tangent_fixed_rank)
+from .cones import (ConeQuery, in_tangent_bouligand_Mr, project_normal_fixed_rank,
+                    project_tangent_fixed_rank, tangent_coordinates, tangent_mask)
 from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
 from .report import JsonReport
@@ -97,16 +99,13 @@ def plain_quad(prob: ProblemSpec, X, Xi) -> float:
 def _reduced_basis(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     """Orthonormal d x m x n basis of ker A intersected with the rank-s tangent space.
 
-    The tangent space is spanned by the orthonormal directions u_i v_j^T with
-    i < s or j < s; ker A is cut out of their span by one null-space solve.
+    It is the null space of the tangent coordinates of the A^i (all of them
+    when l = 0), mapped back to matrices U E V^T, an isometry.
     """
-    s, m, n = svd.rank, svd.m, svd.n
-    i, j = np.divmod(np.arange(m * n), n)
-    dirs = np.einsum("ai,bj->ijab", svd.u, svd.v).reshape(m * n, m * n)
-    dirs = dirs[(i < s) | (j < s)]
-    if amap.l:
-        dirs = scipy.linalg.null_space(amap.stack @ dirs.T).T @ dirs
-    return dirs.reshape(-1, m, n)
+    null = scipy.linalg.null_space(tangent_coordinates(svd, amap.mats))
+    E = np.zeros((null.shape[1], svd.m, svd.n))
+    E[:, tangent_mask(svd)] = null.T
+    return svd.u @ E @ svd.v.T
 
 
 def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
@@ -116,8 +115,6 @@ def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
             f"base point has rank {svd.rank}, but the rank-{r} tangent space "
             "is only a subspace when the rank equals the bound"
         )
-    if amap.shape != (svd.m, svd.n):
-        raise ValueError("constraint shape disagrees with the base point")
     return list(_reduced_basis(svd, amap))
 
 
@@ -133,7 +130,11 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
+    A negative ``samples`` raises ValueError.
     """
+    samples = int(samples)
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     pa = PointAnalysis.of(prob, X)
     X, svd, s = pa.X, pa.svd, pa.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -183,7 +184,6 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     q = ConeQuery(svd, prob.r, prob.tol)
     K = ker.reshape(len(ker), -1)
     tested = violations = 0
-    samples = int(samples)
     for start in range(0, samples, CONE_BLOCK):
         b = min(CONE_BLOCK, samples - start)
         # draw k holds (g1, g2) in the order a per-draw loop would take them

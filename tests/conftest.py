@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rankmoa import (build_diagonal_example, build_hankel_example, build_lrr,
-                     build_trace_example)
+from rankmoa import (AffineMap, bq_certificates, build_diagonal_example,
+                     build_hankel_example, build_lrr, build_trace_example, orient_svd)
+from rankmoa.qualification import CASE_NOT_CERTIFIED
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +44,22 @@ def random_rank_matrix(rng, m, n, rank, scale=1.0):
     v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     s = scale * (1.0 + rng.random(rank))
     return (u * s) @ v.T
+
+
+def certified_instance(rng):
+    """Random (svd, amap, r) with a certified intersection-rule case."""
+    for _ in range(50):
+        m, n = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+        r = int(rng.integers(1, min(m, n)))
+        full = bool(rng.integers(0, 2))
+        s = r if full else int(rng.integers(0, r))
+        X = random_rank_matrix(rng, m, n, s)
+        svd = orient_svd(X)
+        l = int(rng.integers(1, min(4, m * s + 1) if s else 2))
+        mats = [rng.standard_normal((m, n)) for _ in range(l)]
+        amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats],
+                         shape=(m, n))
+        rep = bq_certificates(svd, amap, r)
+        if rep.intersection_rule_case != CASE_NOT_CERTIFIED:
+            return svd, amap, r
+    raise AssertionError("failed to draw a certified instance")

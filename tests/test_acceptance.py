@@ -22,9 +22,9 @@ from rankmoa.cli import main
 from rankmoa.cones import project_normal_fixed_rank, project_tangent_fixed_rank
 from rankmoa.oracle import (diag_embedding_equivalence, fd_gradient, fd_quad,
                             rank1_hankel_min)
-from rankmoa.qualification import CASE_NOT_CERTIFIED, build_R, build_T
+from rankmoa.qualification import build_R, build_T
 
-from conftest import random_rank_matrix
+from conftest import certified_instance, random_rank_matrix
 
 
 @contextmanager
@@ -249,29 +249,10 @@ def test_criterion_5_property_suites(rng):
             assert diag_embedding_equivalence(a_vecs, x, r)
 
 
-def _certified_instance(rng):
-    """Random (svd, amap, r) with a certified intersection-rule case."""
-    for _ in range(50):
-        m, n = int(rng.integers(3, 6)), int(rng.integers(3, 6))
-        r = int(rng.integers(1, min(m, n)))
-        full = bool(rng.integers(0, 2))
-        s = r if full else int(rng.integers(0, r))
-        X = random_rank_matrix(rng, m, n, s)
-        svd = orient_svd(X)
-        l = int(rng.integers(1, min(4, m * s + 1) if s else 2))
-        mats = [rng.standard_normal((m, n)) for _ in range(l)]
-        amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats],
-                         shape=(m, n))
-        rep = bq_certificates(svd, amap, r)
-        if rep.intersection_rule_case != CASE_NOT_CERTIFIED:
-            return svd, amap, r
-    raise AssertionError("failed to draw a certified instance")
-
-
 def test_criterion_6_intersection_rule_consistency(rng):
     with criterion(6, "intersection-rule membership and decomposition"):
         for _ in range(50):
-            svd, amap, r = _certified_instance(rng)
+            svd, amap, r = certified_instance(rng)
             m, n, s = svd.m, svd.n, svd.rank
             # a sampled member of N_L + N^F must pass
             y = rng.standard_normal(amap.l)

@@ -140,3 +140,29 @@ def test_hankel_constraints_count():
     amap = hankel_constraints(4, 5)
     assert amap.l == 12
     assert amap.shape == (4, 5)
+
+
+def test_tangential_fit_solves_in_tangent_coordinates(monkeypatch):
+    # rank-2 Hankel point of size 16: d_T = 256 - 14 * 14 = 60 tangent directions
+    import rankmoa.affine
+    from rankmoa import FrobeniusDistance, ProblemSpec, RankBound
+    from rankmoa.stationarity import PointAnalysis
+    v = np.vander([0.6, -0.8], 16, increasing=True)
+    X = v.T @ np.diag([1.0, 0.5]) @ v
+    rng = np.random.default_rng(0)
+    prob = ProblemSpec(FrobeniusDistance(X + rng.standard_normal((16, 16))),
+                       hankel_constraints(16, 16), RankBound(2))
+    shapes = []
+    real = rankmoa.affine.least_squares
+
+    def spy(cols, target, rank_tol):
+        shapes.append((np.shape(cols), np.shape(target)))
+        return real(cols, target, rank_tol)
+
+    monkeypatch.setattr(rankmoa.affine, "least_squares", spy)
+    pa = PointAnalysis(prob, X)
+    assert pa.feasible and pa.s == 2
+    y, resid = pa.multiplier(tangential=True)
+    assert shapes == [((225, 60), (60,))]
+    gradL = pa.grad_lagrangian(y)
+    assert np.isclose(resid, pa.tangential_norm(gradL), rtol=1e-10, atol=1e-12)

@@ -6,6 +6,7 @@ from rankmoa import (ConeQuery, IndexSetJ, enumerate_J, in_normal_MXJ,
                      in_normal_mordukhovich_Mr, in_tangent_bouligand_Mr,
                      orient_svd, project_low_rank, project_normal_fixed_rank,
                      project_tangent_fixed_rank)
+from rankmoa.cones import compress, tangent_coordinates
 
 from conftest import random_rank_matrix
 
@@ -212,6 +213,10 @@ def test_cone_query_validates_rank():
     svd = orient_svd(np.eye(3))
     with pytest.raises(ValueError):
         ConeQuery(svd, 2)
+    low = orient_svd(np.diag([3.0, 2.0, 0.0]))
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ConeQuery(low, 2, bad)
 
 
 def test_stacked_projections_and_bouligand_membership_match_slices(rng):
@@ -249,3 +254,21 @@ def test_stacked_projection_validation(rng):
     for H in (bad, np.zeros((2, 3, 4)), np.zeros(12)):
         with pytest.raises(ValueError):
             in_tangent_bouligand_Mr(q, H)
+
+
+@pytest.mark.parametrize("m,n,r", [(6, 4, 2), (4, 6, 2), (5, 5, 3)])
+@pytest.mark.parametrize("full", [False, True])
+def test_tangent_coordinates_are_an_isometry_of_the_tangent_space(rng, m, n, r, full):
+    s = r if full else 0
+    svd = orient_svd(random_rank_matrix(rng, m, n, s))
+    d_T = m * n - (m - s) * (n - s)
+    Z = rng.standard_normal((2, 3, m, n))
+    coords = tangent_coordinates(svd, Z)
+    assert coords.shape == (2, 3, d_T)
+    want = np.linalg.norm(project_tangent_fixed_rank(svd, Z), axis=(-2, -1))
+    assert np.allclose(np.linalg.norm(coords, axis=-1), want, rtol=1e-12, atol=1e-12)
+    for z, c in zip(Z.reshape(6, m, n), coords.reshape(6, d_T)):
+        assert np.array_equal(tangent_coordinates(svd, z), c)
+        assert np.allclose(compress(svd, z), svd.u.T @ z @ svd.v, atol=1e-12)
+    with pytest.raises(ValueError):
+        compress(svd, np.zeros((n, m + 1)))

@@ -55,8 +55,11 @@ def test_thin_svd_rejects_bad_input():
         thin_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         thin_svd(np.ones(3))
-    with pytest.raises(ValueError):
-        thin_svd(np.eye(2), rank_tol=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            thin_svd(np.eye(2), rank_tol=bad)
+        with pytest.raises(ValueError):  # NaN used to report rank 0
+            orient_svd(np.diag([3.0, 2.0, 0.0]), bad)
 
 
 def test_orient_sign_pushed_to_v():
@@ -246,3 +249,6 @@ def test_project_low_rank_stack_validation():
         project_low_rank(bad, 1)
     with pytest.raises(ValueError):
         project_low_rank(np.zeros((2, 3, 3)), 4)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            project_low_rank(np.eye(3), 1, rank_tol=bad)

@@ -5,11 +5,12 @@ from rankmoa import (AffineMap, QualificationError, assumption1_holds,
                      assumption2_holds, bq_certificates, build_R, build_T,
                      frechet_normal_decomposition, frechet_normal_of_feasible_set,
                      orient_svd)
+from rankmoa.cones import compress, project_tangent_fixed_rank, tangent_coordinates
 from rankmoa.oracle import diag_embedding_equivalence
 from rankmoa.qualification import (CASE_FULL_RANK, CASE_NOT_CERTIFIED,
                                    CASE_RANK_DEFICIENT)
 
-from conftest import random_rank_matrix
+from conftest import certified_instance, random_rank_matrix
 
 
 def _hand_T(u, v, s, a):
@@ -225,3 +226,66 @@ def test_diag_embedding_off_support_failure():
     x = np.array([1.0, 0.0, 0.0])
     a = [np.array([0.0, 0.0, 1.0])]
     assert diag_embedding_equivalence(a, x, 1)
+
+
+@pytest.mark.parametrize("m,n,r", [(6, 4, 2), (4, 6, 2), (5, 5, 3)])
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("l", [1, 3])
+def test_build_T_and_R_are_slices_of_compress(rng, m, n, r, full, l):
+    s = r if full else 0
+    svd = orient_svd(random_rank_matrix(rng, m, n, s))
+    amap = AffineMap(rng.standard_normal((l, m, n)), np.zeros(l))
+    T = build_T(svd, amap)
+    want = compress(svd, amap.mats)
+    want[:, s:, s:] = 0.0
+    assert np.array_equal(T, want)
+    # the tangent coordinates are the entries outside the zeroed block, row-major
+    mask = np.ones((m, n), dtype=bool)
+    mask[s:, s:] = False
+    assert np.array_equal(tangent_coordinates(svd, amap.mats), T[:, mask])
+    for a, t, rr in zip(amap.mats, T, build_R(svd, amap)):
+        assert np.allclose(t, _hand_T(svd.u, svd.v, s, a), atol=1e-12)
+        hand_r = (svd.u.T @ a @ svd.v[:, :s] if m >= n
+                  else svd.v.T @ a.T @ svd.u[:, :s])
+        assert np.allclose(rr, hand_r, atol=1e-12)
+    with pytest.raises(ValueError):
+        build_T(svd, AffineMap(np.zeros((l, m + 1, n)), np.zeros(l)))
+
+
+def _reference_split(svd, amap, r, w):
+    """The split as a least-squares solve over the full tangent projections."""
+    cols, t = amap.mats, w
+    if svd.rank == r:
+        cols, t = project_tangent_fixed_rank(svd, cols), project_tangent_fixed_rank(svd, w)
+    C = cols.reshape(amap.l, -1).T
+    y = np.linalg.lstsq(C, t.ravel(), rcond=svd.rank_tol)[0]
+    resid = float(np.linalg.norm(C @ y - t.ravel()))
+    return resid <= 1e-8 * max(1.0, float(np.linalg.norm(w))), y
+
+
+def test_frechet_decomposition_runs_only_the_needed_qualification(rng, monkeypatch):
+    import rankmoa.qualification
+    cases = []
+    for _ in range(50):  # criterion 6's instances, drawn before the spies go in
+        svd, amap, r = certified_instance(rng)
+        w = amap.adjoint(rng.standard_normal(amap.l))
+        if svd.rank == r:
+            w = w + svd.u_perp @ rng.standard_normal((svd.m - r, svd.n - r)) @ svd.v_perp.T
+        cases += [(svd, amap, r, w), (svd, amap, r, rng.standard_normal((svd.m, svd.n)))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the split must not run every qualification")
+
+    monkeypatch.setattr(rankmoa.qualification, "bq_certificates", forbidden)
+    monkeypatch.setattr(AffineMap, "stack_rank", forbidden)
+    members = 0
+    for svd, amap, r, w in cases:
+        ok, y, _ = frechet_normal_decomposition(svd, amap, r, w)
+        ok_ref, y_ref = _reference_split(svd, amap, r, w)
+        assert ok == ok_ref
+        assert np.allclose(y, y_ref, rtol=1e-9, atol=1e-10)
+        members += ok
+    assert len(cases) // 2 <= members < len(cases)
+    svd = orient_svd(np.diag([3.0, 2.0, 1.0]))
+    with pytest.raises(QualificationError, match="above the bound"):
+        frechet_normal_decomposition(svd, AffineMap([], [], shape=(3, 3)), 2, np.eye(3))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, LinearTrace, ProblemSpec,
                      RankBound, check_second_order, in_tangent_bouligand_Mr,
@@ -345,3 +346,36 @@ def test_cone_sampler_matches_per_draw_reference(rng):
     for prob, point, y in cases[:2]:
         rep = check_second_order(prob, point, y, seed=5)
         assert 0 < rep.cone_violations < rep.cone_samples_tested
+
+
+def _reference_reduced_basis(svd, amap):
+    """The tangent directions u_i v_j^T as an (mn, mn) tensor, cut down by ker A."""
+    s, m, n = svd.rank, svd.m, svd.n
+    i, j = np.divmod(np.arange(m * n), n)
+    dirs = np.einsum("ai,bj->ijab", svd.u, svd.v).reshape(m * n, m * n)
+    dirs = dirs[(i < s) | (j < s)]
+    if amap.l:
+        dirs = scipy.linalg.null_space(amap.stack @ dirs.T).T @ dirs
+    return dirs
+
+
+@pytest.mark.parametrize("m,n,s,l", [(5, 4, 2, 0), (5, 4, 2, 3), (4, 6, 1, 0),
+                                     (4, 6, 1, 4), (4, 4, 0, 2), (6, 6, 3, 30)])
+def test_reduced_basis_spans_the_reference_space(rng, m, n, s, l):
+    from rankmoa.second_order import _reduced_basis
+    svd = orient_svd(random_rank_matrix(rng, m, n, s))
+    amap = AffineMap(rng.standard_normal((l, m, n)), np.zeros(l), shape=(m, n))
+    basis = _reduced_basis(svd, amap).reshape(-1, m * n)
+    ref = _reference_reduced_basis(svd, amap)
+    assert basis.shape == ref.shape
+    assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
+    assert np.allclose(basis.T @ basis, ref.T @ ref, atol=1e-12)
+
+
+def test_check_second_order_rejects_negative_samples():
+    X = np.zeros((4, 4))
+    X[0, 0] = 1.0
+    prob = ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(4, 4)), RankBound(2))
+    with pytest.raises(ValueError, match="samples"):
+        check_second_order(prob, X, np.zeros(0), samples=-5)
+    assert check_second_order(prob, X, np.zeros(0), samples=0).cone_samples_tested == 0
