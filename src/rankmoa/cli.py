@@ -41,6 +41,11 @@ def _default_seed() -> int:
         return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed (or RANKMOA_SEED) must be nonnegative, got {seed}")
+
+
 def _load_point(label: str, named: dict, shape):
     if label in named:
         X, name = named[label], label
@@ -86,6 +91,7 @@ def cmd_analyze(args) -> int:
             check_positive(args.alpha, "--alpha")
         if args.samples < 0:
             raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+        _check_seed(args.seed)
         X, label = _load_point(args.point, loaded.named_points,
                                (prob.m, prob.n))
     except (ProblemFormatError, OSError, ValueError) as exc:
@@ -178,12 +184,12 @@ def _print_analysis(doc, rep, qual, second):
 
 
 def cmd_solve(args) -> int:
-    rng = np.random.default_rng(args.seed)
     try:
+        _check_seed(args.seed)
         loaded = load_problem(args.problem)
         prob = loaded.spec
         if args.x0 == "rand":
-            X0 = rng.standard_normal((prob.m, prob.n))
+            X0 = np.random.default_rng(args.seed).standard_normal((prob.m, prob.n))
         else:
             X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
         cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,

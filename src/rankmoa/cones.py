@@ -121,16 +121,33 @@ def in_tangent_bouligand_Mr(q: ConeQuery, H):
     The rank decision is taken relative to the scale of H itself, not of its
     (possibly vanishing) normal part, so exactly tangent directions pass;
     H = O passes, its normal part being O. H may be a (..., m, n) stack; the
-    result is then a boolean array of the leading shape.
+    result is then a boolean array of the leading shape. The test runs on
+    compress(svd, H) by ``in_tangent_bouligand_compressed``.
     """
-    H = as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True)
-    N = project_normal_fixed_rank(q.svd, H)
-    sv_h = np.linalg.svd(H, compute_uv=False)
-    top = sv_h[..., :1] if sv_h.shape[-1] else np.zeros(H.shape[:-2] + (1,))
-    sv = np.linalg.svd(N, compute_uv=False)
-    rank_n = np.count_nonzero(sv > q.svd.rank_tol * top, axis=-1)
-    member = rank_n <= q.r - q.s
-    return bool(member) if H.ndim == 2 else member
+    C = compress(q.svd, as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True))
+    member = in_tangent_bouligand_compressed(C, q.s, q.r - q.s, q.svd.rank_tol)
+    return bool(member) if C.ndim == 2 else member
+
+
+def in_tangent_bouligand_compressed(C, s: int, k: int, rank_tol: float) -> np.ndarray:
+    """Bouligand membership of H = U C V^T, read off its compressed (..., m, n) stack C.
+
+    The normal part of H is U_perp C[s:, s:] V_perp^T, so H is a member iff
+    C[s:, s:] has at most k = r - s singular values above rank_tol * sigma_1(H).
+    sigma_1(N) <= sigma_1(H) <= ||H||_F brackets that cutoff: ranking the block
+    against sigma_1(N) admits, against ||H||_F rejects, and only the matrices
+    left between the two pay for a values-only SVD of C. Returns a boolean
+    array of the leading shape.
+    """
+    sv = np.linalg.svd(C[..., s:, s:], compute_uv=False)
+    top = sv[..., :1] if sv.shape[-1] else np.zeros(C.shape[:-2] + (1,))
+    member = np.asarray(np.count_nonzero(sv > rank_tol * top, axis=-1) <= k)
+    fro = np.linalg.norm(C, axis=(-2, -1))[..., None]
+    between = ~member & (np.count_nonzero(sv > rank_tol * fro, axis=-1) <= k)
+    if between.any():
+        top = np.linalg.svd(C[between], compute_uv=False)[..., :1]
+        member[between] = np.count_nonzero(sv[between] > rank_tol * top, axis=-1) <= k
+    return member
 
 
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:

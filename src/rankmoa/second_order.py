@@ -16,8 +16,12 @@ the check can be repeated under the opposite convention.
 At a rank-deficient point (s < r) the tangent cone of the feasible set is
 not a subspace, so the check is two-tier: a positive-definiteness
 certificate of plain hess f on all of ker A (a superset of the cone) proves
-sufficiency, while randomized cone directions re-verified for membership can
-only falsify the necessary condition.
+sufficiency, while randomized cone directions can only falsify the necessary
+condition. The directions are built in the point's compressed coordinates
+U^T Xi V, where the normal part is the trailing (m - s) x (n - s) block.
+Without constraints every draw lies in the cone by construction; with them
+the projection onto ker A can break the rank bound, so those draws are tested
+for membership in the same coordinates.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 import scipy.linalg
 
 from .affine import AffineMap
-from .cones import (ConeQuery, in_tangent_bouligand_Mr, project_normal_fixed_rank,
-                    project_tangent_fixed_rank, tangent_coordinates, tangent_mask)
+from .cones import (compress, in_tangent_bouligand_compressed, tangent_coordinates,
+                    tangent_mask)
 from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
 from .report import JsonReport
@@ -130,11 +134,13 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
-    A negative ``samples`` raises ValueError.
+    A negative ``samples`` or ``seed`` raises ValueError.
     """
     samples = int(samples)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     pa = PointAnalysis.of(prob, X)
     X, svd, s = pa.X, pa.svd, pa.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -180,27 +186,31 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             "tangent cone, so X is a strictly local minimizer (Thm 4.4 ii)"
         )
 
+    # in compressed coordinates xi = U^T Xi V (an isometry) the tangent part is g1
+    # off the trailing (m - s) x (n - s) block, the normal part that block of g2
+    # truncated to rank r - s
     rng = np.random.default_rng(seed)
-    q = ConeQuery(svd, prob.r, prob.tol)
-    K = ker.reshape(len(ker), -1)
+    k = prob.r - s
+    Kc = compress(svd, ker).reshape(len(ker), -1) if prob.l else None
     tested = violations = 0
     for start in range(0, samples, CONE_BLOCK):
         b = min(CONE_BLOCK, samples - start)
-        # draw k holds (g1, g2) in the order a per-draw loop would take them
-        g = rng.standard_normal((b, 2, prob.m, prob.n))
-        xi = project_tangent_fixed_rank(svd, g[:, 0])
-        xi += project_low_rank(project_normal_fixed_rank(svd, g[:, 1]),
-                               prob.r - s, prob.rank_tol)[0]
+        # draw i holds (g1, g2) in the order a per-draw loop would take them
+        g = compress(svd, rng.standard_normal((b, 2, prob.m, prob.n)))
+        xi = g[:, 0]
+        xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
         flat = xi.reshape(b, -1)
+        member = True
         if prob.l:
-            flat = (flat @ K.T) @ K
+            flat = (flat @ Kc.T) @ Kc
             xi = flat.reshape(xi.shape)
+            # only the kernel projection can break the rank bound
+            member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
         norm = np.linalg.norm(flat, axis=1)
-        keep = np.flatnonzero(norm >= 1e-10)
-        # the kernel projection may have broken the rank bound
-        keep = keep[in_tangent_bouligand_Mr(q, xi[keep])]
-        hess = prob.objective.hess_apply(X, xi[keep]).reshape(keep.size, X.size)
-        quad = np.einsum("ij,ij->i", hess, flat[keep])
+        keep = np.flatnonzero((norm >= 1e-10) & member)
+        Xi = svd.u @ xi[keep] @ svd.v.T
+        hess = prob.objective.hess_apply(X, Xi).reshape(keep.size, X.size)
+        quad = np.einsum("ij,ij->i", hess, Xi.reshape(keep.size, X.size))
         tested += keep.size
         violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
     rep.cone_samples_tested = tested

@@ -101,8 +101,17 @@ def _set_rhs(value):
     pytest.param(["solve", "--mode", "quadratic_penalty", "--rho", "nan"], None, None,
                  id="solve-rho-nan"),
     pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
+    pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
+    pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
+    pytest.param(["analyze", "--point", "X4", "--seed", "-1"], None, None,
+                 id="analyze-seed-negative"),
 ])
-def test_malformed_input_exit_2(problem_files, tmp_path, capsys, argv, edit, point_row):
+def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, argv, edit,
+                                point_row):
+    while "=" in argv[0]:  # leading NAME=value entries set the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     doc = json.loads(problem_files["tr"].read_text())
     if edit is not None:
         edit(doc)
@@ -217,10 +226,13 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
 def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
     # the rank-deficient sampler factors its draws as stacks: SVDs, cone and
     # Hessian calls grow with the number of blocks, not with the number of samples
-    X = random_rank_matrix(np.random.default_rng(3), 5, 4, 1)
-    path = tmp_path / "deficient.prob"
-    save_problem(ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(5, 4)),
-                             RankBound(3)), path, named_points={"X": X})
+    rng = np.random.default_rng(3)
+    X = random_rank_matrix(rng, 5, 4, 1)
+    # constraints inside the tangent space keep kernel-projected draws in the cone
+    u1 = np.linalg.svd(X)[0][:, :1]
+    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
+    amaps = {0: AffineMap([], [], shape=(5, 4)),
+             2: AffineMap(mats, [float(np.tensordot(a, X)) for a in mats])}
     calls = Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name == "rankmoa" or name.startswith("rankmoa.")]
@@ -234,7 +246,7 @@ def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
                     monkeypatch.setattr(mod, attr, counted)
     _count_hess_apply(monkeypatch, calls)
 
-    def run(*extra):
+    def run(path, *extra):
         calls.clear()
         code = main(["analyze", str(path), "--point", "X", "--json", *extra])
         assert code == 0
@@ -242,14 +254,19 @@ def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
         assert second["case"] == "rank_deficient"
         return dict(calls), second["cone_samples_tested"]
 
-    base, _ = run("--samples", "0")
-    sampled, tested = run()  # the default 2000 samples
-    assert tested == 2000
     blocks = math.ceil(2000 / CONE_BLOCK)
-    for k in ("in_tangent_bouligand_Mr", "project_low_rank", "hess_apply"):
-        assert sampled.get(k, 0) - base.get(k, 0) <= blocks
-    # one truncation and two membership spectra per block
-    assert sampled["svd"] - base["svd"] <= 3 * blocks
+    # one truncation per block; with constraints also the normal-block spectra
+    # of the membership test, and the full spectra of its undecided draws
+    for l, svds_per_block in ((0, 1), (2, 3)):
+        path = tmp_path / f"deficient{l}.prob"
+        save_problem(ProblemSpec(FrobeniusDistance(X), amaps[l], RankBound(3)), path,
+                     named_points={"X": X})
+        base, _ = run(path, "--samples", "0")
+        sampled, tested = run(path)  # the default 2000 samples
+        assert tested == 2000
+        for k in ("in_tangent_bouligand_Mr", "project_low_rank", "hess_apply"):
+            assert sampled.get(k, 0) - base.get(k, 0) <= blocks
+        assert sampled["svd"] - base["svd"] <= svds_per_block * blocks
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

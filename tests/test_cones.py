@@ -240,6 +240,57 @@ def test_stacked_projections_and_bouligand_membership_match_slices(rng):
         assert not want[2]
 
 
+def _reference_bouligand(q, H):
+    """The membership test in original coordinates: the normal part and H ranked by two SVDs."""
+    N = project_normal_fixed_rank(q.svd, H)
+    sv_h = np.linalg.svd(H, compute_uv=False)
+    top = sv_h[..., :1] if sv_h.shape[-1] else np.zeros(H.shape[:-2] + (1,))
+    sv = np.linalg.svd(N, compute_uv=False)
+    return np.count_nonzero(sv > q.svd.rank_tol * top, axis=-1) <= q.r - q.s
+
+
+def _planted_bouligand(rng, svd, r, member, tangent_scale):
+    """U C V^T whose normal block has r - s unit singular values and one more, ranked
+    against rank_tol * sigma_1(H) as a member or not but undecided by sigma_1(N) and ||H||_F."""
+    m, n, s = svd.m, svd.n, svd.rank
+    p = min(m, n) - s
+    P = np.linalg.qr(rng.standard_normal((m - s, p)))[0]
+    Q = np.linalg.qr(rng.standard_normal((n - s, p)))[0]
+    d = np.zeros(p)
+    d[: r - s] = 1.0
+    C = tangent_scale * rng.standard_normal((m, n))
+    C[s:, s:] = (P * d) @ Q.T
+    top, fro = np.linalg.svd(C, compute_uv=False)[0], np.linalg.norm(C)
+    d[r - s] = svd.rank_tol * ((1.0 + top) / 2 if member else (top + fro) / 2)
+    C[s:, s:] = (P * d) @ Q.T
+    return svd.u @ C @ svd.v.T
+
+
+def test_compressed_bouligand_rule_matches_original_coordinates(rng):
+    # tall, wide and s = 0 points; the planted normal spectra sit on both sides
+    # of rank_tol * sigma_1(H), inside the sigma_1(N) .. ||H||_F bracket
+    for m, n, s, r in ((6, 4, 1, 3), (4, 6, 2, 3), (5, 5, 0, 2), (6, 3, 0, 2)):
+        q = _query(rng, m, n, s, r)
+        svd, k = q.svd, r - s
+        drawn = [sample_tangent(rng, svd), sample_bouligand(rng, svd, r),
+                 rng.standard_normal((m, n)), np.zeros((m, n)),
+                 sample_bouligand(rng, svd, r) + 1e-3 * rng.standard_normal((m, n))]
+        # sigma_1(H) = sigma_1(N) at s = 0, so there no undecided draw is a member
+        members = (True, False) if s else (False,)
+        planted = [_planted_bouligand(rng, svd, r, member, scale)
+                   for member in members for scale in (1.0, 10.0) for _ in range(3)]
+        H = np.stack(drawn + planted)
+        want = _reference_bouligand(q, H)
+        assert in_tangent_bouligand_Mr(q, H).tolist() == want.tolist()
+        assert [in_tangent_bouligand_Mr(q, h) for h in H] == want.tolist()
+        assert want[len(drawn):].tolist() == [mb for mb in members for _ in range(6)]
+        C = compress(svd, np.stack(planted))
+        sv = np.linalg.svd(C[:, s:, s:], compute_uv=False)
+        fro = np.linalg.norm(C, axis=(1, 2))[:, None]
+        assert (np.count_nonzero(sv > svd.rank_tol * sv[:, :1], axis=1) > k).all()
+        assert (np.count_nonzero(sv > svd.rank_tol * fro, axis=1) <= k).all()
+
+
 def test_stacked_projection_validation(rng):
     q = _query(rng, 4, 3, 1, 2)
     bad = np.zeros((2, 4, 3))

@@ -378,4 +378,7 @@ def test_check_second_order_rejects_negative_samples():
     prob = ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(4, 4)), RankBound(2))
     with pytest.raises(ValueError, match="samples"):
         check_second_order(prob, X, np.zeros(0), samples=-5)
+    # the seed is checked up front too, not where the sampler first uses it
+    with pytest.raises(ValueError, match="seed"):
+        check_second_order(prob, X, np.zeros(0), samples=0, seed=-1)
     assert check_second_order(prob, X, np.zeros(0), samples=0).cone_samples_tested == 0
