@@ -24,8 +24,9 @@ class AffineMap:
     stack rank is reported so qualification checks can warn. ``shape`` is
     required when there are no constraints.
 
-    The pseudo-inverse ``stack_pinv`` is computed on first use and cached;
-    the read-only array keeps it valid.
+    The pseudo-inverse ``stack_pinv`` and the consistency verdict
+    ``consistent`` are computed on first use and cached; the read-only array
+    keeps them valid.
     """
 
     mats: np.ndarray
@@ -66,7 +67,7 @@ class AffineMap:
     def l(self) -> int:
         return len(self.mats)
 
-    @property
+    @cached_property
     def stack(self) -> np.ndarray:
         """l x (m*n) view of ``mats``: row i is the vectorized A^i."""
         return self.mats.reshape(self.l, self.shape[0] * self.shape[1])
@@ -83,6 +84,19 @@ class AffineMap:
         u, sigma, vt = np.linalg.svd(self.stack, full_matrices=False)
         keep = sigma > np.finfo(float).eps * max(self.stack.shape) * sigma.max(initial=0.0)
         return vt[keep].T @ (u[:, keep].T / sigma[keep, None])
+
+    @cached_property
+    def consistent(self) -> bool:
+        """Whether some X satisfies A(X) = b, to ``DEFAULT_TOL`` relative to max(1, ||b||).
+
+        The test is the least-squares gap ||S S+ b - b|| with S = ``stack``.
+        Because S S+ S = S, it equals the gap ||S S+ t - t|| of the
+        projection's right-hand side t = b - S x at every X (up to the
+        singular values ``stack_pinv`` drops), so it is a property of the
+        map, not of the point projected.
+        """
+        gap = float(np.linalg.norm(self.stack @ (self.stack_pinv @ self.rhs) - self.rhs))
+        return gap <= DEFAULT_TOL * max(1.0, float(np.linalg.norm(self.rhs)))
 
     def apply(self, X) -> np.ndarray:
         """Component i is <A^i, X>."""

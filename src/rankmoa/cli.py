@@ -10,6 +10,7 @@ row-major nested arrays, infinities as "inf", never NaN).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,18 +33,20 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_STRICT = 3
 EXIT_DIVERGED = 4
+SEED_HELP = "random seed (default: RANKMOA_SEED, else 0)"
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("RANKMOA_SEED", "0"))
-    except ValueError:
-        return 0
-
-
-def _check_seed(seed: int) -> None:
+def _seed(args) -> int:
+    """--seed, else RANKMOA_SEED read now (0 when unset or not an integer); never negative."""
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = int(os.environ.get("RANKMOA_SEED", "0"))
+        except ValueError:
+            seed = 0
     if seed < 0:
         raise ValueError(f"--seed (or RANKMOA_SEED) must be nonnegative, got {seed}")
+    return seed
 
 
 def _load_point(label: str, named: dict, shape):
@@ -91,7 +94,7 @@ def cmd_analyze(args) -> int:
             check_positive(args.alpha, "--alpha")
         if args.samples < 0:
             raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-        _check_seed(args.seed)
+        seed = _seed(args)
         X, label = _load_point(args.point, loaded.named_points,
                                (prob.m, prob.n))
     except (ProblemFormatError, OSError, ValueError) as exc:
@@ -103,8 +106,7 @@ def cmd_analyze(args) -> int:
     qual = pa.qualification
     second = None
     if rep.is_F:
-        second = check_second_order(prob, pa, rep.y, samples=args.samples,
-                                    seed=args.seed)
+        second = check_second_order(prob, pa, rep.y, samples=args.samples, seed=seed)
 
     doc = {
         "problem": {
@@ -185,11 +187,11 @@ def _print_analysis(doc, rep, qual, second):
 
 def cmd_solve(args) -> int:
     try:
-        _check_seed(args.seed)
+        seed = _seed(args)
         loaded = load_problem(args.problem)
         prob = loaded.spec
         if args.x0 == "rand":
-            X0 = np.random.default_rng(args.seed).standard_normal((prob.m, prob.n))
+            X0 = np.random.default_rng(seed).standard_normal((prob.m, prob.n))
         else:
             X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
         cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
@@ -235,7 +237,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import run_suite
     try:
-        ok, lines = run_suite(args.suite, seed=args.seed)
+        ok, lines = run_suite(args.suite, seed=_seed(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -266,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit 3 when the qualification is not certified")
     pa.add_argument("--samples", type=int, default=2000,
                     help="cone samples for the rank-deficient second-order check")
-    pa.add_argument("--seed", type=int, default=_default_seed())
-    pa.set_defaults(func=cmd_analyze)
+    pa.add_argument("--seed", type=int, default=None, help=SEED_HELP)
 
     ps = sub.add_parser("solve", help="search for an alpha-stationary point")
     ps.add_argument("problem")
@@ -275,25 +276,30 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'rand', a named point label, or a matrix file")
     ps.add_argument("--alpha", type=float, default=0.5)
     ps.add_argument("--iters", type=int, default=10000)
-    ps.add_argument("--seed", type=int, default=_default_seed())
+    ps.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     ps.add_argument("--stop-tol", type=float, default=1e-10)
     ps.add_argument("--mode", choices=[MODE_EXACT, MODE_PENALTY],
                     default=MODE_EXACT)
     ps.add_argument("--rho", type=float, default=10.0,
                     help="penalty weight in quadratic_penalty mode")
     ps.add_argument("--out", default=None, help="output directory")
-    ps.set_defaults(func=cmd_solve)
 
     po = sub.add_parser("oracle", help="run an independent verification suite")
     po.add_argument("suite", help="fd | projection | hankel-rank1 | diag-embed")
-    po.add_argument("--seed", type=int, default=_default_seed())
-    po.set_defaults(func=cmd_oracle)
+    po.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process; it holds no state between parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a wrapper installed over a cmd_* function is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ All functions are pure; returned arrays should be treated as read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,14 +44,14 @@ def as_shaped(x, shape: tuple, name: str = "matrix", stack: bool = False) -> np.
 
 
 def _finite(X: np.ndarray, name: str) -> np.ndarray:
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} has non-finite entries")
     return X
 
 
 def check_positive(value, name: str) -> None:
     """Raise ValueError unless value is a finite positive number (NaN fails)."""
-    if not (np.isfinite(value) and value > 0):
+    if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

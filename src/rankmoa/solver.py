@@ -10,11 +10,14 @@ such in the result:
   affine-projected last so feasibility holds at report time. A fixed round
   count leaves an error floor: the gradient step re-enters the infeasible
   region by O(alpha * ||grad f||) every outer iteration, so the inner loop
-  must re-converge rather than run a constant number of sweeps. The affine
-  projection is two matrix-vector products with the constraint stack and its
-  pseudo-inverse, which ``AffineMap.stack_pinv`` factors once per map, so
-  the inner rounds never re-solve the constraint least-squares system. The
-  map's constraint array is read-only, so that factorization cannot go stale.
+  must re-converge rather than run a constant number of sweeps. One inner
+  round costs its kernels: one SVD for the rank truncation and, for the
+  affine projection, two matrix-vector products with the constraint stack and
+  its pseudo-inverse, which ``AffineMap.stack_pinv`` factors once per map.
+  Whether the constraint system is consistent does not depend on the point,
+  so ``AffineMap.consistent`` decides it once per map too, and each round
+  validates its input once. The map's constraint array is read-only, so
+  neither cache can go stale.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 
@@ -24,6 +27,7 @@ multiplier; the final point is classified by the first-order machinery.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,8 +35,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import (DEFAULT_TOL, as_matrix, as_shaped, check_positive, project_low_rank,
-                     spectral_norm)
+from .linalg import as_shaped, check_positive, project_low_rank, spectral_norm
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
@@ -74,22 +77,20 @@ class SolveResult:
 def project_affine(amap: AffineMap, X) -> np.ndarray:
     """Frobenius-nearest matrix satisfying the constraints (least squares).
 
-    The correction is the map's cached pseudo-inverse applied to b - A(X).
-    Falls back to the least-squares projection with a warning, on every call,
-    when the constraint system is inconsistent.
+    The correction is the map's cached pseudo-inverse applied to b - A(X):
+    two matrix-vector products, with X validated once. Falls back to the
+    least-squares projection with a warning, on every call, when the map's
+    cached verdict ``AffineMap.consistent`` says the system is inconsistent.
     """
-    X = as_matrix(X, "X")
+    X = as_shaped(X, amap.shape, "X")
     if amap.l == 0:
         return X
-    target = amap.rhs - amap.apply(X)
-    c = amap.stack_pinv @ target
-    gap = float(np.linalg.norm(amap.stack @ c - target))
-    if gap > DEFAULT_TOL * max(1.0, float(np.linalg.norm(amap.rhs))):
+    if not amap.consistent:
         warnings.warn(
             "constraint system is inconsistent; returning the least-squares "
             "projection", RuntimeWarning, stacklevel=2,
         )
-    return X + c.reshape(amap.shape)
+    return X + (amap.stack_pinv @ (amap.rhs - amap.stack @ X.ravel())).reshape(amap.shape)
 
 
 def stationarity_residual(prob: ProblemSpec, X, alpha: float):
@@ -121,10 +122,14 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         g = prob.objective.grad(X)
         if cfg.affine_mode == MODE_PENALTY:
             g = g + cfg.rho * prob.affine.adjoint(prob.affine.apply(X) - prob.affine.rhs)
-            W = X - cfg.alpha * g
+        W = X - cfg.alpha * g
+        # an overflowing ||W|| catches inf or NaN entries and steps too large to project
+        if not math.isfinite(np.linalg.norm(W)):
+            raise DivergenceError(f"gradient step norm overflowed at iteration {k} "
+                                  f"(alpha = {cfg.alpha:g})")
+        if cfg.affine_mode == MODE_PENALTY:
             W, _ = project_low_rank(W, prob.r, prob.rank_tol)
         else:
-            W = X - cfg.alpha * g
             inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
             for j in range(_INNER_CAP):
                 prev = W

@@ -291,6 +291,15 @@ def test_solve_divergence_exit_4(problem_files, tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_overflowing_step_exit_4(problem_files, tmp_path, capsys):
+    code = main(["solve", str(problem_files["hankel33"]), "--x0", "rand",
+                 "--alpha", "1e308", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("divergence: ") and "Traceback" not in err
+
+
 def test_solve_random_start_seeded(problem_files, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -321,6 +330,34 @@ def test_env_seed_respected(problem_files, tmp_path, monkeypatch, capsys):
     code = main(["oracle", "projection"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_env_seed_read_per_call(problem_files, tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so the default seed must not be
+    # frozen into it
+    def start(seed, env=None):
+        out = tmp_path / f"{seed}-{env}"
+        if env is None:
+            argv = ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("RANKMOA_SEED", env)
+            argv = []
+        assert main(["solve", str(problem_files["hankel33"]), "--iters", "1",
+                     "--out", str(out), *argv]) == 0
+        return np.loadtxt(out / "x_star.txt")
+
+    assert np.array_equal(start(3, env="3"), start(3))
+    assert np.array_equal(start(5, env="5"), start(5))
+    assert not np.array_equal(start(3), start(5))
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["RANKMOA_SEED=-1"]])
+def test_oracle_negative_seed_exit_2(monkeypatch, capsys, argv):
+    if argv[0].startswith("RANKMOA_SEED="):
+        monkeypatch.setenv("RANKMOA_SEED", argv[0].split("=", 1)[1])
+        argv = []
+    assert main(["oracle", "fd", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed (or RANKMOA_SEED) must be")
 
 
 def test_module_entry_point(problem_files):

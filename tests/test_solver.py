@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
-                     RankBound, SolverConfig, build_hankel, project_affine,
-                     project_low_rank, rank_estimate, solve)
+                     RankBound, SolverConfig, build_hankel, build_hankel_example,
+                     project_affine, project_low_rank, rank_estimate, solve)
 from rankmoa import solver
-from rankmoa.solver import MODE_PENALTY, stationarity_residual, write_iterate_log
+from rankmoa.linalg import DEFAULT_TOL, as_matrix
+from rankmoa.solver import (MODE_EXACT, MODE_PENALTY, stationarity_residual,
+                            write_iterate_log)
 
 
 def _hankel_average(X):
@@ -85,6 +88,41 @@ def test_project_affine_is_the_affine_projection(m, n, l, seed):
     assert amap.normal_space_member(X - P)[0]
 
 
+def _gap_checking_projection(amap, X):
+    """The projection as first written: validate X twice, test consistency per call."""
+    X = as_matrix(X, "X")
+    if amap.l == 0:
+        return X
+    target = amap.rhs - amap.apply(X)
+    c = amap.stack_pinv @ target
+    gap = float(np.linalg.norm(amap.stack @ c - target))
+    if gap > DEFAULT_TOL * max(1.0, float(np.linalg.norm(amap.rhs))):
+        warnings.warn("constraint system is inconsistent; returning the least-squares "
+                      "projection", RuntimeWarning, stacklevel=2)
+    return X + c.reshape(amap.shape)
+
+
+def test_project_affine_matches_gap_checking_projection_bitwise(rng):
+    # dropping the per-call consistency test and the second validation leaves
+    # the same float operations, so the solver's iterates cannot move
+    G = rng.standard_normal((6, 6))
+    maps = [
+        _consistent_map(rng, 4, 3, range(5)),
+        _consistent_map(rng, 2, 5, range(10)),  # l = mn
+        _consistent_map(rng, 4, 3, [0, 1, 2, 0, 2, 1, 1]),
+        build_hankel(G + G.T, 2).affine,
+        build_hankel_example()[0].affine,
+    ]
+    for amap in maps:
+        assert amap.consistent
+        for _ in range(5):
+            X = 10.0 * rng.standard_normal(amap.shape)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # neither may call these maps inconsistent
+                assert np.array_equal(project_affine(amap, X),
+                                      _gap_checking_projection(amap, X))
+
+
 def test_project_affine_inconsistent_warns():
     a = np.eye(2)
     amap = AffineMap([a, a.copy()], [0.0, 1.0])
@@ -92,6 +130,14 @@ def test_project_affine_inconsistent_warns():
         with pytest.warns(RuntimeWarning):
             Y = project_affine(amap, np.zeros((2, 2)))
         assert np.isclose(np.trace(Y), 0.5)  # least-squares compromise
+
+
+def test_project_affine_rejects_bad_input_once(hankel_case):
+    amap = hankel_case[0].affine
+    with pytest.raises(ValueError, match="non-finite"):
+        project_affine(amap, np.full((3, 3), np.inf))
+    with pytest.raises(ValueError, match="shape"):
+        project_affine(amap, np.zeros((3, 4)))
 
 
 def test_solver_config_validation():
@@ -168,6 +214,15 @@ def test_solve_divergence(trace_case):
         solve(spec, 1e5 * np.eye(4), SolverConfig(alpha=50.0, max_iters=200))
 
 
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_PENALTY])
+def test_solve_overflowing_step_raises_divergence(hankel_case, mode):
+    # alpha * grad overflows to inf in the first step; the projections used to
+    # reject it with a ValueError that no caller expects
+    spec, points = hankel_case
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration 1"):
+        solve(spec, points["Xbar"] + 1.0, SolverConfig(alpha=1e308, affine_mode=mode))
+
+
 def test_stationarity_residual_at_solution(trace_case):
     spec, points = trace_case
     res, y = stationarity_residual(spec, points["X4"], alpha=0.5)
@@ -224,6 +279,50 @@ def test_reference_hankel_solve_factors_the_projector_once(monkeypatch):
     assert calls["lstsq"] <= result.iterations + 1
     solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert calls["factor"] <= 1  # cached on the AffineMap
+
+
+class _CountedArray(np.ndarray):
+    """ndarray that tallies the matrix products it is the left factor of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountedArray.products += 1
+        return np.asarray(self) @ other
+
+
+def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
+    # the consistency verdict is the map's: computed on first use, then each
+    # projection is stack @ x and stack_pinv @ (b - stack @ x), nothing more
+    prob, x0 = _reference_hankel()
+    amap = prob.affine
+    amap.__dict__["stack"] = amap.stack.view(_CountedArray)
+    amap.__dict__["stack_pinv"] = amap.stack_pinv.view(_CountedArray)
+    prop = AffineMap.__dict__["consistent"]
+    verdict, project = prop.func, solver.project_affine
+    verdicts = []
+    per_call = []
+
+    def counting_verdict(self):
+        before = _CountedArray.products
+        out = verdict(self)
+        verdicts.append(_CountedArray.products - before)
+        return out
+
+    def counting_project(*args, **kwargs):
+        before, seen = _CountedArray.products, sum(verdicts)
+        out = project(*args, **kwargs)
+        per_call.append(_CountedArray.products - before - (sum(verdicts) - seen))
+        return out
+
+    monkeypatch.setattr(prop, "func", counting_verdict)
+    monkeypatch.setattr(solver, "project_affine", counting_project)
+    _CountedArray.products = 0
+    result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
+    assert result.iterations == 3
+    assert len(verdicts) == 1
+    assert len(per_call) >= 3 * solver._INNER_MIN
+    assert set(per_call) == {2}
 
 
 def test_write_iterate_log(tmp_path, hankel_case):
