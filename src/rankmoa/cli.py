@@ -197,6 +197,12 @@ def cmd_solve(args) -> int:
         cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
                            stop_tol=args.stop_tol, affine_mode=args.mode,
                            rho=args.rho)
+        out = Path(args.out) if args.out else \
+            Path(args.problem).parent / (Path(args.problem).stem + "_solve")
+        # made before solving, so an unusable --out costs no solve
+        if out.exists() and not out.is_dir():
+            raise ValueError(f"--out {out} exists and is not a directory")
+        out.mkdir(parents=True, exist_ok=True)
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -207,9 +213,6 @@ def cmd_solve(args) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
-    out = Path(args.out) if args.out else \
-        Path(args.problem).parent / (Path(args.problem).stem + "_solve")
-    out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "x_star.txt", result.x)
     write_iterate_log(out / "iterates.csv", result.log)
     summary = {

@@ -10,10 +10,12 @@ All functions are pure; returned arrays should be treated as read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_TOL = 1e-8
@@ -191,8 +193,8 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     sigma_r <= sigma_{r+1} + rank_tol * sigma_1, in which case the projection
     is not unique. Z may be a (..., m, n) stack; each matrix is projected on
     its own and the tie flag is then a boolean array of the leading shape.
-    The singular vectors' signs cancel in sum_k sigma_k u_k v_k^T, so no
-    orientation is applied.
+    Validation, then ``_truncate``, then the tie flag: callers that validated
+    Z themselves and ignore ties (the solver's inner rounds) call ``_truncate``.
     """
     Z = as_stack(Z)
     r = _coerce_rank(r)
@@ -200,15 +202,45 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     if not 0 <= r <= k:
         raise ValueError(f"rank bound r={r} out of range for shape {Z.shape}")
     check_positive(rank_tol, "rank_tol")
-    u, sigma, vh = np.linalg.svd(Z)
-    kept = sigma.copy()
-    kept[..., r:] = 0.0
-    P = (u[..., :k] * kept[..., None, :]) @ vh[..., :k, :]
+    P, sigma = _truncate(Z, r)
     if 0 < r < k:
         tie = sigma[..., r - 1] <= sigma[..., r] + rank_tol * sigma[..., 0]
     else:
         tie = np.zeros(Z.shape[:-2], dtype=bool)
     return P, (bool(tie) if Z.ndim == 2 else tie)
+
+
+@functools.cache
+def _gesdd_lwork(m: int, n: int) -> int:
+    """Optimal dgesdd workspace for a thin m x n SVD, the size numpy passes."""
+    work, info = lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd workspace query failed (info={info})")
+    return int(work)
+
+
+def _truncate(Z: np.ndarray, r: int):
+    """(sum of the top r triplets sigma_k u_k v_k^T, all singular values) of Z.
+
+    Z must already be a finite float (..., m, n) array with 0 <= r <= min(m, n);
+    nothing is checked. A nonempty matrix takes one direct LAPACK dgesdd call
+    with the optimal workspace, the call np.linalg.svd(Z, full_matrices=False)
+    makes, so the factors are the same bits without numpy's wrapper around
+    them. A stack (or an empty matrix) goes through np.linalg.svd, as LAPACK
+    has no batched call. Only the r kept triplets enter the product, and the
+    singular vectors' signs cancel in it, so no orientation is applied.
+    """
+    if Z.ndim == 2 and Z.size:
+        u, sigma, vh, info = lapack.dgesdd(Z, compute_uv=1, full_matrices=0,
+                                           lwork=_gesdd_lwork(*Z.shape))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
+    else:
+        u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
+    # LAPACK's factors are column-major and numpy's row-major; BLAS can round a
+    # long enough product differently by layout, so take numpy's
+    us = np.multiply(u[..., :r], sigma[..., None, :r], order="C")
+    return us @ np.ascontiguousarray(vh[..., :r, :]), sigma
 
 
 def spectral_norm(X) -> float:

@@ -229,7 +229,8 @@ def load_problem(path) -> LoadedProblem:
     def need(key, types):
         if key not in doc:
             raise ProblemFormatError(f"{path}: missing field {key!r}")
-        if not isinstance(doc[key], types):
+        # bool is an int subclass, but true/false is no count or tolerance
+        if not isinstance(doc[key], types) or isinstance(doc[key], bool):
             raise ProblemFormatError(f"{path}: field {key!r} has the wrong type")
         return doc[key]
 

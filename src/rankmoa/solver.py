@@ -11,13 +11,16 @@ such in the result:
   count leaves an error floor: the gradient step re-enters the infeasible
   region by O(alpha * ||grad f||) every outer iteration, so the inner loop
   must re-converge rather than run a constant number of sweeps. One inner
-  round costs its kernels: one SVD for the rank truncation and, for the
-  affine projection, two matrix-vector products with the constraint stack and
-  its pseudo-inverse, which ``AffineMap.stack_pinv`` factors once per map.
-  Whether the constraint system is consistent does not depend on the point,
-  so ``AffineMap.consistent`` decides it once per map too, and each round
-  validates its input once. The map's constraint array is read-only, so
-  neither cache can go stale.
+  round costs its kernels and little else: the affine projection, two
+  matrix-vector products with the constraint stack and its pseudo-inverse
+  (which ``AffineMap.stack_pinv`` factors once per map), then
+  ``linalg._truncate``, one LAPACK SVD and an r-wide product. Whether the
+  constraint system is consistent does not depend on the point, so
+  ``AffineMap.consistent`` decides it once per map too. ``project_affine``
+  validates the round's input, the only validation in the round, and the
+  tie flag of ``project_low_rank`` is not computed; the stopping test takes
+  its norms as sqrt(x @ x), the sum np.linalg.norm computes. The map's
+  constraint array is read-only, so neither cache can go stale.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 
@@ -35,7 +38,8 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import as_shaped, check_positive, project_low_rank, spectral_norm
+from .linalg import (_truncate, as_shaped, check_positive, project_low_rank,
+                     spectral_norm)
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
@@ -93,6 +97,12 @@ def project_affine(amap: AffineMap, X) -> np.ndarray:
     return X + (amap.stack_pinv @ (amap.rhs - amap.stack @ X.ravel())).reshape(amap.shape)
 
 
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) of a real array, bit for bit: its ravel, dot and sqrt."""
+    x = x.ravel()
+    return math.sqrt(x @ x)
+
+
 def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     """Scaled alpha-stationarity residual with a recovered multiplier.
 
@@ -133,10 +143,9 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
             inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
             for j in range(_INNER_CAP):
                 prev = W
-                W = project_affine(prob.affine, W)
-                W, _ = project_low_rank(W, prob.r, prob.rank_tol)
-                move = float(np.linalg.norm(W - prev))
-                if j + 1 >= _INNER_MIN and move <= inner_tol * max(1.0, float(np.linalg.norm(W))):
+                # project_affine validates W; _truncate takes it as it is
+                W, _ = _truncate(project_affine(prob.affine, W), prob.r)
+                if j + 1 >= _INNER_MIN and _norm(W - prev) <= inner_tol * max(1.0, _norm(W)):
                     break
         X = W
         f = prob.objective.value(X)

@@ -291,6 +291,19 @@ def test_solve_divergence_exit_4(problem_files, tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_out_is_a_file_exit_2_before_solving(problem_files, tmp_path, monkeypatch,
+                                                   capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    monkeypatch.setattr("rankmoa.cli.solve", lambda *a, **k: pytest.fail("solved"))
+    for out, named in ((afile, f"--out {afile} "), (afile / "sub", "afile")):
+        code = main(["solve", str(problem_files["tr"]), "--x0", "H", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert afile.read_text() == "keep\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_solve_overflowing_step_exit_4(problem_files, tmp_path, capsys):
     code = main(["solve", str(problem_files["hankel33"]), "--x0", "rand",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rankmoa import linalg
 from rankmoa import (RankBound, orient_svd, project_low_rank, pseudo_inverse,
                      rank_estimate, spectral_norm, thin_svd)
 
@@ -252,3 +253,59 @@ def test_project_low_rank_stack_validation():
     for bad in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             project_low_rank(np.eye(3), 1, rank_tol=bad)
+
+
+def _reference_truncation(Z, r):
+    """np.linalg.svd's thin factors, then the product over all min(m, n) triplets."""
+    u, s, vh = np.linalg.svd(Z, full_matrices=False)
+    kept = s.copy()
+    kept[..., r:] = 0.0
+    return (u * kept[..., None, :]) @ vh, s
+
+
+def _check_truncation(Z, r):
+    P, sigma = linalg._truncate(Z, r)
+    ref, s = _reference_truncation(Z, r)
+    k = min(Z.shape[-2:])
+    assert P.shape == Z.shape and np.array_equal(sigma, s)
+    # the same factors as numpy's, truncated to r columns
+    u, _, vh = np.linalg.svd(Z, full_matrices=False)
+    assert np.array_equal(P, (u[..., :r] * s[..., None, :r]) @ vh[..., :r, :])
+    if r in (0, 1, k) or k < 16:
+        assert np.array_equal(P, ref)
+    else:
+        # BLAS sums an inner dimension of 16 or more in blocks, so a 2..15-wide
+        # product can round differently from the k-wide one in the last bits
+        assert np.allclose(P, ref, rtol=0.0, atol=1e-13 * max(1.0, np.abs(ref).max()))
+
+
+def test_truncation_kernel_matches_numpy_svd_bitwise(rng):
+    shapes = [(1, 1), (1, 5), (5, 1), (3, 3), (8, 6), (6, 8), (15, 15), (16, 16),
+              (40, 12), (12, 40), (40, 40)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 41, size=2)) for _ in range(40)]
+    for m, n in shapes:
+        k = min(m, n)
+        Z = rng.standard_normal((m, n))
+        for r in sorted({0, 1, k // 2, max(k - 1, 0), k} & set(range(k + 1))):
+            _check_truncation(Z, r)
+    for lead, (m, n) in (((3,), (7, 5)), ((2, 2), (4, 6)), ((5,), (3, 3)), ((1,), (20, 17))):
+        Z = rng.standard_normal(lead + (m, n))
+        for r in range(min(m, n) + 1):
+            _check_truncation(Z, r)
+    # empty matrices take numpy's path: nothing to keep
+    for shape in ((0, 3), (3, 0), (2, 0, 4)):
+        P, sigma = linalg._truncate(np.zeros(shape), 0)
+        assert P.shape == shape and sigma.shape == shape[:-2] + (0,)
+
+
+def test_truncation_kernel_raises_when_lapack_fails(monkeypatch):
+    def failing(a, **kwargs):
+        m, n = a.shape
+        k = min(m, n)
+        return np.zeros((m, k)), np.zeros(k), np.zeros((k, n)), k + 1
+
+    monkeypatch.setattr(linalg.lapack, "dgesdd", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+        linalg._truncate(np.eye(3), 2)
+    with pytest.raises(np.linalg.LinAlgError):
+        project_low_rank(np.eye(3), 2)

@@ -160,6 +160,20 @@ def test_load_rejects_bad_rank(tmp_path, hankel_case):
         load_problem(path)
 
 
+@pytest.mark.parametrize("field", ["m", "n", "l", "r", "rank_tol", "tol"])
+@pytest.mark.parametrize("value", [True, False])
+def test_load_rejects_boolean_header_numbers(tmp_path, hankel_case, field, value):
+    # bool is an int subclass: without the check "r": false would load as r = 0
+    spec, _ = hankel_case
+    path = tmp_path / "bad.json"
+    save_problem(spec, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFormatError, match=f"field '{field}' has the wrong type"):
+        load_problem(path)
+
+
 def test_load_rejects_mismatched_matrix(tmp_path, hankel_case):
     spec, _ = hankel_case
     path = tmp_path / "bad.json"

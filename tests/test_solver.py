@@ -325,6 +325,40 @@ def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
     assert set(per_call) == {2}
 
 
+def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
+    # a round is project_affine, then one linalg._truncate call (one LAPACK
+    # dgesdd); np.linalg.svd is left to the per-iteration analysis
+    prob, x0 = _reference_hankel()
+    assert prob.affine.consistent  # factors the map's pseudo-inverse up front
+    calls = Counter()
+    depth = [0]
+    svd = np.linalg.svd
+
+    def counted(fn, name):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def counting_svd(*args, **kwargs):
+        calls["svd in a round" if depth[0] else "svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "project_affine", counted(solver.project_affine, "project"))
+    monkeypatch.setattr(solver, "_truncate", counted(solver._truncate, "truncate"))
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
+    assert result.iterations == 3
+    # the final affine projection is the only one without a truncation
+    assert calls["truncate"] == calls["project"] - 1 >= 3 * solver._INNER_MIN
+    assert calls["svd in a round"] == 0
+    assert 0 < calls["svd"] < calls["truncate"]
+
+
 def test_write_iterate_log(tmp_path, hankel_case):
     spec, _ = hankel_case
     x0, _ = project_low_rank(spec.objective.target, 2)
