@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .cones import tangent_coordinates
+from .cones import compress, tangent_coordinates, tangent_mask
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, least_squares,
                      rank_estimate)
 
@@ -126,16 +126,18 @@ class AffineMap:
         return False, None
 
     def fit_multiplier(self, W, rank_tol: float = DEFAULT_RANK_TOL,
-                       tangent: ThinSVD | None = None):
+                       tangent: ThinSVD | None = None, compressed=None):
         """(y, residual) for the minimum-norm least-squares fit sum_i y_i A^i ~ W.
 
         With ``tangent``, the ranked SVD of a point, only the tangential part
         of W is fitted: both sides are read in the point's tangent coordinates.
+        ``compressed``, when given, is ``compress(tangent, self.mats)`` already taken.
         """
         if tangent is None:
             return least_squares(self.mats, W, rank_tol)
-        return least_squares(tangent_coordinates(tangent, self.mats),
-                             tangent_coordinates(tangent, W), rank_tol)
+        C = compress(tangent, self.mats) if compressed is None else compressed
+        return least_squares(C[:, tangent_mask(tangent)], tangent_coordinates(tangent, W),
+                             rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return rank_estimate(self.stack, rank_tol)

@@ -124,7 +124,8 @@ def cmd_analyze(args) -> int:
         "second_order": None if second is None else second.to_dict(),
     }
     if args.json:
-        print(json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False))
+        # every entry is JSON-ready already: the reports convert themselves
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         _print_analysis(doc, rep, qual, second)
     if args.strict and qual.intersection_rule_case == CASE_NOT_CERTIFIED:
@@ -226,10 +227,11 @@ def cmd_solve(args) -> int:
             "gradient step followed by alternating affine/rank projections is a "
             "heuristic extension for nonempty constraints"
         ),
-        "report": result.report.to_dict(),
     }
+    # the report converts itself; only the summary's own entries need jsonable
+    doc = dict(jsonable(summary), report=result.report.to_dict())
     with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(jsonable(summary), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     print(f"solved: {'converged' if result.converged else 'max iterations'} "
           f"after {result.iterations} iterations; outputs in {out}/")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
-from .cones import compress, tangent_coordinates
+from .cones import compress, tangent_mask
 from .errors import QualificationError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, rank_estimate
 from .report import JsonReport
@@ -56,9 +56,12 @@ def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     return T
 
 
-def build_R(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
-    """U^T A^i V_g stacked (transposed convention when the point is wider than tall)."""
-    C = compress(svd, amap.mats)
+def build_R(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray:
+    """U^T A^i V_g stacked (transposed convention when the point is wider than tall).
+
+    ``compressed``, when given, is ``compress(svd, amap.mats)`` already taken.
+    """
+    C = compress(svd, amap.mats) if compressed is None else compressed
     if svd.m >= svd.n:
         return C[:, :, :svd.rank]
     return C[:, :svd.rank, :].transpose(0, 2, 1)
@@ -79,34 +82,40 @@ def _independent(mats: np.ndarray, what: str, tol: float):
     return rank == l, rank
 
 
-def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
+def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
+                      compressed=None):
     """Linear independence of the T^i, ranked on their l x d_T nonzero entries; (verdict, rank)."""
-    return _independent(tangent_coordinates(svd, amap.mats),
+    C = compress(svd, amap.mats) if compressed is None else compressed
+    return _independent(C[:, tangent_mask(svd)],
                         "compressed matrices; the first qualification", tol)
 
 
-def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
+def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
+                      compressed=None):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    return _independent(build_R(svd, amap),
+    return _independent(build_R(svd, amap, compressed),
                         "column-compressed matrices; the second qualification", tol)
 
 
 def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
-                    tol: float = DEFAULT_RANK_TOL) -> QualificationReport:
+                    tol: float = DEFAULT_RANK_TOL, compressed=None) -> QualificationReport:
     """Qualification verdicts plus the intersection-rule case at the base point.
 
     The basic-qualification flag tests triviality of the kernel of
     y -> tangent-projection of sum_i y_i A^i. It equals the first
     qualification: the tangent projection of A^i is U T^i V^T, so both stacks
     have the same singular values. The Mordukhovich variant follows because
-    that normal cone sits inside the fixed-rank normal space.
+    that normal cone sits inside the fixed-rank normal space. Both
+    qualifications read ``compressed`` (``compress(svd, amap.mats)``) when given.
     """
     s = svd.rank
     notes = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        a1, t_rank = assumption1_holds(svd, amap, tol)
-        a2, r_rank = assumption2_holds(svd, amap, tol)
+        if compressed is None:
+            compressed = compress(svd, amap.mats)
+        a1, t_rank = assumption1_holds(svd, amap, tol, compressed)
+        a2, r_rank = assumption2_holds(svd, amap, tol, compressed)
     notes.extend(str(w.message) for w in caught)
 
     if s == r and a1:
@@ -151,16 +160,17 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     if s > r:
         raise QualificationError(f"base point has rank {s} above the bound r={r}")
     holds = assumption1_holds if s == r else assumption2_holds
+    C = compress(svd, amap.mats)
     with warnings.catch_warnings():  # a dimension-bound warning only restates the error
         warnings.simplefilter("ignore", RuntimeWarning)
-        ok, _ = holds(svd, amap, min(tol, DEFAULT_RANK_TOL))
+        ok, _ = holds(svd, amap, min(tol, DEFAULT_RANK_TOL), C)
     if not ok:
         raise QualificationError(
             "intersection rule is not certified at this point: "
             f"Assumption {1 if s == r else 2} fails (s={s}, r={r})"
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
-    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if s == r else None)
+    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if s == r else None, C)
     member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
     return member, y, resid
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -29,7 +29,12 @@ def jsonable(x):
 
 
 class JsonReport:
-    """Base of the report dataclasses: ``to_dict`` is their JSON-ready ``asdict``."""
+    """Base of the report dataclasses: ``to_dict`` is their JSON-ready ``asdict``.
+
+    Fields are read as they are, not deep-copied first, and converted once:
+    the result is what ``jsonable(asdict(self))`` gives for reports whose
+    fields hold no other dataclass.
+    """
 
     def to_dict(self) -> dict:
-        return jsonable(asdict(self))
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}

@@ -22,19 +22,31 @@ U^T Xi V, where the normal part is the trailing (m - s) x (n - s) block.
 Without constraints every draw lies in the cone by construction; with them
 the projection onto ker A can break the rank bound, so those draws are tested
 for membership in the same coordinates.
+
+The sampler runs in blocks of ``CONE_BLOCK`` draws. The calling thread draws
+every block from the one seeded stream, in order, and hands its compression,
+truncation, kernel projection and membership test to a thread pool, one per
+process, sized by the CPU affinity mask; LAPACK releases the GIL, so blocks
+overlap. At most pool-size blocks are in flight, which bounds memory by pool
+size x ``CONE_BLOCK`` draws. ``hess_apply`` (possibly a user callback) and
+the counts stay on the calling thread, which consumes the blocks in order,
+so the report does not depend on the pool size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .affine import AffineMap
-from .cones import (compress, in_tangent_bouligand_compressed, tangent_coordinates,
-                    tangent_mask)
+from .cones import compress, in_tangent_bouligand_compressed, tangent_mask
 from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
 from .report import JsonReport
@@ -42,7 +54,8 @@ from .stationarity import PointAnalysis, lagrangian_grad
 
 CASE_FULL = "full_rank"
 CASE_DEFICIENT = "rank_deficient"
-# cone directions drawn, projected and tested together; bounds the sampler's memory
+# cone directions drawn, projected and tested together; the sampler's memory is
+# bounded by the pool size times this many draws
 CONE_BLOCK = 512
 
 
@@ -100,13 +113,15 @@ def plain_quad(prob: ProblemSpec, X, Xi) -> float:
                             as_matrix(Xi, "Xi")[None])[0, 0])
 
 
-def _reduced_basis(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
+def _reduced_basis(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray:
     """Orthonormal d x m x n basis of ker A intersected with the rank-s tangent space.
 
     It is the null space of the tangent coordinates of the A^i (all of them
-    when l = 0), mapped back to matrices U E V^T, an isometry.
+    when l = 0), mapped back to matrices U E V^T, an isometry. ``compressed``,
+    when given, is ``compress(svd, amap.mats)`` already taken.
     """
-    null = scipy.linalg.null_space(tangent_coordinates(svd, amap.mats))
+    C = compress(svd, amap.mats) if compressed is None else compressed
+    null = scipy.linalg.null_space(C[:, tangent_mask(svd)])
     E = np.zeros((null.shape[1], svd.m, svd.n))
     E[:, tangent_mask(svd)] = null.T
     return svd.u @ E @ svd.v.T
@@ -129,18 +144,84 @@ def _extreme_eigs(Q: np.ndarray):
     return float(eigs[0]), float(eigs[-1])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(pid: int, size: int) -> ThreadPoolExecutor:
+    """The cone sampler's pool, created on first use; keyed by pid, so a forked
+    child builds its own."""
+    return ThreadPoolExecutor(size, thread_name_prefix="rankmoa-cone")
+
+
+def _cone_block(svd: ThinSVD, g: np.ndarray, k: int, Kc):
+    """Kept compressed cone directions of one block of draws and their norms.
+
+    In compressed coordinates xi = U^T Xi V (an isometry) the tangent part of
+    a draw is g1 off the trailing (m - s) x (n - s) block, the normal part
+    that block of g2 truncated to rank k = r - s. With the compressed kernel
+    basis Kc the draws are projected onto ker A and kept only if still in the
+    cone; draws of vanishing norm are dropped. Pure, so blocks run on any thread.
+    """
+    s = svd.rank
+    g = compress(svd, g)
+    xi = g[:, 0]
+    xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
+    flat = xi.reshape(len(xi), -1)
+    member = True
+    if Kc is not None:
+        flat = (flat @ Kc.T) @ Kc
+        xi = flat.reshape(xi.shape)
+        # only the kernel projection can break the rank bound
+        member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
+    norm = np.linalg.norm(flat, axis=1)
+    keep = np.flatnonzero((norm >= 1e-10) & member)
+    return xi[keep], norm[keep]
+
+
+def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc):
+    """``_cone_block`` of each block of ``samples`` draws, yielded in block order.
+
+    The draws are taken here, on the caller's thread, from the one stream;
+    the blocks run on the pool, at most pool-size of them in flight.
+    """
+    size = _cpu_count()
+    pool = _pool(os.getpid(), size)
+    pending = deque()
+    for start in range(0, samples, CONE_BLOCK):
+        # draw i holds (g1, g2) in the order a per-draw loop would take them
+        g = rng.standard_normal((min(CONE_BLOCK, samples - start), 2, svd.m, svd.n))
+        pending.append(pool.submit(_cone_block, svd, g, k, Kc))
+        if len(pending) == size:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _count_arg(value, name: str) -> int:
+    """value as a nonnegative int; bools and non-integers raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)
+
+
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
                        seed: int = 0, curvature_coeff: float = -2.0) -> SecondOrderReport:
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
-    A negative ``samples`` or ``seed`` raises ValueError.
+    A negative ``samples`` or ``seed`` raises ValueError, a non-integer or
+    boolean one TypeError, both before any work.
     """
-    samples = int(samples)
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    samples = _count_arg(samples, "samples")
+    seed = _count_arg(seed, "seed")
     pa = PointAnalysis.of(prob, X)
     X, svd, s = pa.X, pa.svd, pa.s
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -153,7 +234,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         )
 
     if s == prob.r:
-        basis = _reduced_basis(svd, prob.affine)
+        basis = _reduced_basis(svd, prob.affine, pa.compressed)
         Q = _gram_form(prob.objective, X, basis, gradL, pseudo_inverse(svd),
                        curvature_coeff)
         lo, hi = _extreme_eigs(Q)
@@ -170,7 +251,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         return rep
 
     # rank-deficient point: certificate on supersets, falsification by sampling
-    sub_basis = _reduced_basis(svd, prob.affine)
+    sub_basis = _reduced_basis(svd, prob.affine, pa.compressed)
     sub_lo, _ = _extreme_eigs(_gram_form(prob.objective, X, sub_basis))
     ker = prob.affine.kernel_basis()
     lo, hi = _extreme_eigs(_gram_form(prob.objective, X, ker))
@@ -186,33 +267,15 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             "tangent cone, so X is a strictly local minimizer (Thm 4.4 ii)"
         )
 
-    # in compressed coordinates xi = U^T Xi V (an isometry) the tangent part is g1
-    # off the trailing (m - s) x (n - s) block, the normal part that block of g2
-    # truncated to rank r - s
-    rng = np.random.default_rng(seed)
-    k = prob.r - s
     Kc = compress(svd, ker).reshape(len(ker), -1) if prob.l else None
+    blocks = _sampled_blocks(svd, np.random.default_rng(seed), samples, prob.r - s, Kc)
     tested = violations = 0
-    for start in range(0, samples, CONE_BLOCK):
-        b = min(CONE_BLOCK, samples - start)
-        # draw i holds (g1, g2) in the order a per-draw loop would take them
-        g = compress(svd, rng.standard_normal((b, 2, prob.m, prob.n)))
-        xi = g[:, 0]
-        xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
-        flat = xi.reshape(b, -1)
-        member = True
-        if prob.l:
-            flat = (flat @ Kc.T) @ Kc
-            xi = flat.reshape(xi.shape)
-            # only the kernel projection can break the rank bound
-            member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
-        norm = np.linalg.norm(flat, axis=1)
-        keep = np.flatnonzero((norm >= 1e-10) & member)
-        Xi = svd.u @ xi[keep] @ svd.v.T
-        hess = prob.objective.hess_apply(X, Xi).reshape(keep.size, X.size)
-        quad = np.einsum("ij,ij->i", hess, Xi.reshape(keep.size, X.size))
-        tested += keep.size
-        violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
+    for xi, norm in blocks:
+        Xi = svd.u @ xi @ svd.v.T
+        hess = prob.objective.hess_apply(X, Xi).reshape(len(xi), X.size)
+        quad = np.einsum("ij,ij->i", hess, Xi.reshape(len(xi), X.size))
+        tested += len(xi)
+        violations += int(np.count_nonzero(quad / norm ** 2 < -prob.tol))
     rep.cone_samples_tested = tested
     rep.cone_violations = violations
     if violations:

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import project_tangent_fixed_rank
+from .cones import compress, project_tangent_fixed_rank
 from .linalg import as_matrix, check_positive, orient_svd, rank_estimate, spectral_norm
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
@@ -70,9 +70,10 @@ class PointAnalysis:
     """The quantities every check at one point X reads, each computed once.
 
     The oriented SVD, the objective gradient and feasibility are taken on
-    construction; recovered multipliers and the qualification report on
-    first use. Every check that takes a point also accepts an analysis of
-    it, which is how one ``analyze`` run factors its point once.
+    construction; the compressed constraint stack, recovered multipliers and
+    the qualification report on first use. Every check that takes a point
+    also accepts an analysis of it, which is how one ``analyze`` run factors
+    its point once.
     """
 
     def __init__(self, prob: ProblemSpec, X):
@@ -105,9 +106,15 @@ class PointAnalysis:
         return self._multipliers[tangential]
 
     @cached_property
+    def compressed(self) -> np.ndarray:
+        """U^T A^i V of every constraint, the stack every constraint test here reads."""
+        return compress(self.svd, self.prob.affine.mats)
+
+    @cached_property
     def qualification(self) -> QualificationReport:
         prob = self.prob
-        return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol))
+        return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol),
+                               self.compressed)
 
     def grad_lagrangian(self, y) -> np.ndarray:
         return self.grad + self.prob.affine.adjoint(y)
@@ -128,8 +135,9 @@ class PointAnalysis:
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
-    return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol,
-                                         pa.svd if tangential else None)
+    if not tangential:
+        return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol)
+    return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol, pa.svd, pa.compressed)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:

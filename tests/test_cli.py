@@ -223,6 +223,44 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
     assert calls == {"orient_svd": 1, "bq_certificates": 1, "hess_apply": 1}
 
 
+def _deficient_problem(path):
+    """A rank-1 5x4 point X, F-stationary at r = 3 under two random constraints."""
+    rng = np.random.default_rng(11)
+    X = random_rank_matrix(rng, 5, 4, 1)
+    mats = rng.standard_normal((2, 5, 4))
+    amap = AffineMap(mats, np.tensordot(mats, X))
+    target = X + amap.adjoint(rng.standard_normal(2))
+    save_problem(ProblemSpec(FrobeniusDistance(target), amap, RankBound(3)), path,
+                 named_points={"X": X})
+    return path
+
+
+def test_analyze_compresses_the_constraint_stack_once(problem_files, tmp_path,
+                                                      monkeypatch, capsys):
+    # Assumption 1 and 2, the tangential multiplier fit and the reduced
+    # second-order basis all read one U^T A^i V stack per analyzed point
+    from rankmoa.cones import compress
+    shapes = []
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "rankmoa" or name.startswith("rankmoa.")]
+
+    def spy(svd, Z):
+        shapes.append(np.shape(Z))
+        return compress(svd, Z)
+    for mod in modules:
+        for attr, val in list(vars(mod).items()):
+            if val is compress:
+                monkeypatch.setattr(mod, attr, spy)
+    cases = ((problem_files["hankel33"], "Xbar", (4, 3, 3), "full_rank"),
+             (_deficient_problem(tmp_path / "deficient.prob"), "X", (2, 5, 4),
+              "rank_deficient"))
+    for path, point, stack, case in cases:
+        shapes.clear()
+        assert main(["analyze", str(path), "--point", point, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["second_order"]["case"] == case
+        assert shapes.count(stack) == 1
+
+
 def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
     # the rank-deficient sampler factors its draws as stacks: SVDs, cone and
     # Hessian calls grow with the number of blocks, not with the number of samples

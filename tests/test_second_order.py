@@ -382,3 +382,131 @@ def test_check_second_order_rejects_negative_samples():
     with pytest.raises(ValueError, match="seed"):
         check_second_order(prob, X, np.zeros(0), samples=0, seed=-1)
     assert check_second_order(prob, X, np.zeros(0), samples=0).cone_samples_tested == 0
+    # non-integer and boolean counts are refused by name, before the point is read:
+    # 2.5 used to run 2 draws, True 1, and None or 1.5 as a seed failed inside numpy
+    for bad in (2.5, True, np.float64(3.0), "10", None):
+        with pytest.raises(TypeError, match="samples"):
+            check_second_order(prob, X, np.zeros(0), samples=bad)
+    for bad in (None, 1.5, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="seed"):
+            check_second_order(prob, X, np.zeros(0), seed=bad)
+        with pytest.raises(TypeError, match="seed"):
+            check_second_order(prob, np.eye(4), np.zeros(0), samples=10, seed=bad)
+    rep = check_second_order(prob, X, np.zeros(0), samples=np.int64(5), seed=np.uint8(3))
+    assert rep.cone_samples_tested == 5
+
+
+def _sampler_cases(rng):
+    """(prob, X, y) at a rank-1 5x4 point with r = 3: unconstrained, under two
+    constraints inside the tangent space, and planted with negative curvature."""
+    X = random_rank_matrix(rng, 5, 4, 1)
+    free = ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(5, 4)), RankBound(3))
+    u1 = orient_svd(X).u[:, :1]
+    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
+    amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats])
+    constrained = ProblemSpec(FrobeniusDistance(X), amap, RankBound(3))
+    planted = ProblemSpec(_column_weighted(X, np.array([0.5, -1.0, 0.3, 0.2])),
+                          AffineMap([], [], shape=(5, 4)), RankBound(3))
+    return [(free, X, np.zeros(0)), (constrained, X, np.zeros(2)), (planted, X, np.zeros(0))]
+
+
+def test_cone_sampler_report_does_not_depend_on_pool_size(rng, monkeypatch):
+    from rankmoa import second_order
+    cases = _sampler_cases(rng)
+    reports = {}
+    for size in (1, 2, 4):
+        monkeypatch.setattr(second_order, "_cpu_count", lambda size=size: size)
+        reports[size] = [check_second_order(prob, X, y, samples=1700, seed=9)
+                         for prob, X, y in cases]
+    assert reports[1] == reports[2] == reports[4]
+    free, constrained, planted = reports[1]
+    assert free.cone_samples_tested == 1700 and constrained.cone_samples_tested > 0
+    assert 0 < planted.cone_violations < planted.cone_samples_tested
+
+
+def test_cone_sampler_keeps_hess_apply_on_the_calling_thread(rng, monkeypatch):
+    import threading
+    from rankmoa import second_order
+    block_threads, hess_threads = set(), set()
+    cone_block = second_order._cone_block
+
+    def recorded_block(*args):
+        block_threads.add(threading.current_thread().name)
+        return cone_block(*args)
+    monkeypatch.setattr(second_order, "_cone_block", recorded_block)
+    for prob, X, y in _sampler_cases(rng):
+        obj = prob.objective
+
+        def hess(Y, Xi, obj=obj):
+            hess_threads.add(threading.get_ident())
+            return obj.hess_apply(Y, Xi)
+        recorded = CustomObjective("recorded", (5, 4), value_fn=obj.value, grad_fn=obj.grad,
+                                   hess_apply_fn=hess)
+        rep = check_second_order(ProblemSpec(recorded, prob.affine, prob.rank_bound),
+                                 X, y, samples=1100, seed=2)
+        assert rep.cone_samples_tested > 0
+    assert hess_threads == {threading.get_ident()}
+    assert block_threads and all(n.startswith("rankmoa-cone") for n in block_threads)
+
+
+def test_cone_sampler_block_errors_propagate(rng, monkeypatch):
+    from rankmoa import second_order
+    prob, X, y = _sampler_cases(rng)[1]
+    want = check_second_order(prob, X, y, seed=4)
+    err = np.linalg.LinAlgError("SVD did not converge")
+    truncations = []
+
+    def failing(Z, k, rank_tol):
+        truncations.append(len(Z))
+        if len(truncations) == 2:
+            raise err
+        return project_low_rank(Z, k, rank_tol)
+    monkeypatch.setattr(second_order, "project_low_rank", failing)
+    with pytest.raises(np.linalg.LinAlgError) as info:
+        check_second_order(prob, X, y, seed=4)
+    assert info.value is err
+    monkeypatch.undo()
+    assert check_second_order(prob, X, y, seed=4) == want
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with live pool threads
+def test_cone_sampler_runs_in_a_forked_child(rng):
+    import multiprocessing
+    prob, X, y = _sampler_cases(rng)[2]
+    want = check_second_order(prob, X, y, seed=6)  # the parent's pool is now running
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child():
+        send.send(check_second_order(prob, X, y, seed=6))
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert recv.poll(60), "the forked child did not report within 60 s"
+        assert recv.recv() == want
+    finally:
+        proc.join(10)
+        if proc.is_alive():
+            proc.kill()
+    assert proc.exitcode == 0
+
+
+def test_cone_sampler_concurrent_callers_share_the_pool(rng, monkeypatch):
+    # more calling threads and pool workers than cores, with frequent thread
+    # switches: every caller still gets the serial report
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from rankmoa import second_order
+    monkeypatch.setattr(second_order, "_cpu_count", lambda: 3)
+    cases = _sampler_cases(rng)
+    want = [check_second_order(prob, X, y, samples=1100, seed=8) for prob, X, y in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            futures = [callers.submit(check_second_order, prob, X, y, samples=1100, seed=8)
+                       for _ in range(2) for prob, X, y in cases]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 2

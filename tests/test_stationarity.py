@@ -296,3 +296,42 @@ def test_report_serialization_roundtrip(trace_case):
     assert doc["beta"] == pytest.approx(2.0, abs=1e-8)
     lrr_doc = classify_first_order(spec, points["X4"]).to_dict()
     assert set(doc) == set(lrr_doc)
+
+
+def test_to_dict_matches_jsonable_asdict(trace_case, hankel_case):
+    # to_dict converts the fields it reads once; the old deep copy through
+    # asdict followed by jsonable is the reference, arrays and +-inf included
+    import json
+    from dataclasses import asdict
+
+    from rankmoa import check_second_order
+    from rankmoa.qualification import QualificationReport
+    from rankmoa.report import jsonable
+    from rankmoa.second_order import SecondOrderReport
+    from rankmoa.stationarity import StationarityReport, PointAnalysis
+
+    spec, points = trace_case
+    hk, hk_points = hankel_case
+    pa = PointAnalysis(hk, hk_points["Xbar"])
+    reports = [
+        classify_first_order(spec, points["X4"], alpha=1.0),
+        classify_first_order(spec, points["H"]),
+        pa.qualification,
+        check_second_order(hk, pa, np.zeros(4)),
+        StationarityReport(feasible=True, feasibility_residual=np.float64(0.0), s=np.int64(2),
+                           y=np.array([1.5, -np.inf]), grad_lagrangian=np.eye(2),
+                           beta=np.inf, is_alpha=np.bool_(True), notes=["n"]),
+        SecondOrderReport(case="full_rank", basis_dim=0, min_eig=np.inf, max_eig=-np.inf,
+                          necessary_ok=True, sufficient_ok=True,
+                          subspace_min_eig=np.float64(-np.inf)),
+        QualificationReport(s=1, r=2, l=0, t_rank=0, r_rank=0, assumption1=True,
+                            assumption2=True, bq_subspace=True, bq_mordukhovich=True,
+                            intersection_rule_case="eq_rank_deficient",
+                            warnings=("a", "b")),
+    ]
+    for rep in reports:
+        ref = jsonable(asdict(rep))
+        got = rep.to_dict()
+        assert got == ref
+        assert (json.dumps(got, sort_keys=True, allow_nan=False)
+                == json.dumps(ref, sort_keys=True, allow_nan=False))
