@@ -6,11 +6,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .cones import compress, tangent_coordinates, tangent_mask
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, least_squares,
-                     rank_estimate)
+                     null_space, rank_estimate)
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,12 @@ class AffineMap:
         return float(np.linalg.norm(self.apply(X) - self.rhs))
 
     def kernel_basis(self) -> np.ndarray:
-        """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}, as k x m x n."""
-        return scipy.linalg.null_space(self.stack).T.reshape(-1, *self.shape)
+        """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}, as k x m x n.
+
+        The null space of the (l, m*n) stack by ``linalg.null_space``; with no
+        constraints it is the standard basis.
+        """
+        return null_space(self.stack).T.reshape(-1, *self.shape)
 
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: tolerance-ranked thin SVD, low-rank projection, norms.
+"""Dense matrix primitives: tolerance-ranked thin SVD, low-rank projection, null space, norms.
 
 Every rank decision in the package is relative: a singular value counts
 toward the numerical rank when it exceeds ``rank_tol * sigma_1`` of the
@@ -10,12 +10,15 @@ All functions are pure; returned arrays should be treated as read-only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+
+try:  # the thin-SVD gufunc behind np.linalg.svd(Z, full_matrices=False)
+    from numpy.linalg._umath_linalg import svd_s as _svd_thin
+except ImportError:  # a NumPy that does not ship it under this name
+    _svd_thin = None
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_TOL = 1e-8
@@ -210,37 +213,38 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     return P, (bool(tie) if Z.ndim == 2 else tie)
 
 
-@functools.cache
-def _gesdd_lwork(m: int, n: int) -> int:
-    """Optimal dgesdd workspace for a thin m x n SVD, the size numpy passes."""
-    work, info = lapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgesdd workspace query failed (info={info})")
-    return int(work)
-
-
 def _truncate(Z: np.ndarray, r: int):
     """(sum of the top r triplets sigma_k u_k v_k^T, all singular values) of Z.
 
     Z must already be a finite float (..., m, n) array with 0 <= r <= min(m, n);
-    nothing is checked. A nonempty matrix takes one direct LAPACK dgesdd call
-    with the optimal workspace, the call np.linalg.svd(Z, full_matrices=False)
-    makes, so the factors are the same bits without numpy's wrapper around
-    them. A stack (or an empty matrix) goes through np.linalg.svd, as LAPACK
-    has no batched call. Only the r kept triplets enter the product, and the
-    singular vectors' signs cancel in it, so no orientation is applied.
+    nothing is checked. A nonempty matrix goes straight to NumPy's thin-SVD
+    gufunc, the dgesdd call np.linalg.svd(Z, full_matrices=False) dispatches
+    to, so the factors are the same bits without numpy's Python wrapper
+    around them. A stack or an empty matrix (or a NumPy without the gufunc)
+    goes through np.linalg.svd. Only the r kept triplets enter the product,
+    and the singular vectors' signs cancel in it, so no orientation is applied.
     """
-    if Z.ndim == 2 and Z.size:
-        u, sigma, vh, info = lapack.dgesdd(Z, compute_uv=1, full_matrices=0,
-                                           lwork=_gesdd_lwork(*Z.shape))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"SVD did not converge (dgesdd info={info})")
+    if Z.ndim == 2 and Z.size and _svd_thin is not None:
+        u, sigma, vh = _svd_thin(Z, signature="d->ddd")
+        if sigma[0] != sigma[0]:  # the gufunc fills its outputs with NaN when dgesdd fails
+            raise np.linalg.LinAlgError("SVD did not converge")
     else:
         u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
-    # LAPACK's factors are column-major and numpy's row-major; BLAS can round a
-    # long enough product differently by layout, so take numpy's
-    us = np.multiply(u[..., :r], sigma[..., None, :r], order="C")
-    return us @ np.ascontiguousarray(vh[..., :r, :]), sigma
+    return (u[..., :r] * sigma[..., None, :r]) @ vh[..., :r, :], sigma
+
+
+def null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {x : A x = 0} as columns, scipy.linalg.null_space's rule.
+
+    A must be a finite 2-d float array. Singular values at or below
+    eps * max(M, N) * sigma_1 count as zero. ``vh`` is taken in Fortran order,
+    the layout LAPACK (and scipy) return it in, so the basis is the same view
+    scipy returns and later products round the same way.
+    """
+    u, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(u.shape[0], vh.shape[1])
+    num = np.count_nonzero(s > tol)
+    return np.asfortranarray(vh)[num:].T
 
 
 def spectral_norm(X) -> float:

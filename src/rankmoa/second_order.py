@@ -43,11 +43,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .affine import AffineMap
 from .cones import compress, in_tangent_bouligand_compressed, tangent_mask
-from .linalg import ThinSVD, as_matrix, project_low_rank, pseudo_inverse
+from .linalg import ThinSVD, as_matrix, null_space, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
 from .report import JsonReport
 from .stationarity import PointAnalysis, lagrangian_grad
@@ -121,7 +120,7 @@ def _reduced_basis(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray
     when given, is ``compress(svd, amap.mats)`` already taken.
     """
     C = compress(svd, amap.mats) if compressed is None else compressed
-    null = scipy.linalg.null_space(C[:, tangent_mask(svd)])
+    null = null_space(C[:, tangent_mask(svd)])
     E = np.zeros((null.shape[1], svd.m, svd.n))
     E[:, tangent_mask(svd)] = null.T
     return svd.u @ E @ svd.v.T

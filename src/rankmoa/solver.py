@@ -14,13 +14,14 @@ such in the result:
   round costs its kernels and little else: the affine projection, two
   matrix-vector products with the constraint stack and its pseudo-inverse
   (which ``AffineMap.stack_pinv`` factors once per map), then
-  ``linalg._truncate``, one LAPACK SVD and an r-wide product. Whether the
-  constraint system is consistent does not depend on the point, so
-  ``AffineMap.consistent`` decides it once per map too. ``project_affine``
-  validates the round's input, the only validation in the round, and the
-  tie flag of ``project_low_rank`` is not computed; the stopping test takes
-  its norms as sqrt(x @ x), the sum np.linalg.norm computes. The map's
-  constraint array is read-only, so neither cache can go stale.
+  ``linalg._truncate``, one call of NumPy's thin-SVD kernel and an r-wide
+  product. Whether the constraint system is consistent does not depend on
+  the point, so ``AffineMap.consistent`` decides it once per map too.
+  ``project_affine`` validates the round's input, the only validation in the
+  round, and the tie flag of ``project_low_rank`` is not computed; the
+  stopping test takes its norms as sqrt(x @ x), the sum np.linalg.norm
+  computes. The map's constraint array is read-only, so neither cache can go
+  stale.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 

@@ -299,13 +299,30 @@ def test_truncation_kernel_matches_numpy_svd_bitwise(rng):
 
 
 def test_truncation_kernel_raises_when_lapack_fails(monkeypatch):
+    # when dgesdd fails, numpy's SVD gufunc fills all three outputs with NaN
     def failing(a, **kwargs):
         m, n = a.shape
         k = min(m, n)
-        return np.zeros((m, k)), np.zeros(k), np.zeros((k, n)), k + 1
+        return np.full((m, k), np.nan), np.full(k, np.nan), np.full((k, n), np.nan)
 
-    monkeypatch.setattr(linalg.lapack, "dgesdd", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="dgesdd"):
+    monkeypatch.setattr(linalg, "_svd_thin", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         linalg._truncate(np.eye(3), 2)
     with pytest.raises(np.linalg.LinAlgError):
         project_low_rank(np.eye(3), 2)
+
+
+def test_null_space_matches_scipy_bitwise(rng):
+    from rankmoa.problems import hankel_constraints
+    cases = [rng.standard_normal(shape)
+             for shape in ((0, 5), (5, 0), (0, 0), (1, 1), (3, 5), (5, 3), (4, 9), (9, 9))]
+    A = rng.standard_normal((3, 8))
+    cases.append(np.vstack([A, A[0] + A[1]]))  # a dependent row: the kernel grows by one
+    cases.append(np.zeros((2, 4)))
+    cases.append(hankel_constraints(7, 7).stack)  # 36 x 49, a 13-dimensional kernel
+    for A in cases:
+        Q, ref = linalg.null_space(A), scipy.linalg.null_space(A)
+        assert Q.shape == ref.shape and np.array_equal(Q, ref)
+        if A.size:
+            # the same view of a Fortran-ordered vh, so later products round alike
+            assert Q.strides == ref.strides

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rankmoa"
@@ -36,3 +39,31 @@ def test_package_modules_have_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     assert "solver.py" in found
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# analyze and a short solve through the CLI in a fresh interpreter; prints the
+# scipy modules loaded by then
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+import rankmoa.cli as cli
+from rankmoa import build_trace_example, save_problem
+work = sys.argv[1]
+spec, points = build_trace_example()
+save_problem(spec, work + "/tr.prob", named_points=points)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze", work + "/tr.prob", "--point", "X4", "--json"]) == 0
+    assert cli.main(["solve", work + "/tr.prob", "--x0", "H", "--iters", "3",
+                     "--out", work + "/out"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_analyze_and_solve_do_not_import_scipy(tmp_path):
+    # scipy costs every process about 0.3 s of start-up; only `rankmoa oracle` needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "x_star.txt").is_file()

@@ -247,6 +247,18 @@ def test_gram_form_symmetry(hankel_case):
             assert abs(Q[i, j] - (hess - 2.0 * curv)) <= 1e-12 * max(1.0, abs(Q[i, j]))
 
 
+def test_kernel_gram_form_matches_scipy_basis_bitwise(rng):
+    # the rank-deficient certificate's form on ker A of the 7 x 7 Hankel stack
+    from rankmoa.second_order import _gram_form
+    amap = hankel_constraints(7, 7)
+    h = rng.standard_normal(2) @ (rng.uniform(0.5, 1.0, size=(2, 1)) ** np.arange(13))
+    X = h[np.add.outer(np.arange(7), np.arange(7))]  # a rank-2 Hankel matrix
+    objective = FrobeniusDistance(X + amap.adjoint(rng.standard_normal(amap.l)))
+    basis = amap.kernel_basis()
+    ref = scipy.linalg.null_space(amap.stack).T.reshape(-1, 7, 7)
+    assert basis.shape == (13, 7, 7) and np.array_equal(basis, ref)
+    assert np.array_equal(_gram_form(objective, X, basis), _gram_form(objective, X, ref))
+
 def _stationary_full_rank_point(rng, m, n, r, l):
     """(prob, X, y) with X of rank r and grad f + A*(y) normal to M^r at X."""
     X = random_rank_matrix(rng, m, n, r)

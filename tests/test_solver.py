@@ -326,8 +326,8 @@ def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
 
 
 def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
-    # a round is project_affine, then one linalg._truncate call (one LAPACK
-    # dgesdd); np.linalg.svd is left to the per-iteration analysis
+    # a round is project_affine, then one linalg._truncate call (one call of
+    # numpy's thin-SVD gufunc); np.linalg.svd is left to the per-iteration analysis
     prob, x0 = _reference_hankel()
     assert prob.affine.consistent  # factors the map's pseudo-inverse up front
     calls = Counter()
