@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .cones import compress, tangent_coordinates, tangent_mask
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, least_squares,
-                     null_space, rank_estimate)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _full_row_rank, as_shaped,
+                     least_squares, null_space, rank_estimate)
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,10 @@ class AffineMap:
     shape (l, m, n), copied from the caller's input on construction, so it
     indexes and iterates like a sequence of m x n matrices. ``stack`` is its
     (l, m*n) view. Redundant (linearly dependent) matrices are allowed, the
-    stack rank is reported so qualification checks can warn. ``shape`` is
-    required when there are no constraints.
+    stack rank is reported so qualification checks can warn: ``stack_rank``
+    answers l from one Cholesky of the l x l Gram matrix when that proves
+    full row rank, and ranks the stack by its SVD only otherwise. ``shape``
+    is required when there are no constraints.
 
     The pseudo-inverse ``stack_pinv`` and the consistency verdict
     ``consistent`` are computed on first use and cached; the read-only array
@@ -143,4 +145,12 @@ class AffineMap:
                              rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+        """``rank_estimate(stack, rank_tol)``, without its SVD when full row rank is proved.
+
+        ``linalg._full_row_rank`` certifies that the estimate is l. When it
+        cannot (no constraints, l > m*n, dependent or ill-conditioned rows),
+        the stack is ranked by ``rank_estimate`` itself.
+        """
+        if _full_row_rank(self.stack, rank_tol):
+            return self.l
         return rank_estimate(self.stack, rank_tol)

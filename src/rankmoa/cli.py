@@ -97,11 +97,11 @@ def cmd_analyze(args) -> int:
         seed = _seed(args)
         X, label = _load_point(args.point, loaded.named_points,
                                (prob.m, prob.n))
+        pa = PointAnalysis(prob, X)
     except (ProblemFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    pa = PointAnalysis(prob, X)
     rep = classify_first_order(prob, pa, alpha=args.alpha)
     qual = pa.qualification
     second = None

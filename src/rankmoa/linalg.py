@@ -3,7 +3,8 @@
 Every rank decision in the package is relative: a singular value counts
 toward the numerical rank when it exceeds ``rank_tol * sigma_1`` of the
 matrix being ranked. ``rank_estimate`` is that rule, and ``least_squares``
-truncates every multiplier solve by it.
+truncates every multiplier solve by it. ``_full_row_rank`` does not rank: it
+proves, without an SVD, that ``rank_estimate`` would find full row rank.
 
 All functions are pure; returned arrays should be treated as read-only.
 """
@@ -262,6 +263,45 @@ def rank_estimate(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     s = np.linalg.svd(X, compute_uv=False)
     return int(np.count_nonzero(s > rank_tol * s[0]))
+
+
+def _full_row_rank(S: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
+    """True only when S (l x N) provably has sigma_l(S) > 2 * rank_tol * sigma_1(S).
+
+    Then ``rank_estimate(S, rank_tol)`` returns l: the factor 2 leaves room
+    for the rounding of its own singular values. False proves nothing, it
+    only means the caller must rank S itself. S must be a finite 2-d array.
+
+    One shifted Cholesky of the Gram matrix, no SVD (Rump, "Verification of
+    positive definiteness", BIT 2006; Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 10):
+
+    1. S_hat = S / max|s_ij|, so G cannot overflow and its trace t >= 1
+       (an entry of S_hat is +-1) keeps underflow below eps * t;
+    2. G = S_hat S_hat^T;
+    3. G - t * (4 rank_tol^2 + (l + N + 3) eps) I;
+    4. Cholesky of the result.
+
+    The computed G differs from the exact one by at most gamma_N * t in norm,
+    and a Cholesky that succeeds factors its input up to gamma_(l+1) * t, so
+    success bounds lambda_min(S_hat S_hat^T) above 4 rank_tol^2 t, and
+    t = ||S_hat||_F^2 >= sigma_1(S_hat)^2.
+    """
+    l, N = S.shape
+    if l == 0 or l > N:
+        return False
+    top = float(np.max(np.abs(S)))
+    if not 0.0 < top < math.inf:
+        return False
+    S_hat = S / top
+    G = S_hat @ S_hat.T
+    t = float(np.trace(G))
+    G.flat[:: l + 1] -= t * (4.0 * rank_tol ** 2 + (l + N + 3) * np.finfo(float).eps)
+    try:
+        R = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(R).all())
 
 
 def least_squares(cols, target, rank_tol: float = DEFAULT_RANK_TOL):

@@ -218,17 +218,42 @@ def objective_to_doc(obj: Objective) -> dict:
     return {"kind": obj.kind, **obj.params()}
 
 
+_DOC_FIELDS = {"frobenius_distance": (FrobeniusDistance, "target"),
+               "row_quadratic": (RowQuadratic, "mats"),
+               "linear_trace": (LinearTrace, "cost")}
+
+
 def objective_from_doc(doc: dict) -> Objective:
+    """The objective a document from ``objective_to_doc`` describes.
+
+    Every failure is a ValueError that names the field at fault: a missing
+    one, one of the wrong type, or ``params`` the registered factory rejects.
+    """
     kind = doc.get("kind")
-    if kind == "frobenius_distance":
-        return FrobeniusDistance(doc["target"])
-    if kind == "row_quadratic":
-        return RowQuadratic(doc["mats"])
-    if kind == "linear_trace":
-        return LinearTrace(doc["cost"])
     if kind == "registered_custom":
-        return make_custom(doc["id"], **doc.get("params", {}))
-    raise ValueError(f"unknown objective kind {kind!r}")
+        obj_id, params = _field(doc, "id"), doc.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("field 'params' has the wrong type, expected an object")
+        if not isinstance(obj_id, str) or obj_id not in _CUSTOM_REGISTRY:
+            raise ValueError(f"field 'id': no objective registered under id {obj_id!r}")
+        try:
+            return make_custom(obj_id, **params)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field 'params': objective {obj_id!r} rejects them: {exc}") from exc
+    if not isinstance(kind, str) or kind not in _DOC_FIELDS:
+        raise ValueError(f"unknown objective kind {kind!r}")
+    cls, key = _DOC_FIELDS[kind]
+    value = _field(doc, key)
+    try:
+        return cls(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r}: {exc}") from exc
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    return doc[key]
 
 
 @dataclass(frozen=True)

@@ -261,9 +261,10 @@ def load_problem(path) -> LoadedProblem:
         mats = np.array([_float_array(c["matrix"], (m, n), f"{path}: constraints[{i}]")
                          for i, c in enumerate(constraints)]).reshape(l, m, n)
     rhs = _float_array([c["rhs"] for c in constraints], (l,), f"{path}: constraint 'rhs'")
+    objective_doc = need("objective", dict)
     try:
-        objective = objective_from_doc(need("objective", dict))
-    except (KeyError, ValueError) as exc:
+        objective = objective_from_doc(objective_doc)
+    except ValueError as exc:
         raise ProblemFormatError(f"{path}: objective: {exc}") from exc
     if objective.shape != (m, n):
         raise ProblemFormatError(

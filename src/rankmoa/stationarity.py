@@ -71,9 +71,10 @@ class PointAnalysis:
 
     The oriented SVD, the objective gradient and feasibility are taken on
     construction; the compressed constraint stack, recovered multipliers and
-    the qualification report on first use. Every check that takes a point
-    also accepts an analysis of it, which is how one ``analyze`` run factors
-    its point once.
+    the qualification report on first use. A gradient whose norm is not
+    finite raises ValueError, since residuals are compared against it. Every
+    check that takes a point also accepts an analysis of it, which is how one
+    ``analyze`` run factors its point once.
     """
 
     def __init__(self, prob: ProblemSpec, X):
@@ -82,8 +83,14 @@ class PointAnalysis:
         self.svd = orient_svd(self.X, prob.rank_tol)
         self.s = self.svd.rank
         self.grad = prob.objective.grad(self.X)
+        with np.errstate(over="ignore"):
+            grad_norm = float(np.linalg.norm(self.grad))
+        # an infinite scale would pass every residual test, inf <= tol * inf among them
+        if not math.isfinite(grad_norm):
+            raise ValueError(f"the objective gradient's norm is {grad_norm} at this point, "
+                             "so no residual test can be made")
         # stationarity residuals are compared against tol * scale
-        self.scale = max(1.0, float(np.linalg.norm(self.grad)))
+        self.scale = max(1.0, grad_norm)
         self.feasibility_residual = prob.affine.residual(self.X)
         rhs_scale = max(1.0, float(np.linalg.norm(prob.affine.rhs)))
         self.feasible = (self.feasibility_residual <= prob.tol * rhs_scale

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoa import AffineMap
+from rankmoa.linalg import _full_row_rank, rank_estimate
 from rankmoa.problems import hankel_constraints
 
 
@@ -80,6 +81,69 @@ def test_kernel_dimension_plus_rank(rng):
             mats[-1] = 2.0 * mats[0]  # force a dependent row
         amap = AffineMap(mats, np.zeros(l), shape=(m, n))
         assert len(amap.kernel_basis()) + amap.stack_rank() == m * n
+
+
+def _stack_draw(rng, kind, l, m, n):
+    """An (l, m, n) constraint stack of one of the kinds stack_rank must rank."""
+    S = rng.standard_normal((l, m * n))
+    if kind == "near-dependent" and l >= 2:
+        S[-1] = S[0] + 10.0 ** rng.uniform(-12, -1) * rng.standard_normal(m * n)
+    elif kind == "dependent" and l >= 2:
+        S[-1] = 3.0 * S[0]
+    elif kind == "row-scaled":
+        S *= 10.0 ** rng.uniform(-9, 9, size=(l, 1))
+    elif kind == "overall-scaled":
+        S *= 10.0 ** rng.uniform(-300, 300)
+    elif kind == "graded" and l:
+        k = min(l, m * n)
+        u, _ = np.linalg.qr(rng.standard_normal((l, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((m * n, k)))
+        S = (u * 10.0 ** rng.uniform(-10, 0, size=k)) @ v.T
+    return S.reshape(l, m, n)
+
+
+def test_stack_rank_equals_rank_estimate(rng, monkeypatch):
+    # the Cholesky certificate only answers when the SVD rank is l, so
+    # stack_rank must equal rank_estimate on every kind of stack, including
+    # l = 0 and l > m*n; the spy shows how often it answered without an SVD
+    import rankmoa.affine
+    ranked = []
+
+    def spy(S, rank_tol):
+        ranked.append(S.shape)
+        return rank_estimate(S, rank_tol)
+    monkeypatch.setattr(rankmoa.affine, "rank_estimate", spy)
+    kinds = ("generic", "near-dependent", "dependent", "row-scaled", "overall-scaled",
+             "graded")
+    asked = 0
+    for draw in range(300):
+        m, n = (int(k) for k in rng.integers(1, 5, size=2))
+        l = int(rng.integers(0, m * n + 3))
+        mats = _stack_draw(rng, kinds[draw % len(kinds)], l, m, n)
+        amap = AffineMap(mats, np.zeros(l), shape=(m, n))
+        for tol in (1e-8, 1e-3, 0.3):
+            asked += 1
+            assert amap.stack_rank(tol) == rank_estimate(amap.stack, tol)
+    assert 0 < len(ranked) < asked
+
+
+def test_stack_rank_certifies_hankel_stacks_without_an_svd(monkeypatch):
+    import rankmoa.affine
+    monkeypatch.setattr(rankmoa.affine, "rank_estimate",
+                        lambda *a: pytest.fail("full row rank should be certified"))
+    for N in (3, 8, 16):
+        assert hankel_constraints(N, N).stack_rank() == (N - 1) ** 2
+
+
+def test_full_row_rank_refuses_what_it_cannot_prove():
+    eye = np.eye(3, 4)
+    assert _full_row_rank(eye, 1e-8)
+    assert not _full_row_rank(np.zeros((0, 4)), 1e-8)  # no rows
+    assert not _full_row_rank(np.eye(4, 3), 1e-8)  # more rows than columns
+    assert not _full_row_rank(np.zeros((2, 4)), 1e-8)
+    assert not _full_row_rank(eye, 0.5)  # sigma_l > sigma_1 is impossible
+    assert not _full_row_rank(eye, float("nan"))
+    assert _full_row_rank(1e300 * eye, 1e-8) and _full_row_rank(1e-300 * eye, 1e-8)
 
 
 def test_normal_space_member(hankel_case):

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmoa import AffineMap, FrobeniusDistance, ProblemSpec, RankBound, save_problem
+from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound, build_hankel,
+                     save_problem)
 from rankmoa.cli import main
 from rankmoa.cones import in_tangent_bouligand_Mr
 from rankmoa.linalg import project_low_rank
@@ -79,6 +80,9 @@ def _set_rhs(value):
     pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(named_points=5),
                  None, id="named-points-not-a-list"),
     pytest.param(["analyze", "--point"], None, "nan 0 0 0", id="analyze-point-nan"),
+    # ||grad f|| overflows: an infinite residual scale would pass every test
+    pytest.param(["analyze", "--point"], None, "1e300 0 0 0",
+                 id="analyze-gradient-norm-overflow"),
     pytest.param(["solve", "--x0"], None, "nan 0 0 0", id="solve-x0-nan"),
     pytest.param(["solve", "--x0"], None, "a b c d", id="solve-x0-not-numeric"),
     pytest.param(["solve", "--iters", "0"], None, None, id="solve-iters-0"),
@@ -105,6 +109,14 @@ def _set_rhs(value):
     pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
     pytest.param(["analyze", "--point", "X4", "--seed", "-1"], None, None,
                  id="analyze-seed-negative"),
+    pytest.param(["analyze", "--point", "X4"],
+                 lambda doc: doc.update(objective={"kind": "registered_custom", "id": "x",
+                                                   "params": 5}),
+                 None, id="objective-params-not-an-object"),
+    pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(objective=5), None,
+                 id="objective-not-an-object"),
+    pytest.param(["solve"], lambda doc: doc["objective"].pop("target"), None,
+                 id="objective-target-missing"),
 ])
 def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, argv, edit,
                                 point_row):
@@ -188,6 +200,48 @@ def test_analyze_json_golden_schema(problem_files, capsys):
             assert a == b, where
 
     compare(got, golden)
+
+
+def _spy_svd_shapes(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
+def test_analyze_certifies_the_hankel_stack_without_factoring_it(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the 8 x 8 reference Hankel instance (l = 49) at a feasible rank-2 point:
+    # its full row rank is proved by a Cholesky of the 49 x 49 Gram matrix
+    G = np.random.default_rng(0).standard_normal((8, 8))
+    k = np.add.outer(np.arange(8), np.arange(8))
+    X = 0.9 ** k + (-0.5) ** k  # a rank-2 Hankel matrix
+    path = tmp_path / "hankel8.prob"
+    save_problem(build_hankel(G + G.T, 2), path, named_points={"X": X})
+    shapes = _spy_svd_shapes(monkeypatch)
+    assert main(["analyze", str(path), "--point", "X", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["problem"]["l"] == 49 and doc["stationarity"]["feasible"]
+    assert "constraint matrices are linearly dependent" not in doc["qualification"]["warnings"]
+    assert (49, 64) not in shapes
+
+
+def test_analyze_notes_duplicated_constraints(problem_files, tmp_path, monkeypatch, capsys):
+    # a repeated row defeats the certificate: the stack is ranked by its SVD
+    doc = json.loads(problem_files["hankel33"].read_text())
+    doc["constraints"].append(doc["constraints"][0])
+    doc["l"] += 1
+    path = tmp_path / "duplicated.prob"
+    path.write_text(json.dumps(doc))
+    shapes = _spy_svd_shapes(monkeypatch)
+    assert main(["analyze", str(path), "--point", "Xbar", "--json"]) == 0
+    warnings = json.loads(capsys.readouterr().out)["qualification"]["warnings"]
+    assert "constraint matrices are linearly dependent" in warnings
+    assert (5, 9) in shapes
 
 
 def _count_hess_apply(monkeypatch, calls):

@@ -224,3 +224,44 @@ def test_custom_objective_roundtrip(tmp_path):
     loaded = load_problem(path).spec
     X = np.array([[1.0, 2.0], [0.5, -1.0]])
     assert loaded.objective.value(X) == spec.objective.value(X)
+
+
+def _strict_factory(scale=1.0):
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+    return CustomObjective("strict-well", (4, 4), value_fn=lambda X: scale * float(np.sum(X**2)),
+                           grad_fn=lambda X: 2.0 * scale * X,
+                           hess_apply_fn=lambda X, Xi: 2.0 * scale * Xi)
+
+
+@pytest.mark.parametrize("objective, message", [
+    pytest.param({"kind": "registered_custom", "id": "strict-well", "params": 5},
+                 "objective: field 'params' has the wrong type", id="params-not-an-object"),
+    pytest.param({"kind": "registered_custom", "id": "strict-well", "params": {"bogus": 1}},
+                 "objective: field 'params': objective 'strict-well' rejects them",
+                 id="params-unknown-keyword"),
+    pytest.param({"kind": "registered_custom", "id": "strict-well", "params": {"scale": -1}},
+                 "objective: field 'params': .*scale must be positive",
+                 id="params-factory-value-error"),
+    pytest.param({"kind": "registered_custom", "id": "unheard-of"},
+                 "objective: field 'id': no objective registered", id="id-unregistered"),
+    pytest.param({"kind": "registered_custom"}, "objective: missing field 'id'",
+                 id="id-missing"),
+    pytest.param({"kind": "frobenius_distance"}, "objective: missing field 'target'",
+                 id="target-missing"),
+    pytest.param({"kind": "frobenius_distance", "target": {"a": 1}},
+                 "objective: field 'target': ", id="target-not-an-array"),
+    pytest.param({"kind": ["frobenius_distance"]}, "objective: unknown objective kind",
+                 id="kind-not-a-string"),
+    pytest.param(5, "field 'objective' has the wrong type", id="objective-not-an-object"),
+])
+def test_load_names_the_objective_field_at_fault(tmp_path, trace_case, objective, message):
+    register_objective("strict-well", _strict_factory)
+    path = tmp_path / "bad.json"
+    save_problem(trace_case[0], path)
+    doc = json.loads(path.read_text())
+    doc["objective"] = objective
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFormatError, match=message) as info:
+        load_problem(path)
+    assert str(info.value).count(str(path)) == 1  # the path is named once
