@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .cones import compress, tangent_coordinates, tangent_mask
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _full_row_rank, as_shaped,
-                     least_squares, null_space, rank_estimate)
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _full_row_rank, _scale,
+                     as_shaped, least_squares, null_space, rank_estimate)
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,9 @@ class AffineMap:
     full row rank, and ranks the stack by its SVD only otherwise. ``shape``
     is required when there are no constraints.
 
-    The pseudo-inverse ``stack_pinv`` and the consistency verdict
-    ``consistent`` are computed on first use and cached; the read-only array
+    The pseudo-inverse ``stack_pinv``, the consistency verdict ``consistent``
+    and ``_rhs_scale``, the scale of every feasibility test, are computed on
+    first use and cached; ``mats`` and ``rhs`` are read-only copies, which
     keeps them valid.
     """
 
@@ -50,7 +51,7 @@ class AffineMap:
         shape = mats.shape[1:]
         if self.shape is not None and tuple(self.shape) != shape:
             raise ValueError("declared shape disagrees with constraint matrices")
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        rhs = np.array(self.rhs, dtype=float, ndmin=1)
         if rhs.ndim != 1:
             raise ValueError("rhs must be a vector")
         if not np.all(np.isfinite(rhs)):
@@ -60,6 +61,7 @@ class AffineMap:
                 f"{len(mats)} constraint matrices but {rhs.size} rhs entries"
             )
         mats.flags.writeable = False
+        rhs.flags.writeable = False
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "shape", shape)
@@ -87,6 +89,11 @@ class AffineMap:
         return vt[keep].T @ (u[:, keep].T / sigma[keep, None])
 
     @cached_property
+    def _rhs_scale(self) -> float:
+        """``linalg._scale`` of ||b||."""
+        return _scale(float(np.linalg.norm(self.rhs)))
+
+    @cached_property
     def consistent(self) -> bool:
         """Whether some X satisfies A(X) = b, to ``DEFAULT_TOL`` relative to max(1, ||b||).
 
@@ -97,7 +104,7 @@ class AffineMap:
         map, not of the point projected.
         """
         gap = float(np.linalg.norm(self.stack @ (self.stack_pinv @ self.rhs) - self.rhs))
-        return gap <= DEFAULT_TOL * max(1.0, float(np.linalg.norm(self.rhs)))
+        return gap <= DEFAULT_TOL * self._rhs_scale
 
     def apply(self, X) -> np.ndarray:
         """Component i is <A^i, X>."""
@@ -126,7 +133,7 @@ class AffineMap:
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
         W = as_shaped(W, self.shape, "W")
         y, resid = self.fit_multiplier(W)
-        if resid <= tol * max(1.0, float(np.linalg.norm(W))):
+        if resid <= tol * _scale(float(np.linalg.norm(W))):
             return True, y
         return False, None
 

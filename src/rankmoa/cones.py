@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, as_matrix, as_shaped, check_positive, rank_estimate
+from .linalg import (DEFAULT_TOL, ThinSVD, _rank, _scale, as_matrix, as_shaped, check_positive,
+                     rank_estimate)
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class IndexSetJ:
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.indices)
+        if any(i < 0 for i in idx):
+            raise ValueError("index set has negative entries")
         if sorted(set(idx)) != sorted(idx):
             raise ValueError("index set has repeated entries")
         if not set(range(self.s)).issubset(idx):
@@ -140,34 +143,43 @@ def in_tangent_bouligand_compressed(C, s: int, k: int, rank_tol: float) -> np.nd
     array of the leading shape.
     """
     sv = np.linalg.svd(C[..., s:, s:], compute_uv=False)
-    top = sv[..., :1] if sv.shape[-1] else np.zeros(C.shape[:-2] + (1,))
-    member = np.asarray(np.count_nonzero(sv > rank_tol * top, axis=-1) <= k)
-    fro = np.linalg.norm(C, axis=(-2, -1))[..., None]
-    between = ~member & (np.count_nonzero(sv > rank_tol * fro, axis=-1) <= k)
+    member = np.asarray(_rank(sv, rank_tol) <= k)
+    between = ~member & (_rank(sv, rank_tol, np.linalg.norm(C, axis=(-2, -1))) <= k)
     if between.any():
-        top = np.linalg.svd(C[between], compute_uv=False)[..., :1]
-        member[between] = np.count_nonzero(sv[between] > rank_tol * top, axis=-1) <= k
+        top = np.linalg.svd(C[between], compute_uv=False)[..., 0]
+        member[between] = _rank(sv[between], rank_tol, top) <= k
     return member
+
+
+def _frechet_residual(svd: ThinSVD, r: int, W) -> float:
+    """Norm of the part of W outside the Frechet normal cone N^F(X) of rank <= r.
+
+    That part is the tangential one when s == r and all of W when s < r,
+    where N^F collapses to {O}. With r = s it is the tangential part at any
+    s, the part outside the fixed-rank normal space N_fixed(X) that holds N^M.
+    """
+    if svd.rank == r:
+        return float(np.linalg.norm(project_tangent_fixed_rank(svd, W)))
+    return float(np.linalg.norm(W))
+
+
+def _mordukhovich_rank_ok(svd: ThinSVD, r: int, W) -> bool:
+    """The rank bound of N^M(X): rank(W) <= min(m, n) - r, ranked at svd.rank_tol."""
+    return rank_estimate(W, svd.rank_tol) <= min(svd.m, svd.n) - r
 
 
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
     """Frechet normality: tangential part vanishes if s == r, else W = O."""
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
-    scale = max(1.0, float(np.linalg.norm(W)))
-    if q.s == q.r:
-        t = project_tangent_fixed_rank(q.svd, W)
-        return float(np.linalg.norm(t)) <= q.tol * scale
-    return float(np.linalg.norm(W)) <= q.tol * scale
+    return _frechet_residual(q.svd, q.r, W) <= q.tol * _scale(float(np.linalg.norm(W)))
 
 
 def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
     """Tangential part vanishes and rank(W) <= min(m, n) - r."""
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
-    scale = max(1.0, float(np.linalg.norm(W)))
-    t = project_tangent_fixed_rank(q.svd, W)
-    if float(np.linalg.norm(t)) > q.tol * scale:
+    if _frechet_residual(q.svd, q.s, W) > q.tol * _scale(float(np.linalg.norm(W))):
         return False
-    return rank_estimate(W, q.svd.rank_tol) <= min(q.svd.m, q.svd.n) - q.r
+    return _mordukhovich_rank_ok(q.svd, q.r, W)
 
 
 def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
@@ -178,11 +190,13 @@ def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
     idx = J.indices if isinstance(J, IndexSetJ) else tuple(int(i) for i in J)
     if not set(range(svd.rank)).issubset(idx):
         raise ValueError("index set must contain the rank prefix of the base point")
+    if idx and min(idx) < 0:
+        raise ValueError("index set has negative entries")
     if idx and max(idx) >= svd.n:
         raise ValueError("index set exceeds the number of columns")
     vj = svd.v[:, list(idx)]
     resid = float(np.linalg.norm(svd.u.T @ W @ vj))
-    return resid <= tol * max(1.0, float(np.linalg.norm(W)))
+    return resid <= tol * _scale(float(np.linalg.norm(W)))
 
 
 def in_normal_frechet_MXr(q: ConeQuery, W) -> bool:
@@ -191,7 +205,7 @@ def in_normal_frechet_MXr(q: ConeQuery, W) -> bool:
         qt = ConeQuery(q.svd.transposed(), q.r, q.tol)
         return in_normal_frechet_MXr(qt, as_matrix(W, "W").T)
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
-    scale = max(1.0, float(np.linalg.norm(W)))
+    scale = _scale(float(np.linalg.norm(W)))
     if q.s == q.r:
         resid = float(np.linalg.norm(q.svd.u.T @ W @ q.svd.v_gamma))
         return resid <= q.tol * scale

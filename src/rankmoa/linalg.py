@@ -1,10 +1,13 @@
 """Dense matrix primitives: tolerance-ranked thin SVD, low-rank projection, null space, norms.
 
-Every rank decision in the package is relative: a singular value counts
-toward the numerical rank when it exceeds ``rank_tol * sigma_1`` of the
-matrix being ranked. ``rank_estimate`` is that rule, and ``least_squares``
-truncates every multiplier solve by it. ``_full_row_rank`` does not rank: it
-proves, without an SVD, that ``rank_estimate`` would find full row rank.
+Two rules decide the package's relative tolerance tests, and each is
+written once here. A singular value counts toward the numerical rank when it exceeds
+``_rank_cutoff``, ``rank_tol * sigma_1`` of the matrix being ranked; ``_rank``
+counts them, and ``least_squares`` truncates every multiplier solve at the same
+cutoff. A residual passes when it is at most ``tol * _scale(ref)``, its
+reference norm floored at 1. The oracles keep their own copies, to stay
+independent of what they check. ``_full_row_rank`` does not rank: it proves,
+without an SVD, that ``rank_estimate`` would find full row rank.
 
 All functions are pure; returned arrays should be treated as read-only.
 """
@@ -115,8 +118,7 @@ class ThinSVD:
     @property
     def threshold(self) -> float:
         """Absolute singular-value cutoff actually applied."""
-        top = float(self.sigma[0]) if self.sigma.size else 0.0
-        return self.rank_tol * top
+        return float(_rank_cutoff(self.sigma, self.rank_tol))
 
     @property
     def sigma_gamma(self) -> np.ndarray:
@@ -153,8 +155,7 @@ def thin_svd(X, rank_tol: float = DEFAULT_RANK_TOL) -> ThinSVD:
     X = as_matrix(X)
     check_positive(rank_tol, "rank_tol")
     u, s, vh = np.linalg.svd(X, full_matrices=True)
-    cutoff = rank_tol * (float(s[0]) if s.size else 0.0)
-    gamma = np.flatnonzero(s > cutoff)
+    gamma = np.arange(_rank(s, rank_tol), dtype=np.intp)  # s is nonincreasing
     return ThinSVD(u=u, v=vh.T, sigma=s, gamma=gamma, rank_tol=float(rank_tol))
 
 
@@ -208,7 +209,7 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
     check_positive(rank_tol, "rank_tol")
     P, sigma = _truncate(Z, r)
     if 0 < r < k:
-        tie = sigma[..., r - 1] <= sigma[..., r] + rank_tol * sigma[..., 0]
+        tie = sigma[..., r - 1] <= sigma[..., r] + _rank_cutoff(sigma, rank_tol)
     else:
         tie = np.zeros(Z.shape[:-2], dtype=bool)
     return P, (bool(tie) if Z.ndim == 2 else tie)
@@ -261,8 +262,32 @@ def rank_estimate(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     X = as_matrix(X)
     if 0 in X.shape:
         return 0
-    s = np.linalg.svd(X, compute_uv=False)
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+    return int(_rank(np.linalg.svd(X, compute_uv=False), rank_tol))
+
+
+def _rank_cutoff(sigma: np.ndarray, rank_tol: float, top=None):
+    """rank_tol * top for each row of a (..., k) array of nonincreasing singular values.
+
+    top defaults to sigma_1, the row's first value (0.0 when k == 0). The
+    result has sigma's leading shape.
+    """
+    if top is None:
+        top = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
+    return rank_tol * top
+
+
+def _rank(sigma: np.ndarray, rank_tol: float, top=None):
+    """Per row of sigma (..., k), the number of values above ``_rank_cutoff``."""
+    return np.count_nonzero(sigma > _rank_cutoff(sigma, rank_tol, top)[..., None], axis=-1)
+
+
+def _scale(ref: float) -> float:
+    """The reference norm ref floored at 1: a residual passes at most tol * _scale(ref).
+
+    Returns the scale, not a verdict, so each caller keeps its own comparison
+    (and with it how a NaN residual compares).
+    """
+    return max(1.0, ref)
 
 
 def _full_row_rank(S: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, RankBound, as_matrix, as_shaped,
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, RankBound, _scale, as_matrix, as_shaped,
                      check_positive)
 
 
@@ -110,7 +110,7 @@ class RowQuadratic(Objective):
         self._sym = 0.5 * (mats + mats.transpose(0, 2, 1))
         eigs = np.linalg.eigvalsh(self._sym)
         lo = float(eigs.min())
-        self.convex = bool(lo >= -1e-10 * max(1.0, float(np.abs(eigs).max())))
+        self.convex = bool(lo >= -1e-10 * _scale(float(np.abs(eigs).max())))
         self.strong_convexity_modulus = lo if lo > 0 else None
 
     @property

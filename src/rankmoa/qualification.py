@@ -24,7 +24,7 @@ import numpy as np
 from .affine import AffineMap
 from .cones import compress, tangent_mask
 from .errors import QualificationError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, as_shaped, rank_estimate
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _scale, as_shaped, rank_estimate
 from .report import JsonReport
 
 CASE_FULL_RANK = "eq_full_rank"
@@ -67,34 +67,46 @@ def build_R(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray:
     return C[:, :svd.rank, :].transpose(0, 2, 1)
 
 
-def _independent(mats: np.ndarray, what: str, tol: float):
-    """(verdict, rank) for independence of an l x ... stack; its row width bounds l."""
+def _independent(k: int, svd: ThinSVD, amap: AffineMap, tol: float, compressed=None):
+    """(verdict, rank, note) for Assumption k: independence of the T^i (k = 1) or R^i (k = 2).
+
+    The row width of the ranked stack bounds l; ``note`` says so when l
+    exceeds it, else it is None. The note is returned, not warned, so that
+    concurrent callers each keep their own.
+    """
+    if k == 1:
+        C = compress(svd, amap.mats) if compressed is None else compressed
+        mats, what = C[:, tangent_mask(svd)], "compressed matrices; the first qualification"
+    else:
+        mats = build_R(svd, amap, compressed)
+        what = "column-compressed matrices; the second qualification"
     l = len(mats)
     bound = int(np.prod(mats.shape[1:]))
+    note = None
     if l > bound:
-        warnings.warn(
-            f"{l} constraints exceed the dimension {bound} available to the "
-            f"{what} cannot hold",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        note = (f"{l} constraints exceed the dimension {bound} available to the "
+                f"{what} cannot hold")
     rank = rank_estimate(mats.reshape(l, bound), tol)
-    return rank == l, rank
+    return rank == l, rank, note
+
+
+def _warned(verdict: bool, rank: int, note):
+    """(verdict, rank), warning the caller of the public check with the note if any."""
+    if note is not None:
+        warnings.warn(note, RuntimeWarning, stacklevel=3)
+    return verdict, rank
 
 
 def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
                       compressed=None):
     """Linear independence of the T^i, ranked on their l x d_T nonzero entries; (verdict, rank)."""
-    C = compress(svd, amap.mats) if compressed is None else compressed
-    return _independent(C[:, tangent_mask(svd)],
-                        "compressed matrices; the first qualification", tol)
+    return _warned(*_independent(1, svd, amap, tol, compressed))
 
 
 def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
                       compressed=None):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    return _independent(build_R(svd, amap, compressed),
-                        "column-compressed matrices; the second qualification", tol)
+    return _warned(*_independent(2, svd, amap, tol, compressed))
 
 
 def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
@@ -109,14 +121,11 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
     qualifications read ``compressed`` (``compress(svd, amap.mats)``) when given.
     """
     s = svd.rank
-    notes = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        if compressed is None:
-            compressed = compress(svd, amap.mats)
-        a1, t_rank = assumption1_holds(svd, amap, tol, compressed)
-        a2, r_rank = assumption2_holds(svd, amap, tol, compressed)
-    notes.extend(str(w.message) for w in caught)
+    if compressed is None:
+        compressed = compress(svd, amap.mats)
+    a1, t_rank, note1 = _independent(1, svd, amap, tol, compressed)
+    a2, r_rank, note2 = _independent(2, svd, amap, tol, compressed)
+    notes = [note for note in (note1, note2) if note is not None]
 
     if s == r and a1:
         case = CASE_FULL_RANK
@@ -159,11 +168,8 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     s = svd.rank
     if s > r:
         raise QualificationError(f"base point has rank {s} above the bound r={r}")
-    holds = assumption1_holds if s == r else assumption2_holds
     C = compress(svd, amap.mats)
-    with warnings.catch_warnings():  # a dimension-bound warning only restates the error
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ok, _ = holds(svd, amap, min(tol, DEFAULT_RANK_TOL), C)
+    ok, _, _ = _independent(1 if s == r else 2, svd, amap, min(tol, DEFAULT_RANK_TOL), C)
     if not ok:
         raise QualificationError(
             "intersection rule is not certified at this point: "
@@ -171,7 +177,7 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
     y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if s == r else None, C)
-    member = resid <= tol * max(1.0, float(np.linalg.norm(W)))
+    member = resid <= tol * _scale(float(np.linalg.norm(W)))
     return member, y, resid
 
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import (_truncate, as_shaped, check_positive, project_low_rank,
+from .linalg import (_scale, _truncate, as_shaped, check_positive, project_low_rank,
                      spectral_norm)
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
@@ -111,7 +111,7 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     the spectral norm over sigma_r / alpha, and the feasibility residual.
     """
     pa = PointAnalysis(prob, X)
-    feas = pa.feasibility_residual / max(1.0, float(np.linalg.norm(prob.affine.rhs)))
+    feas = pa.feasibility_residual / prob.affine._rhs_scale
     if prob.r == 0:
         return feas, np.zeros(prob.l)
     y, _ = pa.multiplier(tangential=pa.s == prob.r)
@@ -146,7 +146,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                 prev = W
                 # project_affine validates W; _truncate takes it as it is
                 W, _ = _truncate(project_affine(prob.affine, W), prob.r)
-                if j + 1 >= _INNER_MIN and _norm(W - prev) <= inner_tol * max(1.0, _norm(W)):
+                if j + 1 >= _INNER_MIN and _norm(W - prev) <= inner_tol * _scale(_norm(W)):
                     break
         X = W
         f = prob.objective.value(X)

@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import compress, project_tangent_fixed_rank
-from .linalg import as_matrix, check_positive, orient_svd, rank_estimate, spectral_norm
+from .cones import _frechet_residual, _mordukhovich_rank_ok, compress
+from .linalg import _scale, as_matrix, check_positive, orient_svd, spectral_norm
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
                             bq_certificates)
@@ -90,10 +90,9 @@ class PointAnalysis:
             raise ValueError(f"the objective gradient's norm is {grad_norm} at this point, "
                              "so no residual test can be made")
         # stationarity residuals are compared against tol * scale
-        self.scale = max(1.0, grad_norm)
+        self.scale = _scale(grad_norm)
         self.feasibility_residual = prob.affine.residual(self.X)
-        rhs_scale = max(1.0, float(np.linalg.norm(prob.affine.rhs)))
-        self.feasible = (self.feasibility_residual <= prob.tol * rhs_scale
+        self.feasible = (self.feasibility_residual <= prob.tol * prob.affine._rhs_scale
                          and self.s <= prob.r)
         self._multipliers = {}
 
@@ -127,7 +126,7 @@ class PointAnalysis:
         return self.grad + self.prob.affine.adjoint(y)
 
     def tangential_norm(self, Z) -> float:
-        return float(np.linalg.norm(project_tangent_fixed_rank(self.svd, Z)))
+        return _frechet_residual(self.svd, self.s, Z)
 
     def frechet_residual(self, gradL) -> float:
         """Norm of the part of grad L that F-stationarity needs to vanish.
@@ -135,9 +134,7 @@ class PointAnalysis:
         That part is the tangential one when s == r and the whole gradient
         when s < r, where the Frechet normal cone collapses to {O}.
         """
-        if self.s == self.prob.r:
-            return self.tangential_norm(gradL)
-        return float(np.linalg.norm(gradL))
+        return _frechet_residual(self.svd, self.prob.r, gradL)
 
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
@@ -175,6 +172,8 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
     stays correct when the truncation is not unique (tie-aware: X passes if
     it attains the optimal distance).
     """
+    if method not in ("characterization", "projection"):
+        raise ValueError(f"unknown method {method!r}")
     check_positive(alpha, "alpha")
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
@@ -187,9 +186,7 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
         sv = np.linalg.svd(Z, compute_uv=False)
         best = float(np.sqrt(np.sum(sv[prob.r:] ** 2)))
         dist = alpha * float(np.linalg.norm(gradL))
-        return abs(dist - best) <= prob.tol * max(1.0, float(np.linalg.norm(Z)))
-    if method != "characterization":
-        raise ValueError(f"unknown method {method!r}")
+        return abs(dist - best) <= prob.tol * _scale(float(np.linalg.norm(Z)))
     if pa.frechet_residual(gradL) > prob.tol * pa.scale:
         return False
     return pa.s < prob.r or (
@@ -223,8 +220,7 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
         return False, y
     if float(np.linalg.norm(gradL)) <= prob.tol * pa.scale:
         return True, y  # numerically zero gradient belongs to every normal cone
-    ok = rank_estimate(gradL, prob.rank_tol) <= min(prob.m, prob.n) - prob.r
-    return ok, y
+    return _mordukhovich_rank_ok(pa.svd, prob.r, gradL), y
 
 
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:

@@ -161,6 +161,15 @@ def test_index_set_validation():
         IndexSetJ((0, 0), s=1)
     j = IndexSetJ((0, 2), s=1)
     assert j.indices == (0, 2)
+    with pytest.raises(ValueError, match="negative"):
+        IndexSetJ((0, 1, -1), s=2)
+    # a raw tuple skips IndexSetJ: -1 must not index column n - 1
+    svd = orient_svd(np.diag([3.0, 2.0, 0.0, 0.0]))
+    W = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="negative"):
+        in_normal_MXJ(svd, (0, 1, -1), W)
+    with pytest.raises(ValueError, match="exceeds"):
+        in_normal_MXJ(svd, (0, 1, 4), W)
 
 
 def test_in_normal_MXJ_hand_case(diagonal_case):

@@ -298,6 +298,18 @@ def test_truncation_kernel_matches_numpy_svd_bitwise(rng):
         assert P.shape == shape and sigma.shape == shape[:-2] + (0,)
 
 
+def test_truncation_fallback_matches_gufunc_bitwise(rng, monkeypatch):
+    # a NumPy without the svd_s gufunc takes np.linalg.svd; its factors are the same bits
+    shapes = [(7, 4), (4, 7), (5, 5), (16, 16), (30, 9), (9, 30)]
+    cases = [(rng.standard_normal(shape), r) for shape in shapes
+             for r in range(min(shape) + 1)]
+    fast = [linalg._truncate(Z, r) for Z, r in cases]
+    monkeypatch.setattr(linalg, "_svd_thin", None)
+    for (Z, r), (P, sigma) in zip(cases, fast):
+        P_np, sigma_np = linalg._truncate(Z, r)
+        assert np.array_equal(P_np, P) and np.array_equal(sigma_np, sigma)
+
+
 def test_truncation_kernel_raises_when_lapack_fails(monkeypatch):
     # when dgesdd fails, numpy's SVD gufunc fills all three outputs with NaN
     def failing(a, **kwargs):

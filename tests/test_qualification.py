@@ -1,10 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from rankmoa import (AffineMap, QualificationError, assumption1_holds,
                      assumption2_holds, bq_certificates, build_R, build_T,
                      frechet_normal_decomposition, frechet_normal_of_feasible_set,
-                     orient_svd)
+                     orient_svd, qualification)
 from rankmoa.cones import compress, project_tangent_fixed_rank, tangent_coordinates
 from rankmoa.oracle import diag_embedding_equivalence
 from rankmoa.qualification import (CASE_FULL_RANK, CASE_NOT_CERTIFIED,
@@ -111,6 +113,55 @@ def test_assumption_cardinality_warnings(rng):
         assumption1_holds(svd, amap)  # l=4 > mn - (m-s)(n-s) = 3
     with pytest.warns(RuntimeWarning):
         assumption2_holds(svd, amap)  # l=4 > m*s = 2
+
+
+def test_concurrent_bq_certificates_keep_their_own_notes(rng, monkeypatch):
+    # thread "many" (l = 4 > both row widths) is inside bq_certificates while
+    # thread "one" (l = 1) enters it, and finishes first; each keeps its notes
+    svd = orient_svd(np.diag([1.0, 0.0]))
+    many = AffineMap([rng.standard_normal((2, 2)) for _ in range(4)], np.zeros(4))
+    one = AffineMap([rng.standard_normal((2, 2))], np.zeros(1))
+    many_inside, one_inside, many_done = (threading.Event() for _ in range(3))
+    mask = qualification.tangent_mask
+    gated = set()
+
+    def gate(svd_):
+        name = threading.current_thread().name
+        if name not in gated:
+            gated.add(name)
+            if name == "many":
+                many_inside.set()
+                one_inside.wait(10)
+            else:
+                one_inside.set()
+                many_done.wait(10)
+        return mask(svd_)
+
+    monkeypatch.setattr(qualification, "tangent_mask", gate)
+    reports = {}
+
+    def run_many():
+        try:
+            reports["many"] = bq_certificates(svd, many, 1)
+        finally:
+            many_done.set()
+
+    def run_one():
+        many_inside.wait(10)
+        reports["one"] = bq_certificates(svd, one, 1)
+
+    threads = [threading.Thread(target=run_many, name="many"),
+               threading.Thread(target=run_one, name="one")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+        assert not t.is_alive()
+    assert reports["one"].warnings == ()
+    notes = reports["many"].warnings
+    assert len(notes) == 2
+    assert notes[0].startswith("4 constraints exceed the dimension 3 ")
+    assert notes[1].startswith("4 constraints exceed the dimension 2 ")
 
 
 def test_T_R_norm_compression(rng):

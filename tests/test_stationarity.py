@@ -105,6 +105,17 @@ def test_alpha_stationarity_trace_example(trace_case):
             check_alpha_stationary(spec, X4, y, a)
 
 
+def test_alpha_stationarity_rejects_unknown_method(trace_case):
+    spec, points = trace_case
+    zero = ProblemSpec(FrobeniusDistance(np.ones((3, 3))), AffineMap([], [], shape=(3, 3)),
+                       RankBound(0))
+    # a feasible point, an infeasible one (trace 4 != 2) and an r = 0 problem
+    for prob, X, y in ((spec, points["X4"], [-2.0 / 3.0]), (spec, np.eye(4), [0.0]),
+                       (zero, np.zeros((3, 3)), [])):
+        with pytest.raises(ValueError, match="unknown method"):
+            check_alpha_stationary(prob, X, y, 1.0, method="bogus")
+
+
 def test_alpha_stationarity_lrr_any_step(lrr_case):
     spec = lrr_case(3)
     wbar = np.full((3, 3), 1.0 / 3.0)
