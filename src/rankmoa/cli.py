@@ -24,7 +24,7 @@ from .errors import DivergenceError, ProblemFormatError
 from .linalg import check_positive
 from .problems import load_problem
 from .qualification import CASE_NOT_CERTIFIED
-from .report import jsonable
+from .report import _dumps, _savetxt, jsonable
 from .second_order import check_second_order
 from .solver import MODE_EXACT, MODE_PENALTY, SolverConfig, solve, write_iterate_log
 from .stationarity import PointAnalysis, classify_first_order
@@ -125,7 +125,7 @@ def cmd_analyze(args) -> int:
     }
     if args.json:
         # every entry is JSON-ready already: the reports convert themselves
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(_dumps(doc))
     else:
         _print_analysis(doc, rep, qual, second)
     if args.strict and qual.intersection_rule_case == CASE_NOT_CERTIFIED:
@@ -214,7 +214,7 @@ def cmd_solve(args) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
-    np.savetxt(out / "x_star.txt", result.x)
+    _savetxt(out / "x_star.txt", result.x)
     write_iterate_log(out / "iterates.csv", result.log)
     summary = {
         "converged": result.converged,
@@ -230,9 +230,7 @@ def cmd_solve(args) -> int:
     }
     # the report converts itself; only the summary's own entries need jsonable
     doc = dict(jsonable(summary), report=result.report.to_dict())
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    (out / "report.json").write_text(_dumps(doc) + "\n", encoding="utf-8")
     print(f"solved: {'converged' if result.converged else 'max iterations'} "
           f"after {result.iterations} iterations; outputs in {out}/")
     print(f"  f = {summary['f']:.9g}, feasibility {summary['feasibility_residual']:.3e}")

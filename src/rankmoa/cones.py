@@ -22,6 +22,7 @@ that transposition internally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -86,9 +87,19 @@ def compress(svd: ThinSVD, Z) -> np.ndarray:
 
 
 def tangent_mask(svd: ThinSVD) -> np.ndarray:
-    """(m, n) mask of the tangent entries i < s or j < s of a compressed matrix."""
-    i, j = np.indices((svd.m, svd.n))
-    return (i < svd.rank) | (j < svd.rank)
+    """(m, n) mask of the tangent entries i < s or j < s of a compressed matrix.
+
+    Built once per (m, n, s) and shared: the array is read-only.
+    """
+    return _tangent_mask(svd.m, svd.n, svd.rank)
+
+
+@functools.lru_cache(maxsize=256)
+def _tangent_mask(m: int, n: int, s: int) -> np.ndarray:
+    i, j = np.indices((m, n))
+    mask = (i < s) | (j < s)
+    mask.flags.writeable = False
+    return mask
 
 
 def tangent_coordinates(svd: ThinSVD, Z) -> np.ndarray:

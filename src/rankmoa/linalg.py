@@ -278,7 +278,10 @@ def _rank_cutoff(sigma: np.ndarray, rank_tol: float, top=None):
 
 def _rank(sigma: np.ndarray, rank_tol: float, top=None):
     """Per row of sigma (..., k), the number of values above ``_rank_cutoff``."""
-    return np.count_nonzero(sigma > _rank_cutoff(sigma, rank_tol, top)[..., None], axis=-1)
+    cut = _rank_cutoff(sigma, rank_tol, top)
+    if sigma.ndim == 1:  # one row: skip count_nonzero's Python-level axis path
+        return np.count_nonzero(sigma > cut)
+    return np.count_nonzero(sigma > cut[..., None], axis=-1)
 
 
 def _scale(ref: float) -> float:

@@ -4,14 +4,18 @@ At a full-rank F-stationary point (s == r) the relevant quadratic form is
 
     q(Xi) = hess f(X)[Xi, Xi] - 2 <grad_X L(X; y), Xi X^+ Xi>
 
-evaluated on an orthonormal basis of T_L(X) intersected with the tangent
-space of the fixed-rank manifold; its extreme eigenvalues decide the
+evaluated on an orthonormal basis B_1..B_d of T_L(X) intersected with the
+tangent space of the fixed-rank manifold; its extreme eigenvalues decide the
 necessary (min >= 0) and sufficient (min > 0) conditions. That basis is the
 null space of the constraints' tangent coordinates, read by Assumption 1
 and the tangential multiplier fit too. The curvature
 coefficient defaults to -2 but is a parameter: the two standard assemblies
 of the correction term disagree in sign, and reports note which one ran so
-the check can be repeated under the opposite convention.
+the check can be repeated under the opposite convention. The correction's
+Gram matrix is assembled from matmuls alone, as
+<grad_X L, B_i X^+ B_j> = <B_j, (X^+)^T B_i^T grad_X L>: the d products
+(X^+)^T B_i^T grad_X L come from two stacked matmuls and are contracted with
+the flattened basis in a third, with no contraction path to plan per call.
 
 At a rank-deficient point (s < r) the tangent cone of the feasible set is
 not a subspace, so the check is two-tier: a positive-definiteness
@@ -79,14 +83,15 @@ def _gram_form(objective, X, B, gradL=None, pinv=None,
     Entry (i, j) is hess f[B_i, B_j] + coeff * sym <grad_X L, B_i X^+ B_j>;
     without ``gradL`` it is the plain Hessian form of the rank-deficient
     case. The Hessian is applied to the whole basis in one call and
-    contracted with every B_j; the upper triangle (i <= j) is mirrored so the
-    result is exactly symmetric even for a Hessian that is symmetric only up
-    to rounding.
+    contracted with every B_j, and so is the curvature term's
+    (X^+)^T B_i^T grad_X L (see the module docstring). The upper triangle
+    (i <= j) is mirrored so the result is exactly symmetric even for a
+    Hessian that is symmetric only up to rounding.
     """
     flat = B.reshape(len(B), X.size)
     Q = objective.hess_apply(X, B).reshape(flat.shape) @ flat.T
     if gradL is not None:
-        C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
+        C = ((pinv.T @ B.transpose(0, 2, 1)) @ gradL).reshape(flat.shape) @ flat.T
         Q = Q + curvature_coeff * 0.5 * (C + C.T)
     return np.triu(Q) + np.triu(Q, 1).T
 

@@ -179,7 +179,9 @@ def test_analyze_json_golden_schema(problem_files, capsys):
     code = main(["analyze", str(problem_files["hankel33"]), "--point", "Xbar",
                  "--alpha", "1", "--json"])
     assert code == 0
-    got = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    got = json.loads(out)
+    assert out == json.dumps(got, indent=2, sort_keys=True) + "\n"
     golden = json.loads((DATA / "analyze_hankel_xbar.json").read_text())
 
     def compare(a, b, where="$"):
@@ -368,9 +370,13 @@ def test_solve_writes_outputs(problem_files, tmp_path, capsys):
     assert code == 0
     x = np.loadtxt(out / "x_star.txt")
     assert np.allclose(x, (2.0 / 3.0) * np.diag([1, 1, 0, 1]), atol=1e-8)
+    np.savetxt(tmp_path / "numpy.txt", x)  # "%.18e" reads back exactly
+    assert (out / "x_star.txt").read_bytes() == (tmp_path / "numpy.txt").read_bytes()
     lines = (out / "iterates.csv").read_text().strip().splitlines()
     assert lines[0] == "iter,f,feas_residual,stat_residual"
-    report = json.loads((out / "report.json").read_text())
+    text = (out / "report.json").read_text()
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert report["converged"] is True
     assert report["report"]["is_F"] is True
 

@@ -6,7 +6,7 @@ from rankmoa import (ConeQuery, IndexSetJ, enumerate_J, in_normal_MXJ,
                      in_normal_mordukhovich_Mr, in_tangent_bouligand_Mr,
                      orient_svd, project_low_rank, project_normal_fixed_rank,
                      project_tangent_fixed_rank)
-from rankmoa.cones import compress, tangent_coordinates
+from rankmoa.cones import compress, tangent_coordinates, tangent_mask
 
 from conftest import random_rank_matrix
 
@@ -332,3 +332,15 @@ def test_tangent_coordinates_are_an_isometry_of_the_tangent_space(rng, m, n, r, 
         assert np.allclose(compress(svd, z), svd.u.T @ z @ svd.v, atol=1e-12)
     with pytest.raises(ValueError):
         compress(svd, np.zeros((n, m + 1)))
+
+
+@pytest.mark.parametrize("m,n,s", [(6, 4, 2), (4, 6, 0), (5, 5, 5), (3, 3, 1)])
+def test_tangent_mask_is_built_once_and_read_only(rng, m, n, s):
+    svd = orient_svd(random_rank_matrix(rng, m, n, s))
+    mask = tangent_mask(svd)
+    i, j = np.indices((m, n))
+    assert mask.dtype == bool and np.array_equal(mask, (i < s) | (j < s))
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+    assert tangent_mask(orient_svd(random_rank_matrix(rng, m, n, s))) is mask

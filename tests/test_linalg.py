@@ -338,3 +338,17 @@ def test_null_space_matches_scipy_bitwise(rng):
         if A.size:
             # the same view of a Fortran-ordered vh, so later products round alike
             assert Q.strides == ref.strides
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (4,), (7,), (3, 0), (3, 4), (2, 3, 5)])
+@pytest.mark.parametrize("given_top", [False, True])
+def test_rank_count_matches_the_axis_count(rng, shape, given_top):
+    # the 1-d fast path and the stacked path against the one expression
+    sigma = -np.sort(-rng.random(shape) * rng.choice([1e-10, 1.0], size=shape), axis=-1)
+    if shape[-1] > 1:
+        sigma[..., -1] = 1e-12  # one value below any cutoff
+    top = rng.random(shape[:-1]) if given_top else None
+    cut = linalg._rank_cutoff(sigma, 1e-8, top)
+    want = np.count_nonzero(sigma > cut[..., None], axis=-1)
+    got = linalg._rank(sigma, 1e-8, top)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)

@@ -247,6 +247,25 @@ def test_gram_form_symmetry(hankel_case):
             assert abs(Q[i, j] - (hess - 2.0 * curv)) <= 1e-12 * max(1.0, abs(Q[i, j]))
 
 
+@pytest.mark.parametrize("m, n, r", [(6, 4, 2), (4, 6, 3), (5, 5, 2)])
+@pytest.mark.parametrize("d", [0, 1, 7])
+def test_gram_form_curvature_matches_einsum_reference(rng, m, n, r, d):
+    # the matmul assembly against the four-index contraction it replaced
+    from rankmoa.linalg import pseudo_inverse
+    from rankmoa.second_order import _gram_form
+    X = random_rank_matrix(rng, m, n, r)
+    pinv = pseudo_inverse(orient_svd(X))
+    gradL = rng.standard_normal((m, n))
+    B = rng.standard_normal((d, m, n))
+    objective = LinearTrace(np.zeros((m, n)))  # zero Hessian: only the curvature term
+    Q = _gram_form(objective, X, B, gradL, pinv, curvature_coeff=-2.0)
+    C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
+    ref = -2.0 * 0.5 * (C + C.T)
+    assert Q.shape == (d, d)
+    assert np.array_equal(Q, Q.T)
+    assert np.abs(Q - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
+
+
 def test_kernel_gram_form_matches_scipy_basis_bitwise(rng):
     # the rank-deficient certificate's form on ker A of the 7 x 7 Hankel stack
     from rankmoa.second_order import _gram_form
