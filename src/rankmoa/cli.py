@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", default=None, help="output directory")
 
     po = sub.add_parser("oracle", help="run an independent verification suite")
-    po.add_argument("suite", help="fd | projection | hankel-rank1 | diag-embed")
+    po.add_argument("suite", help="fd | projection | hankel-rank1 | diag-embed | curvature")
     po.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     return parser
 

@@ -2,24 +2,38 @@
 
 Everything here deliberately avoids the code paths it is meant to check:
 finite differences touch only objective values, the projection cross-check
-re-derives the truncation from an eigendecomposition, and the curvature
+re-derives the truncation from an eigendecomposition, the curvature
 cross-check assembles the correction term from the factored form with its
-own projectors. Oracle tolerances are documented per function and are looser
-than the core tolerances.
+own projectors, and the curvature replay reads the second-order form off
+second differences of f along feasible curves it builds itself. Oracle
+tolerances are documented per function and are looser than the core
+tolerances.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+import scipy.linalg
 
 from .affine import AffineMap
-from .linalg import as_matrix, orient_svd
+from .linalg import RankBound, as_matrix, orient_svd
+from .model import FrobeniusDistance, ProblemSpec
 from .qualification import assumption1_holds, assumption2_holds
+from .second_order import check_second_order, riemannian_quad
 
 FD_STEP = 1e-4
+# the curvature replay: curve step, and the agreement asked of its second
+# differences, relative to max(1, largest |eigenvalue| of the form); the
+# replay's own error is O(t^2) plus rounding over t^2, about 1e-6 here. A
+# curve point counts as reached once its affine residual is CURVE_FEAS
+# relative to max(1, ||Y||), within CURVE_ROUNDS rounds.
+CURVE_STEP = 1e-3
+CURVE_TOL = 1e-4
+CURVE_FEAS = 1e-13
+CURVE_ROUNDS = 1000
 
 
 def fd_gradient(obj, X, h: float = FD_STEP) -> np.ndarray:
@@ -45,14 +59,23 @@ def fd_quad(obj, X, Xi, h: float = FD_STEP) -> float:
     return (obj.value(X + h * Xi) - 2.0 * obj.value(X) + obj.value(X - h * Xi)) / h**2
 
 
+def _truncate_eigh(Z, r: int):
+    """Best rank-r approximation from the top-r eigenvectors of Z^T Z (Z Z^T if wide)."""
+    if Z.shape[0] < Z.shape[1]:
+        return _truncate_eigh(Z.T, r).T
+    V = np.linalg.eigh(Z.T @ Z)[1][:, Z.shape[1] - r:]
+    return Z @ V @ V.T
+
+
 def projection_cross_check(Z, r: int, rank_tol: float = 1e-8) -> float:
     """Discrepancy between two independent best rank-r approximations.
 
-    Route one truncates the SVD; route two projects the columns of Z onto
-    the top-r eigenspace of Z^T Z. Away from a tie at sigma_r the result is
-    the Frobenius distance between the two projections (expected <= 1e-8);
-    at a tie the projections may legitimately differ, so the comparison
-    falls back to the difference of the two approximation errors.
+    Route one truncates the SVD; route two, ``_truncate_eigh``, projects Z
+    onto the top-r eigenspace of Z^T Z (of Z Z^T when Z is wide). Away from
+    a tie at sigma_r the result is the Frobenius distance between the two
+    projections (expected <= 1e-8); at a tie the projections may
+    legitimately differ, so the comparison falls back to the difference of
+    the two approximation errors.
     """
     Z = as_matrix(Z, "Z")
     k = min(Z.shape)
@@ -60,9 +83,7 @@ def projection_cross_check(Z, r: int, rank_tol: float = 1e-8) -> float:
         raise ValueError(f"rank {r} out of range for shape {Z.shape}")
     u, s, vh = np.linalg.svd(Z)
     p_svd = (u[:, :r] * s[:r]) @ vh[:r, :]
-    w, V = np.linalg.eigh(Z.T @ Z)  # ascending eigenvalues
-    Vr = V[:, ::-1][:, :r]
-    p_eig = Z @ Vr @ Vr.T
+    p_eig = _truncate_eigh(Z, r)
     tie = bool(0 < r < k and s[r - 1] <= s[r] + rank_tol * (s[0] if s.size else 0.0))
     if tie:
         return abs(float(np.linalg.norm(Z - p_svd)) - float(np.linalg.norm(Z - p_eig)))
@@ -98,6 +119,8 @@ def rank1_hankel_min(H, grid: int = 10001, refine_iters: int = 60,
     if family not in ("full", "lines"):
         raise ValueError(f"unknown family {family!r}")
     if family == "full":
+        from scipy.optimize import minimize_scalar  # ~0.3 s to import; only this search needs it
+
         def value_at(q):
             u = np.array([1.0, q, q * q])
             uhu = float(u @ H @ u)
@@ -156,7 +179,135 @@ def diag_embedding_equivalence(a_vecs, x, r: int, rank_tol: float = 1e-8) -> boo
     return bool(a1 == a2 == vec_ok)
 
 
-SUITES = ("fd", "projection", "hankel-rank1", "diag-embed")
+def saddle_3x3():
+    """(prob, X, y) of the 3x3 saddle.
+
+    f = 0.5 ||X - diag(3, 2, 1)||^2 with r = 1 and the one constraint
+    <e1 e2^T - e2 e1^T, X> = 0. X = diag(0, 2, 0) is F-stationary at y = 0,
+    and f falls along the feasible rank-1 curve 2 (e2 + t e1)(e2 + t e1)^T / (1 + t^2).
+    """
+    A = np.zeros((1, 3, 3))
+    A[0, 0, 1], A[0, 1, 0] = 1.0, -1.0
+    prob = ProblemSpec(FrobeniusDistance(np.diag([3.0, 2.0, 1.0])), AffineMap(A, [0.0]),
+                       RankBound(1))
+    return prob, np.diag([0.0, 2.0, 0.0]), np.zeros(1)
+
+
+def planted_saddle(rng, N: int, r: int, l: int):
+    """(prob, X, y): a saddle of 0.5 ||X - H||^2 under l antisymmetric constraints.
+
+    H is symmetric positive definite with eigenvalue gaps above 0.6, and X is
+    its rank-r part on r eigenpairs that are not the top r. The constraints
+    (b = 0) vanish on symmetric matrices and grad f is symmetric, so X is
+    F-stationary at y = 0; rotating an included eigenvector toward an
+    excluded one of larger eigenvalue is a symmetric rank-r curve along which
+    f falls.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    lam = np.arange(1.0, N + 1.0) + 0.4 * rng.random(N)  # ascending
+    keep = rng.permutation(N)[:r]
+    if keep.min() >= N - r:  # the top r: swap the smallest eigenpair in
+        keep[0] = 0
+    X = (Q[:, keep] * lam[keep]) @ Q[:, keep].T
+    G = rng.standard_normal((l, N, N))
+    amap = AffineMap(G - G.transpose(0, 2, 1), np.zeros(l), shape=(N, N))
+    return ProblemSpec(FrobeniusDistance((Q * lam) @ Q.T), amap, RankBound(r)), X, np.zeros(l)
+
+
+def planted_stationary(rng, m: int, n: int, r: int, l: int):
+    """(prob, X, y): X of rank r, F-stationary at a random y for a random target.
+
+    The target is X + W + A*(y) with W normal to the rank-r manifold at X, so
+    grad L = -W and the curvature term does not vanish.
+    """
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    X = (u[:, :r] * (1.0 + rng.random(r))) @ v[:, :r].T
+    W = u[:, r:] @ rng.standard_normal((m - r, n - r)) @ v[:, r:].T
+    A = rng.standard_normal((l, m, n))
+    y = rng.standard_normal(l)
+    amap = AffineMap(A, np.tensordot(A, X), shape=(m, n))
+    return ProblemSpec(FrobeniusDistance(X + W + amap.adjoint(y)), amap, RankBound(r)), X, y
+
+
+def _feasible_point(Z, r: int, stack, stack_pinv, rhs):
+    """A point of rank r on {<A^i, Y> = b_i} near Z, or None if none is reached.
+
+    Rank-r truncations alternate with pinv affine projections until the
+    truncated point's affine residual reaches rounding, at most
+    ``CURVE_ROUNDS`` times.
+    """
+    for _ in range(CURVE_ROUNDS):
+        Z = _truncate_eigh(Z, r)
+        if stack is None:
+            return Z
+        resid = stack @ Z.ravel() - rhs
+        if np.linalg.norm(resid) <= CURVE_FEAS * max(1.0, float(np.linalg.norm(Z))):
+            return Z
+        Z = Z - (stack_pinv @ resid).reshape(Z.shape)
+    return None
+
+
+def _tangent_kernel_basis(X, r: int, amap: AffineMap):
+    """Orthonormal basis of ker A meeting the rank-r tangent space at X, from a fresh
+    SVD: the null space of the A^i and the normal directions u_i v_j^T, i, j >= r."""
+    u, _, vh = np.linalg.svd(X)
+    normal = np.einsum("ai,jb->ijab", u[:, r:], vh[r:]).reshape(-1, X.size)
+    rows = np.concatenate([amap.mats.reshape(amap.l, X.size), normal])
+    return scipy.linalg.null_space(rows).T.reshape(-1, *X.shape)
+
+
+def curvature_replay(prob: ProblemSpec, X, y, rng) -> dict:
+    """The second-order form at a rank-r F-stationary point against curve replays.
+
+    Along a feasible C^2 curve through X with velocity Xi, d^2 f / dt^2 is the
+    form's value at Xi, so each value is replayed as the central second
+    difference of f along t -> Pi(X + t Xi), with Pi ``_feasible_point``
+    and t = ``CURVE_STEP``. The form's matrix on an independent basis of the
+    tangent intersection is polarized from ``riemannian_quad``; it is replayed
+    in its two extreme eigendirections and in two random unit directions
+    drawn from ``rng``. Returns the largest replay error and the gap between
+    that matrix's extreme eigenvalues and ``check_second_order``'s, both
+    relative to max(1, largest |eigenvalue|), with the report and the replayed
+    value in the lowest eigendirection (``min_replay``). ``replay_error`` is
+    inf when a curve point was not reached.
+    """
+    B = _tangent_kernel_basis(X, prob.r, prob.affine)
+    d = len(B)
+    if d == 0:
+        raise ValueError("the tangent intersection is {O}: there is no form to replay")
+    svd = orient_svd(X, prob.rank_tol)
+    diag = [riemannian_quad(prob, svd, y, b) for b in B]
+    Q = np.diag(diag)
+    for i, j in zip(*np.triu_indices(d, 1)):
+        Q[i, j] = Q[j, i] = (riemannian_quad(prob, svd, y, B[i] + B[j])
+                             - diag[i] - diag[j]) / 2.0
+    eigs, vecs = np.linalg.eigh(Q)
+    rep = check_second_order(prob, X, y, samples=0)
+    scale = max(1.0, float(np.abs(eigs).max()))
+
+    stack = prob.affine.mats.reshape(prob.l, X.size) if prob.l else None
+    stack_pinv = np.linalg.pinv(stack) if prob.l else None
+    f0 = prob.objective.value(X)
+
+    def replay(xi):
+        ends = [_feasible_point(X + t * xi, prob.r, stack, stack_pinv, prob.affine.rhs)
+                for t in (CURVE_STEP, -CURVE_STEP)]
+        if any(end is None for end in ends):
+            return math.inf
+        return (sum(prob.objective.value(end) for end in ends) - 2.0 * f0) / CURVE_STEP**2
+
+    extreme = [(np.tensordot(vecs[:, k], B, 1), eigs[k]) for k in (0, d - 1)]
+    dirs = rng.standard_normal((2, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rand = [(xi, riemannian_quad(prob, svd, y, xi)) for xi in np.tensordot(dirs, B, 1)]
+    replays = [(replay(xi), want) for xi, want in extreme + rand]
+    return {"report": rep, "basis_dim": d, "min_replay": replays[0][0],
+            "form_gap": max(abs(rep.min_eig - eigs[0]), abs(rep.max_eig - eigs[-1])) / scale,
+            "replay_error": max(abs(got - want) for got, want in replays) / scale}
+
+
+SUITES = ("fd", "projection", "hankel-rank1", "diag-embed", "curvature")
 
 
 def run_suite(name: str, seed: int = 0):
@@ -227,6 +378,25 @@ def run_suite(name: str, seed: int = 0):
             a_vecs = [rng.standard_normal(n) for _ in range(l)]
             good = diag_embedding_equivalence(a_vecs, x, r)
             check(f"n={n} r={r} s={s} l={l}", good)
+    elif name == "curvature":
+        from .problems import build_hankel_example
+        spec, points = build_hankel_example()
+        cases = [("3x3 saddle", True, saddle_3x3())]
+        cases += [(f"planted saddle N={N} r={r} l={l}", True, planted_saddle(rng, N, r, l))
+                  for N, r, l in ((3, 1, 2), (4, 2, 0), (5, 1, 2), (6, 2, 2))]
+        cases += [(f"random {m}x{n} r={r} l=3", False, planted_stationary(rng, m, n, r, 3))
+                  for m, n, r in ((5, 4, 2), (4, 5, 1), (4, 4, 2))]
+        cases.append(("3x3 Hankel Xbar", False, (spec, points["Xbar"], np.zeros(4))))
+        for label, saddle, (prob, X, y) in cases:
+            got = curvature_replay(prob, X, y, rng)
+            rep = got["report"]
+            good = (got["form_gap"] <= 1e-10 and got["replay_error"] <= CURVE_TOL
+                    and rep.basis_dim == got["basis_dim"])
+            if saddle:  # the replay finds f falling, and the verdict agrees
+                good = good and got["min_replay"] < 0 and not rep.necessary_ok
+            check(f"{label}: eigs [{rep.min_eig:+.6f}, {rep.max_eig:+.6f}], lowest "
+                  f"replayed {got['min_replay']:+.6f}, replay error {got['replay_error']:.1e}, "
+                  f"form gap {got['form_gap']:.1e}", good)
     return ok, lines
 
 

@@ -2,16 +2,17 @@
 
 At a full-rank F-stationary point (s == r) the relevant quadratic form is
 
-    q(Xi) = hess f(X)[Xi, Xi] - 2 <grad_X L(X; y), Xi X^+ Xi>
+    q(Xi) = hess f(X)[Xi, Xi] + 2 <grad_X L(X; y), Xi X^+ Xi>
 
 evaluated on an orthonormal basis B_1..B_d of T_L(X) intersected with the
 tangent space of the fixed-rank manifold; its extreme eigenvalues decide the
 necessary (min >= 0) and sufficient (min > 0) conditions. That basis is the
 null space of the constraints' tangent coordinates, read by Assumption 1
-and the tangential multiplier fit too. The curvature
-coefficient defaults to -2 but is a parameter: the two standard assemblies
-of the correction term disagree in sign, and reports note which one ran so
-the check can be repeated under the opposite convention. The correction's
+and the tangential multiplier fit too. The second term is the curvature of
+the fixed-rank manifold: a feasible curve through X with velocity Xi has
+normal acceleration 2 P_N(Xi X^+ Xi), which the normal gradient of L reads
+(Absil, Mahony & Sepulchre, 2008); ``rankmoa oracle curvature`` replays the
+form against second differences of f along such curves. The correction's
 Gram matrix is assembled from matmuls alone, as
 <grad_X L, B_i X^+ B_j> = <B_j, (X^+)^T B_i^T grad_X L>: the d products
 (X^+)^T B_i^T grad_X L come from two stacked matmuls and are contracted with
@@ -76,11 +77,10 @@ class SecondOrderReport(JsonReport):
     notes: list = field(default_factory=list)
 
 
-def _gram_form(objective, X, B, gradL=None, pinv=None,
-               curvature_coeff: float = -2.0) -> np.ndarray:
+def _gram_form(objective, X, B, gradL=None, pinv=None) -> np.ndarray:
     """Gram matrix of the second-order form on the d x m x n basis B.
 
-    Entry (i, j) is hess f[B_i, B_j] + coeff * sym <grad_X L, B_i X^+ B_j>;
+    Entry (i, j) is hess f[B_i, B_j] + 2 sym <grad_X L, B_i X^+ B_j>;
     without ``gradL`` it is the plain Hessian form of the rank-deficient
     case. The Hessian is applied to the whole basis in one call and
     contracted with every B_j, and so is the curvature term's
@@ -92,13 +92,12 @@ def _gram_form(objective, X, B, gradL=None, pinv=None,
     Q = objective.hess_apply(X, B).reshape(flat.shape) @ flat.T
     if gradL is not None:
         C = ((pinv.T @ B.transpose(0, 2, 1)) @ gradL).reshape(flat.shape) @ flat.T
-        Q = Q + curvature_coeff * 0.5 * (C + C.T)
+        Q = Q + (C + C.T)
     return np.triu(Q) + np.triu(Q, 1).T
 
 
-def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
-                    curvature_coeff: float = -2.0) -> float:
-    """hess f(X)[Xi, Xi] + coeff * <grad_X L(X; y), Xi X^+ Xi> at s == r."""
+def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi) -> float:
+    """hess f(X)[Xi, Xi] + 2 <grad_X L(X; y), Xi X^+ Xi> at s == r."""
     if svd.rank != prob.r:
         raise ValueError(
             "curvature-corrected form applies only when the point's rank equals "
@@ -108,7 +107,7 @@ def riemannian_quad(prob: ProblemSpec, svd: ThinSVD, y, Xi,
     X = svd.reconstruct()
     gradL = lagrangian_grad(prob, X, y)
     return float(_gram_form(prob.objective, X, Xi[None], gradL,
-                            pseudo_inverse(svd), curvature_coeff)[0, 0])
+                            pseudo_inverse(svd))[0, 0])
 
 
 def plain_quad(prob: ProblemSpec, X, Xi) -> float:
@@ -217,7 +216,7 @@ def _count_arg(value, name: str) -> int:
 
 
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
-                       seed: int = 0, curvature_coeff: float = -2.0) -> SecondOrderReport:
+                       seed: int = 0) -> SecondOrderReport:
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
@@ -239,16 +238,11 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
 
     if s == prob.r:
         basis = _reduced_basis(svd, prob.affine, pa.compressed)
-        Q = _gram_form(prob.objective, X, basis, gradL, pseudo_inverse(svd),
-                       curvature_coeff)
-        lo, hi = _extreme_eigs(Q)
+        lo, hi = _extreme_eigs(_gram_form(prob.objective, X, basis, gradL,
+                                          pseudo_inverse(svd)))
         rep = SecondOrderReport(
             case=CASE_FULL, basis_dim=len(basis), min_eig=lo, max_eig=hi,
             necessary_ok=lo >= -prob.tol, sufficient_ok=lo > prob.tol,
-        )
-        rep.notes.append(
-            f"curvature coefficient {curvature_coeff:+g}; rerun with the opposite "
-            "sign to bound sign-convention sensitivity of the correction term"
         )
         if rep.sufficient_ok:
             rep.notes.append("strictly local minimizer restricted on M^r (Thm 4.4 i)")

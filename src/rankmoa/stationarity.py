@@ -218,8 +218,9 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     gradL = pa.grad_lagrangian(y)
     if pa.tangential_norm(gradL) > prob.tol * pa.scale:
         return False, y
-    if float(np.linalg.norm(gradL)) <= prob.tol * pa.scale:
-        return True, y  # numerically zero gradient belongs to every normal cone
+    # at s == r N^M is the normal space (rank <= min(m, n) - r); O is in every cone
+    if pa.s == prob.r or float(np.linalg.norm(gradL)) <= prob.tol * pa.scale:
+        return True, y
     return _mordukhovich_rank_ok(pa.svd, prob.r, gradL), y
 
 

@@ -21,7 +21,7 @@ from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, ProblemSpec,
 from rankmoa.cli import main
 from rankmoa.cones import project_normal_fixed_rank, project_tangent_fixed_rank
 from rankmoa.oracle import (diag_embedding_equivalence, fd_gradient, fd_quad,
-                            rank1_hankel_min)
+                            rank1_hankel_min, saddle_3x3)
 from rankmoa.qualification import build_R, build_T
 
 from conftest import certified_instance, random_rank_matrix
@@ -79,13 +79,14 @@ def test_criterion_1_hankel_analysis(hankel_case, tmp_path, capsys):
         assert rep_f.feasible and not rep_f.is_F
 
 
-def test_criterion_1_sign_caveat(hankel_case):
-    with criterion("1b", "second-order verdict under both curvature signs"):
+def test_criterion_1_second_order_form(hankel_case):
+    with criterion("1b", "Xbar sufficient, the 3x3 saddle's necessary condition fails"):
         spec, points = hankel_case
-        for coeff in (-2.0, 2.0):
-            rep = check_second_order(spec, points["Xbar"], np.zeros(4),
-                                     curvature_coeff=coeff)
-            assert rep.sufficient_ok, f"failed under coefficient {coeff}"
+        rep = check_second_order(spec, points["Xbar"], np.zeros(4))
+        assert rep.sufficient_ok and rep.min_eig > 0
+        prob, X, y = saddle_3x3()
+        rep = check_second_order(prob, X, y)
+        assert not rep.necessary_ok and rep.min_eig < 0
 
 
 def test_criterion_2_diagonal_example(diagonal_case):

@@ -423,12 +423,24 @@ def test_solve_random_start_seeded(problem_files, tmp_path, capsys):
 
 
 def test_oracle_suites(capsys):
-    for suite in ("fd", "projection", "hankel-rank1", "diag-embed"):
+    from rankmoa.oracle import SUITES
+    for suite in SUITES:
         code = main(["oracle", suite])
         out = capsys.readouterr().out
         assert code == 0
         assert f"suite {suite}: PASS" in out
     assert main(["oracle", "bogus"]) == 2
+
+
+def test_oracle_help_names_every_suite():
+    # the help is a literal: building the parser must not import the oracles,
+    # which import scipy (test_analyze_and_solve_do_not_import_scipy)
+    import argparse
+    from rankmoa.cli import build_parser
+    from rankmoa.oracle import SUITES
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["oracle"]._actions if a.dest == "suite")
+    assert suite.help.split(" | ") == list(SUITES)
 
 
 def test_env_seed_respected(problem_files, tmp_path, monkeypatch, capsys):

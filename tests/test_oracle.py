@@ -3,8 +3,9 @@ import pytest
 
 from rankmoa import FrobeniusDistance, LinearTrace, RowQuadratic
 from rankmoa.model import CustomObjective
-from rankmoa.oracle import (diag_embedding_equivalence, fd_gradient, fd_quad,
-                            projection_cross_check, rank1_hankel_min, run_suite)
+from rankmoa.oracle import (curvature_replay, diag_embedding_equivalence, fd_gradient,
+                            fd_quad, planted_saddle, projection_cross_check,
+                            rank1_hankel_min, run_suite, saddle_3x3)
 
 
 def test_fd_gradient_frobenius(rng):
@@ -105,3 +106,30 @@ def test_run_suites_pass():
         assert lines
     with pytest.raises(ValueError):
         run_suite("bogus")
+
+
+def test_curvature_suite_is_deterministic_and_fails_under_the_opposite_sign(monkeypatch):
+    ok, lines = run_suite("curvature")
+    assert ok and len(lines) == 9
+    assert run_suite("curvature") == (ok, lines)
+    # negating grad L flips the sign of the form's curvature term
+    from rankmoa import second_order
+    gram_form = second_order._gram_form
+
+    def flipped(objective, X, B, gradL=None, pinv=None):
+        return gram_form(objective, X, B, None if gradL is None else -gradL, pinv)
+    monkeypatch.setattr(second_order, "_gram_form", flipped)
+    ok, lines = run_suite("curvature")
+    assert not ok
+    # only the Hankel point, where grad L is 1e-6, cannot tell the signs apart
+    assert [line.split(":")[0] for line in lines if line.startswith("ok")] == [
+        "ok   3x3 Hankel Xbar"]
+
+
+def test_curvature_replay_finds_the_saddles_descent():
+    rng = np.random.default_rng(3)
+    for prob, X, y in (saddle_3x3(), planted_saddle(rng, 4, 1, 2)):
+        got = curvature_replay(prob, X, y, rng)
+        assert got["replay_error"] <= 1e-4 and got["form_gap"] <= 1e-10
+        assert got["min_replay"] < 0 and not got["report"].necessary_ok
+    assert abs(curvature_replay(*saddle_3x3(), rng)["min_replay"] + 0.5) <= 1e-5

@@ -1,16 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, LinearTrace, ProblemSpec,
-                     RankBound, check_second_order, in_tangent_bouligand_Mr,
-                     orient_svd, plain_quad, project_low_rank, riemannian_quad,
-                     tangent_intersection_basis)
+                     RankBound, bq_certificates, check_F_stationary, check_second_order,
+                     in_tangent_bouligand_Mr, orient_svd, plain_quad, project_low_rank,
+                     riemannian_quad, save_problem, tangent_intersection_basis)
+from rankmoa.cli import main
 from rankmoa.cones import project_normal_fixed_rank, project_tangent_fixed_rank
 from rankmoa.linalg import ThinSVD
 from rankmoa.model import CustomObjective
 from rankmoa.problems import hankel_constraints
-from rankmoa.oracle import curvature_quadratic_terms, fd_quad
+from rankmoa.oracle import (curvature_quadratic_terms, fd_quad, planted_saddle,
+                            planted_stationary, saddle_3x3)
+from rankmoa.qualification import CASE_FULL_RANK
 
 from conftest import random_rank_matrix
 
@@ -62,9 +67,9 @@ def test_curvature_term_cross_check(rng):
         amap = AffineMap([], [], shape=(m, n))
         prob = ProblemSpec(FrobeniusDistance(X - project_normal_fixed_rank(svd, G)),
                            amap, RankBound(r))
-        # grad L = normal part of G at y = (), so the +2 convention matches
+        # grad L = normal part of G at y = (), so the form's curvature term is
         # twice the factored assembly of the correction
-        got = riemannian_quad(prob, svd, np.zeros(0), xi, curvature_coeff=2.0)
+        got = riemannian_quad(prob, svd, np.zeros(0), xi)
         want = float(np.sum(xi * xi)) + 2.0 * via_factors
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -129,15 +134,56 @@ def test_joint_nullspace_oracle_for_hankel_basis(hankel_case):
     assert dim == len(tangent_intersection_basis(svd, spec.affine, 2))
 
 
-def test_check_second_order_hankel_both_signs(hankel_case):
+def test_check_second_order_hankel_xbar(hankel_case):
     spec, points = hankel_case
-    for coeff in (-2.0, 2.0):
-        rep = check_second_order(spec, points["Xbar"], np.zeros(4),
-                                 curvature_coeff=coeff)
-        assert rep.case == "full_rank"
-        assert rep.basis_dim == 4
-        assert rep.min_eig > 0
-        assert rep.sufficient_ok and rep.necessary_ok
+    rep = check_second_order(spec, points["Xbar"], np.zeros(4))
+    assert rep.case == "full_rank"
+    assert rep.basis_dim == 4
+    # grad L = -1e-6 e3 e3^T bends the spectrum by 2e-6 above the Hessian's 1
+    assert abs(rep.min_eig - 0.999999994) <= 1e-9
+    assert abs(rep.max_eig - 1.000001997) <= 1e-9
+    assert rep.sufficient_ok and rep.necessary_ok
+    assert rep.notes == ["strictly local minimizer restricted on M^r (Thm 4.4 i)"]
+
+
+def test_saddle_3x3_violates_the_necessary_condition(tmp_path, capsys):
+    # f falls along the feasible curve 2 (e2 + t e1)(e2 + t e1)^T / (1 + t^2)
+    prob, X, y = saddle_3x3()
+    t = 0.01
+    curve = 2.0 * np.outer([t, 1.0, 0.0], [t, 1.0, 0.0]) / (1.0 + t * t)
+    assert prob.affine.residual(curve) == 0.0 and np.linalg.matrix_rank(curve) == 1
+    assert prob.objective.value(X) - prob.objective.value(curve) >= 1.9e-4
+    rep = check_second_order(prob, X, y)
+    assert abs(rep.min_eig + 0.5) <= 1e-12 and abs(rep.max_eig - 1.5) <= 1e-12
+    assert not rep.necessary_ok and not rep.sufficient_ok
+    assert rep.notes == []
+
+    path = tmp_path / "saddle.prob"
+    save_problem(prob, path, named_points={"X": X})
+    assert main(["analyze", str(path), "--point", "X", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stationarity"]["is_F"] is True
+    so = doc["second_order"]
+    assert so["case"] == "full_rank" and abs(so["min_eig"] + 0.5) <= 1e-12
+    assert so["necessary_ok"] is False and so["sufficient_ok"] is False
+    assert so["notes"] == []
+
+
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("N", range(3, 9))
+def test_planted_saddles_violate_the_necessary_condition(N, r, l):
+    prob, X, y = planted_saddle(np.random.default_rng(100 * N + 10 * r + l), N, r, l)
+    svd = orient_svd(X, prob.rank_tol)
+    assert svd.rank == r
+    qual = bq_certificates(svd, prob.affine, r)
+    assert qual.assumption1 and qual.assumption2
+    assert qual.intersection_rule_case == CASE_FULL_RANK
+    assert check_F_stationary(prob, X).is_F
+    rep = check_second_order(prob, X, y)
+    assert rep.case == "full_rank"
+    assert rep.min_eig < -0.1
+    assert not rep.necessary_ok and not rep.sufficient_ok
 
 
 def test_check_second_order_lrr_tier1(lrr_case):
@@ -244,7 +290,7 @@ def test_gram_form_symmetry(hankel_case):
         for j, R in enumerate(basis[i:], start=i):
             hess = float(np.tensordot(spec.objective.hess_apply(X, P), R))
             curv = 0.5 * float(np.tensordot(gradL, P @ pinv @ R + R @ pinv @ P))
-            assert abs(Q[i, j] - (hess - 2.0 * curv)) <= 1e-12 * max(1.0, abs(Q[i, j]))
+            assert abs(Q[i, j] - (hess + 2.0 * curv)) <= 1e-12 * max(1.0, abs(Q[i, j]))
 
 
 @pytest.mark.parametrize("m, n, r", [(6, 4, 2), (4, 6, 3), (5, 5, 2)])
@@ -258,9 +304,9 @@ def test_gram_form_curvature_matches_einsum_reference(rng, m, n, r, d):
     gradL = rng.standard_normal((m, n))
     B = rng.standard_normal((d, m, n))
     objective = LinearTrace(np.zeros((m, n)))  # zero Hessian: only the curvature term
-    Q = _gram_form(objective, X, B, gradL, pinv, curvature_coeff=-2.0)
+    Q = _gram_form(objective, X, B, gradL, pinv)
     C = np.einsum("iac,ce,jeb,ab->ij", B, pinv, B, gradL, optimize=True)
-    ref = -2.0 * 0.5 * (C + C.T)
+    ref = C + C.T
     assert Q.shape == (d, d)
     assert np.array_equal(Q, Q.T)
     assert np.abs(Q - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
@@ -278,40 +324,28 @@ def test_kernel_gram_form_matches_scipy_basis_bitwise(rng):
     assert basis.shape == (13, 7, 7) and np.array_equal(basis, ref)
     assert np.array_equal(_gram_form(objective, X, basis), _gram_form(objective, X, ref))
 
-def _stationary_full_rank_point(rng, m, n, r, l):
-    """(prob, X, y) with X of rank r and grad f + A*(y) normal to M^r at X."""
-    X = random_rank_matrix(rng, m, n, r)
-    svd = orient_svd(X)
-    W = project_normal_fixed_rank(svd, rng.standard_normal((m, n)))
-    mats = [rng.standard_normal((m, n)) for _ in range(l)]
-    y = rng.standard_normal(l)
-    H = X + W + sum((yi * a for yi, a in zip(y, mats)), np.zeros((m, n)))
-    amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats], shape=(m, n))
-    return ProblemSpec(FrobeniusDistance(H), amap, RankBound(r)), X, y
 
-
-@pytest.mark.parametrize("coeff", [-2.0, 2.0])
-def test_reduced_form_matches_polarized_oracle(rng, hankel_case, coeff):
+def test_reduced_form_matches_polarized_oracle(rng, hankel_case):
     # rebuild the reduced matrix entry by entry from quadratic values only:
     # hess_apply for the Hessian part and the factored oracle assembly of the
     # curvature term, polarized over B_i + B_j and B_i - B_j
     spec, points = hankel_case
     cases = [(spec, points["Xbar"], np.zeros(4)),
-             _stationary_full_rank_point(rng, 5, 4, 2, 0),
-             _stationary_full_rank_point(rng, 5, 5, 2, 3)]
+             planted_stationary(rng, 5, 4, 2, 0),
+             planted_stationary(rng, 5, 5, 2, 3)]
     for prob, X, y in cases:
         G = prob.objective.grad(X) + prob.affine.adjoint(y)
         basis = tangent_intersection_basis(orient_svd(X), prob.affine, prob.r)
 
         def q(xi):
             hess = float(np.tensordot(prob.objective.hess_apply(X, xi), xi))
-            return hess + coeff * curvature_quadratic_terms(X, G, xi)[0]
+            return hess + 2.0 * curvature_quadratic_terms(X, G, xi)[0]
 
         d = len(basis)
         M = np.array([[(q(basis[i] + basis[j]) - q(basis[i] - basis[j])) / 4.0
                        for j in range(d)] for i in range(d)])
         eigs = np.linalg.eigvalsh(M)
-        rep = check_second_order(prob, X, y, curvature_coeff=coeff)
+        rep = check_second_order(prob, X, y)
         assert rep.basis_dim == d > 0
         scale = max(1.0, float(np.abs(eigs).max()))
         assert abs(rep.min_eig - eigs[0]) <= 1e-10 * scale

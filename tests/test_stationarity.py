@@ -155,6 +155,23 @@ def test_M_stationarity_zero_gradient(lrr_case):
     assert ok
 
 
+def test_M_follows_F_at_full_rank(rng):
+    # a small normal gradient of full normal rank plus a tangential residual
+    # below tol: F holds, and M must too; a rank test ranking the residual
+    # against the small gradient's sigma_1 used to report rank 3 > 2
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    X = (u[:, :2] * [2.0, 1.0]) @ v[:, :2].T
+    G = (1e-3 * u[:, 2:] @ np.diag([1.0, 0.5]) @ v[:, 2:].T
+         + 5e-9 * np.outer(u[:, 0], v[:, 0]))
+    prob = ProblemSpec(FrobeniusDistance(X - G), AffineMap([], [], shape=(4, 4)),
+                       RankBound(2))
+    assert check_F_stationary(prob, X).is_F
+    assert check_M_stationary(prob, X)[0]
+    rep = classify_first_order(prob, X)
+    assert rep.is_F and rep.is_M
+
+
 def test_classify_trace_x4(trace_case):
     spec, points = trace_case
     rep = classify_first_order(spec, points["X4"], alpha=1.0)
