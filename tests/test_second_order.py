@@ -325,15 +325,28 @@ def test_kernel_gram_form_matches_scipy_basis_bitwise(rng):
     assert np.array_equal(_gram_form(objective, X, basis), _gram_form(objective, X, ref))
 
 
-def test_reduced_form_matches_polarized_oracle(rng, hankel_case):
+def _scaled(prob, y, s):
+    """(prob, y) with the objective and multipliers times s: still stationary."""
+    f = prob.objective
+    obj = CustomObjective(f"{s} * {f.kind}", f.shape,
+                          value_fn=lambda Y: s * f.value(Y),
+                          grad_fn=lambda Y: s * f.grad(Y),
+                          hess_apply_fn=lambda Y, Xi: s * f.hess_apply(Y, Xi))
+    return ProblemSpec(obj, prob.affine, prob.rank_bound, prob.rank_tol, prob.tol), s * y
+
+
+@pytest.mark.parametrize("scale", [-2.0, 2.0])
+def test_reduced_form_matches_polarized_oracle(rng, hankel_case, scale):
     # rebuild the reduced matrix entry by entry from quadratic values only:
     # hess_apply for the Hessian part and the factored oracle assembly of the
-    # curvature term, polarized over B_i + B_j and B_i - B_j
+    # curvature term, polarized over B_i + B_j and B_i - B_j; a negative scale
+    # flips the objective so the form's curvature of both signs is exercised
     spec, points = hankel_case
     cases = [(spec, points["Xbar"], np.zeros(4)),
              planted_stationary(rng, 5, 4, 2, 0),
              planted_stationary(rng, 5, 5, 2, 3)]
-    for prob, X, y in cases:
+    for base, X, y0 in cases:
+        prob, y = _scaled(base, y0, scale)
         G = prob.objective.grad(X) + prob.affine.adjoint(y)
         basis = tangent_intersection_basis(orient_svd(X), prob.affine, prob.r)
 
