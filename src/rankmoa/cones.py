@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, ThinSVD, _rank, _scale, as_matrix, as_shaped, check_positive,
-                     rank_estimate)
+from .linalg import DEFAULT_TOL, ThinSVD, _rank, _scale, as_matrix, as_shaped, check_positive
 
 
 @dataclass(frozen=True)
@@ -174,9 +173,9 @@ def _frechet_residual(svd: ThinSVD, r: int, W) -> float:
     return float(np.linalg.norm(W))
 
 
-def _mordukhovich_rank_ok(svd: ThinSVD, r: int, W) -> bool:
-    """The rank bound of N^M(X): rank(W) <= min(m, n) - r, ranked at svd.rank_tol."""
-    return rank_estimate(W, svd.rank_tol) <= min(svd.m, svd.n) - r
+def _mordukhovich_rank_ok(svd: ThinSVD, r: int, sigma: np.ndarray) -> bool:
+    """The rank bound of N^M(X), rank(W) <= min(m, n) - r, read off W's singular values."""
+    return bool(_rank(sigma, svd.rank_tol) <= min(svd.m, svd.n) - r)
 
 
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
@@ -190,7 +189,7 @@ def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
     if _frechet_residual(q.svd, q.s, W) > q.tol * _scale(float(np.linalg.norm(W))):
         return False
-    return _mordukhovich_rank_ok(q.svd, q.r, W)
+    return _mordukhovich_rank_ok(q.svd, q.r, np.linalg.svd(W, compute_uv=False))
 
 
 def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:

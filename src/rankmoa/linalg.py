@@ -64,6 +64,15 @@ def check_positive(value, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _count_arg(value, name: str) -> int:
+    """value as a nonnegative int; bools and non-integers raise TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RankBound:
     """Prescribed upper bound on admissible rank; must stay below min(m, n)."""

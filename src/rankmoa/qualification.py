@@ -97,16 +97,14 @@ def _warned(verdict: bool, rank: int, note):
     return verdict, rank
 
 
-def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
-                      compressed=None):
+def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the T^i, ranked on their l x d_T nonzero entries; (verdict, rank)."""
-    return _warned(*_independent(1, svd, amap, tol, compressed))
+    return _warned(*_independent(1, svd, amap, tol))
 
 
-def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL,
-                      compressed=None):
+def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    return _warned(*_independent(2, svd, amap, tol, compressed))
+    return _warned(*_independent(2, svd, amap, tol))
 
 
 def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,

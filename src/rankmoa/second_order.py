@@ -51,7 +51,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .cones import compress, in_tangent_bouligand_compressed, tangent_mask
-from .linalg import ThinSVD, as_matrix, null_space, project_low_rank, pseudo_inverse
+from .linalg import ThinSVD, _count_arg, as_matrix, null_space, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
 from .report import JsonReport
 from .stationarity import PointAnalysis, lagrangian_grad
@@ -206,39 +206,30 @@ def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc):
         yield pending.popleft().result()
 
 
-def _count_arg(value, name: str) -> int:
-    """value as a nonnegative int; bools and non-integers raise TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return int(value)
-
-
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
                        seed: int = 0) -> SecondOrderReport:
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
-    X may be a ``PointAnalysis`` of the point, whose SVD and gradient are reused.
-    A negative ``samples`` or ``seed`` raises ValueError, a non-integer or
-    boolean one TypeError, both before any work.
+    X may be a ``PointAnalysis`` of the point, whose SVD, gradient and record
+    of grad_X L at y are reused. A point that is not feasible or a negative
+    ``samples`` or ``seed`` raises ValueError, a non-integer or boolean one
+    TypeError, all before any work.
     """
     samples = _count_arg(samples, "samples")
     seed = _count_arg(seed, "seed")
     pa = PointAnalysis.of(prob, X)
+    if not pa.feasible:
+        raise ValueError(f"point is not feasible (feasibility residual "
+                         f"{pa.feasibility_residual:.3e}, rank {pa.s} with bound r={prob.r})")
     X, svd, s = pa.X, pa.svd, pa.s
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    gradL = pa.grad_lagrangian(y)
-    resid = pa.frechet_residual(gradL)
-    if resid > prob.tol * pa.scale:
-        raise ValueError(
-            f"point is not F-stationary at the supplied multiplier "
-            f"(residual {resid:.3e} > {prob.tol * pa.scale:.3e})"
-        )
+    grad_l = pa.at(y)
+    if grad_l.frechet > prob.tol * pa.scale:
+        raise ValueError(f"point is not F-stationary at the supplied multiplier (residual "
+                         f"{grad_l.frechet:.3e} > {prob.tol * pa.scale:.3e})")
 
+    basis = _reduced_basis(svd, prob.affine, pa.compressed)
     if s == prob.r:
-        basis = _reduced_basis(svd, prob.affine, pa.compressed)
-        lo, hi = _extreme_eigs(_gram_form(prob.objective, X, basis, gradL,
+        lo, hi = _extreme_eigs(_gram_form(prob.objective, X, basis, grad_l.matrix,
                                           pseudo_inverse(svd)))
         rep = SecondOrderReport(
             case=CASE_FULL, basis_dim=len(basis), min_eig=lo, max_eig=hi,
@@ -249,8 +240,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         return rep
 
     # rank-deficient point: certificate on supersets, falsification by sampling
-    sub_basis = _reduced_basis(svd, prob.affine, pa.compressed)
-    sub_lo, _ = _extreme_eigs(_gram_form(prob.objective, X, sub_basis))
+    sub_lo, _ = _extreme_eigs(_gram_form(prob.objective, X, basis))
     ker = prob.affine.kernel_basis()
     lo, hi = _extreme_eigs(_gram_form(prob.objective, X, ker))
 

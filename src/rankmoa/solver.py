@@ -39,8 +39,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import (_scale, _truncate, as_shaped, check_positive, project_low_rank,
-                     spectral_norm)
+from .linalg import _count_arg, _scale, _truncate, as_shaped, check_positive, project_low_rank
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
@@ -61,7 +60,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_positive(self.alpha, "step alpha")
-        if self.max_iters < 1:
+        if _count_arg(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
         check_positive(self.stop_tol, "stop_tol")
         if self.affine_mode not in (MODE_EXACT, MODE_PENALTY):
@@ -114,12 +113,10 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     feas = pa.feasibility_residual / prob.affine._rhs_scale
     if prob.r == 0:
         return feas, np.zeros(prob.l)
-    y, _ = pa.multiplier(tangential=pa.s == prob.r)
-    gradL = pa.grad_lagrangian(y)
-    excess = 0.0
-    if pa.s == prob.r:
-        excess = max(0.0, spectral_norm(gradL) - float(pa.svd.sigma[prob.r - 1]) / alpha)
-    return (pa.frechet_residual(gradL) + excess) / pa.scale + feas, y
+    grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r)[0])
+    excess = (max(0.0, float(grad_l.sigma[0]) - float(pa.svd.sigma[prob.r - 1]) / alpha)
+              if pa.s == prob.r else 0.0)
+    return (grad_l.frechet + excess) / pa.scale + feas, grad_l.y
 
 
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:

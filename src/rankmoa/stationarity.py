@@ -16,7 +16,10 @@ Three nested notions are certified at a feasible point X of rank s:
 Multipliers are recovered by minimum-norm least squares truncated at
 rank_tol; M-stationarity over the affine family of multipliers is only
 certified at the tested y values. All tests at one point read a single
-``PointAnalysis`` of it.
+``PointAnalysis`` of it, and the F, alpha, beta, M, second-order and
+solver-stopping tests at one y apply their cone rules to one record,
+``PointAnalysis.at(y)``: grad_X L, its norm, its tangential and Frechet
+residuals and, on first use, its singular values.
 Infeasible inputs produce reports with all verdicts false, never exceptions.
 """
 
@@ -29,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import _frechet_residual, _mordukhovich_rank_ok, compress
-from .linalg import _scale, as_matrix, check_positive, orient_svd, spectral_norm
+from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
                             bq_certificates)
@@ -66,15 +69,36 @@ def lagrangian_grad(prob: ProblemSpec, X, y) -> np.ndarray:
     return prob.objective.grad(X) + prob.affine.adjoint(y)
 
 
+class LagrangianGrad:
+    """grad_X L(X; y) = grad f(X) + A*(y) at one point and multiplier, and its norms.
+
+    ``tangential`` is the norm of its part outside the rank-s normal space (M
+    needs it to vanish), ``frechet`` of its part outside the Frechet normal
+    cone of rank <= r (F does): the tangential part at s == r, all of it at
+    s < r. ``sigma``, its singular values, is taken on first use.
+    """
+
+    def __init__(self, pa: "PointAnalysis", y: np.ndarray):
+        self.y = y
+        self.matrix = pa.grad + pa.prob.affine.adjoint(y)
+        self.norm = float(np.linalg.norm(self.matrix))
+        self.tangential = _frechet_residual(pa.svd, pa.s, self.matrix)
+        self.frechet = self.tangential if pa.s == pa.prob.r else self.norm
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+
 class PointAnalysis:
     """The quantities every check at one point X reads, each computed once.
 
     The oriented SVD, the objective gradient and feasibility are taken on
-    construction; the compressed constraint stack, recovered multipliers and
-    the qualification report on first use. A gradient whose norm is not
-    finite raises ValueError, since residuals are compared against it. Every
-    check that takes a point also accepts an analysis of it, which is how one
-    ``analyze`` run factors its point once.
+    construction; the compressed constraint stack, recovered multipliers, the
+    qualification report and each multiplier's ``LagrangianGrad`` on first
+    use. A gradient whose norm is not finite raises ValueError, since residuals
+    are compared against it. Every check that takes a point also accepts an
+    analysis of it, which is how one ``analyze`` run factors its point once.
     """
 
     def __init__(self, prob: ProblemSpec, X):
@@ -95,6 +119,7 @@ class PointAnalysis:
         self.feasible = (self.feasibility_residual <= prob.tol * prob.affine._rhs_scale
                          and self.s <= prob.r)
         self._multipliers = {}
+        self._records = {}
 
     @classmethod
     def of(cls, prob: ProblemSpec, X) -> "PointAnalysis":
@@ -111,6 +136,14 @@ class PointAnalysis:
             self._multipliers[tangential] = _recover_multiplier(self, tangential)
         return self._multipliers[tangential]
 
+    def at(self, y) -> LagrangianGrad:
+        """The record of grad_X L(X; y), built on the first request for these bytes of y."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        key = (y.shape, y.tobytes())
+        if key not in self._records:
+            self._records[key] = LagrangianGrad(self, y)
+        return self._records[key]
+
     @cached_property
     def compressed(self) -> np.ndarray:
         """U^T A^i V of every constraint, the stack every constraint test here reads."""
@@ -121,20 +154,6 @@ class PointAnalysis:
         prob = self.prob
         return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol),
                                self.compressed)
-
-    def grad_lagrangian(self, y) -> np.ndarray:
-        return self.grad + self.prob.affine.adjoint(y)
-
-    def tangential_norm(self, Z) -> float:
-        return _frechet_residual(self.svd, self.s, Z)
-
-    def frechet_residual(self, gradL) -> float:
-        """Norm of the part of grad L that F-stationarity needs to vanish.
-
-        That part is the tangential one when s == r and the whole gradient
-        when s < r, where the Frechet normal cone collapses to {O}.
-        """
-        return _frechet_residual(self.svd, self.prob.r, gradL)
 
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
@@ -155,11 +174,9 @@ def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
                              feasibility_residual=pa.feasibility_residual, s=pa.s)
     if not rep.feasible:
         return rep
-    y, resid = pa.multiplier(tangential=pa.s == prob.r)
-    rep.y = y
-    rep.f_residual = resid
-    rep.grad_lagrangian = pa.grad_lagrangian(y)
-    rep.is_F = resid <= prob.tol * pa.scale
+    rep.y, rep.f_residual = pa.multiplier(tangential=pa.s == prob.r)
+    rep.grad_lagrangian = pa.at(rep.y).matrix
+    rep.is_F = rep.f_residual <= prob.tol * pa.scale
     return rep
 
 
@@ -178,28 +195,28 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         return False
-    gradL = pa.grad_lagrangian(y)
+    grad_l = pa.at(y)
     if prob.r == 0:
         return True  # the only rank-0 matrix is X = O, a fixed point of any step
     if method == "projection":
-        Z = pa.X - alpha * gradL
+        Z = pa.X - alpha * grad_l.matrix
         sv = np.linalg.svd(Z, compute_uv=False)
         best = float(np.sqrt(np.sum(sv[prob.r:] ** 2)))
-        dist = alpha * float(np.linalg.norm(gradL))
+        dist = alpha * grad_l.norm
         return abs(dist - best) <= prob.tol * _scale(float(np.linalg.norm(Z)))
-    if pa.frechet_residual(gradL) > prob.tol * pa.scale:
+    if grad_l.frechet > prob.tol * pa.scale:
         return False
     return pa.s < prob.r or (
-        spectral_norm(gradL) <= float(pa.svd.sigma[prob.r - 1]) / alpha + prob.tol)
+        float(grad_l.sigma[0]) <= float(pa.svd.sigma[prob.r - 1]) / alpha + prob.tol)
 
 
 def beta_bound(prob: ProblemSpec, X, y) -> float:
     """sigma_r(X) / ||grad_X L||_2; infinity when the gradient vanishes."""
     pa = PointAnalysis.of(prob, X)
-    gradL = pa.grad_lagrangian(y)
-    if float(np.linalg.norm(gradL)) <= prob.tol * pa.scale or prob.r == 0:
+    grad_l = pa.at(y)
+    if grad_l.norm <= prob.tol * pa.scale or prob.r == 0:
         return math.inf
-    return float(pa.svd.sigma[prob.r - 1]) / spectral_norm(gradL)
+    return float(pa.svd.sigma[prob.r - 1]) / float(grad_l.sigma[0])
 
 
 def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
@@ -211,17 +228,11 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         return False, None
-    if y_hint is None:
-        y, _ = pa.multiplier(tangential=True)
-    else:
-        y = np.atleast_1d(np.asarray(y_hint, dtype=float))
-    gradL = pa.grad_lagrangian(y)
-    if pa.tangential_norm(gradL) > prob.tol * pa.scale:
-        return False, y
+    grad_l = pa.at(pa.multiplier(tangential=True)[0] if y_hint is None else y_hint)
     # at s == r N^M is the normal space (rank <= min(m, n) - r); O is in every cone
-    if pa.s == prob.r or float(np.linalg.norm(gradL)) <= prob.tol * pa.scale:
-        return True, y
-    return _mordukhovich_rank_ok(pa.svd, prob.r, gradL), y
+    return (grad_l.tangential <= prob.tol * pa.scale
+            and (pa.s == prob.r or grad_l.norm <= prob.tol * pa.scale
+                 or _mordukhovich_rank_ok(pa.svd, prob.r, grad_l.sigma))), grad_l.y
 
 
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:
@@ -262,13 +273,7 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")
 
-    qual = pa.qualification
-    if qual.intersection_rule_case == CASE_FULL_RANK:
-        k = 1
-    elif qual.intersection_rule_case == CASE_RANK_DEFICIENT:
-        k = 2
-    else:
-        k = None
+    k = {CASE_FULL_RANK: 1, CASE_RANK_DEFICIENT: 2}.get(pa.qualification.intersection_rule_case)
     if k is not None:
         state = "satisfied" if rep.is_F else "violated"
         cls.append(f"necessary conditions {state} under Assumption {k} (Thm 4.1 i)")

@@ -255,14 +255,12 @@ def _count_hess_apply(monkeypatch, calls):
     monkeypatch.setattr(FrobeniusDistance, "hess_apply", counted_hess)
 
 
-def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
-    # count through every module alias, since callers import these by name
-    from rankmoa.linalg import orient_svd
-    from rankmoa.qualification import bq_certificates
-    calls = Counter()
+def _count_calls(monkeypatch, calls, *fns):
+    """Count each call of fns in calls by name, through every module alias,
+    since callers import these by name."""
     modules = [m for name, m in list(sys.modules.items())
                if name == "rankmoa" or name.startswith("rankmoa.")]
-    for fn in (orient_svd, bq_certificates):
+    for fn in fns:
         def counted(*args, _fn=fn, **kwargs):
             calls[_fn.__name__] += 1
             return _fn(*args, **kwargs)
@@ -270,6 +268,13 @@ def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
+
+
+def test_analyze_factors_the_point_once(problem_files, monkeypatch, capsys):
+    from rankmoa.linalg import orient_svd
+    from rankmoa.qualification import bq_certificates
+    calls = Counter()
+    _count_calls(monkeypatch, calls, orient_svd, bq_certificates)
     # the reduced second-order form applies the Hessian to its whole basis at once
     _count_hess_apply(monkeypatch, calls)
     code = main(["analyze", str(problem_files["hankel33"]), "--point", "Xbar", "--json"])
@@ -289,6 +294,30 @@ def _deficient_problem(path):
     save_problem(ProblemSpec(FrobeniusDistance(target), amap, RankBound(3)), path,
                  named_points={"X": X})
     return path
+
+
+def test_analyze_forms_the_lagrangian_gradient_once(problem_files, tmp_path,
+                                                    monkeypatch, capsys):
+    # the F, alpha, beta, M and second-order tests all read one record of
+    # grad L at the recovered multiplier: one A*(y), one tangent projection,
+    # and its singular values taken directly, not by spectral_norm
+    from rankmoa.cones import project_tangent_fixed_rank
+    from rankmoa.linalg import spectral_norm
+    calls = Counter()
+    _count_calls(monkeypatch, calls, project_tangent_fixed_rank, spectral_norm)
+    adjoint = AffineMap.adjoint
+
+    def counted_adjoint(self, y):
+        calls["adjoint"] += 1
+        return adjoint(self, y)
+    monkeypatch.setattr(AffineMap, "adjoint", counted_adjoint)
+    cases = ((problem_files["hankel33"], "Xbar", "full_rank"),
+             (_deficient_problem(tmp_path / "deficient.prob"), "X", "rank_deficient"))
+    for path, point, case in cases:
+        calls.clear()
+        assert main(["analyze", str(path), "--point", point, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["second_order"]["case"] == case
+        assert calls == {"adjoint": 1, "project_tangent_fixed_rank": 1}
 
 
 def test_analyze_compresses_the_constraint_stack_once(problem_files, tmp_path,

@@ -226,6 +226,26 @@ def test_check_second_order_requires_stationarity(trace_case):
         check_second_order(spec, points["X1"], [0.0])  # not F-stationary there
 
 
+def test_check_second_order_rejects_a_point_off_the_constraints(trace_case):
+    spec, _ = trace_case
+    # trace 3, not 2, with grad L = O at y = -1: the form alone would call it a
+    # strict local minimizer
+    X = np.diag([1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=r"not feasible \(feasibility residual 1\.000e\+00, "
+                                         r"rank 3 with bound r=3\)"):
+        check_second_order(spec, X, [-1.0])
+
+
+def test_check_second_order_rejects_a_point_above_the_rank_bound(trace_case):
+    spec, _ = trace_case
+    # trace 2 and grad L = O at y = 1, but of rank 4 above r = 3: the sampler
+    # used to fail on a negative rank bound r - s
+    X = 0.5 * np.eye(4)
+    prob = ProblemSpec(FrobeniusDistance(X + np.eye(4)), spec.affine, RankBound(3))
+    with pytest.raises(ValueError, match="rank 4 with bound r=3"):
+        check_second_order(prob, X, [1.0])
+
+
 def test_negative_curvature_detected_by_sampling(rng):
     # concave objective at a rank-deficient stationary point: the ker-A
     # certificate fails and sampled cone directions expose the violation

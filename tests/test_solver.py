@@ -145,6 +145,11 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    # the count check of samples and seed: 2.5 used to fail inside solve, True to run once
+    for bad in (2.5, True, np.float64(3.0), "10", None):
+        with pytest.raises(TypeError, match="max_iters"):
+            SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
     with pytest.raises(ValueError):
         SolverConfig(affine_mode="bogus")
     with pytest.raises(ValueError):
