@@ -16,6 +16,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.linalg
 
 from .affine import AffineMap
 from .linalg import RankBound, as_matrix, orient_svd
@@ -250,7 +251,6 @@ def _feasible_point(Z, r: int, stack, stack_pinv, rhs):
 def _tangent_kernel_basis(X, r: int, amap: AffineMap):
     """Orthonormal basis of ker A meeting the rank-r tangent space at X, from a fresh
     SVD: the null space of the A^i and the normal directions u_i v_j^T, i, j >= r."""
-    import scipy.linalg  # ~0.4 s to import; only this suite's null space needs it
     u, _, vh = np.linalg.svd(X)
     normal = np.einsum("ai,jb->ijab", u[:, r:], vh[r:]).reshape(-1, X.size)
     rows = np.concatenate([amap.mats.reshape(amap.l, X.size), normal])

@@ -219,13 +219,17 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     seed = _count_arg(seed, "seed")
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
-        raise ValueError(f"point is not feasible (feasibility residual "
-                         f"{pa.feasibility_residual:.3e}, rank {pa.s} with bound r={prob.r})")
+        raise ValueError(
+            f"point is not feasible (feasibility residual {pa.feasibility_residual:.3e}, "
+            f"rank {pa.s} with bound r={prob.r})"
+        )
     X, svd, s = pa.X, pa.svd, pa.s
     grad_l = pa.at(y)
     if grad_l.frechet > prob.tol * pa.scale:
-        raise ValueError(f"point is not F-stationary at the supplied multiplier (residual "
-                         f"{grad_l.frechet:.3e} > {prob.tol * pa.scale:.3e})")
+        raise ValueError(
+            f"point is not F-stationary at the supplied multiplier "
+            f"(residual {grad_l.frechet:.3e} > {prob.tol * pa.scale:.3e})"
+        )
 
     basis = _reduced_basis(svd, prob.affine, pa.compressed)
     if s == prob.r:

@@ -114,8 +114,9 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     if prob.r == 0:
         return feas, np.zeros(prob.l)
     grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r)[0])
-    excess = (max(0.0, float(grad_l.sigma[0]) - float(pa.svd.sigma[prob.r - 1]) / alpha)
-              if pa.s == prob.r else 0.0)
+    excess = 0.0
+    if pa.s == prob.r:
+        excess = max(0.0, float(grad_l.sigma[0]) - float(pa.svd.sigma[prob.r - 1]) / alpha)
     return (grad_l.frechet + excess) / pa.scale + feas, grad_l.y
 
 

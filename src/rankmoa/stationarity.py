@@ -18,8 +18,8 @@ rank_tol; M-stationarity over the affine family of multipliers is only
 certified at the tested y values. All tests at one point read a single
 ``PointAnalysis`` of it, and the F, alpha, beta, M, second-order and
 solver-stopping tests at one y apply their cone rules to one record,
-``PointAnalysis.at(y)``: grad_X L, its norm, its tangential and Frechet
-residuals and, on first use, its singular values.
+``PointAnalysis.at(y)``: grad_X L, its norm and Frechet residual and, on
+first use, its tangential residual and singular values.
 Infeasible inputs produce reports with all verdicts false, never exceptions.
 """
 
@@ -72,18 +72,22 @@ def lagrangian_grad(prob: ProblemSpec, X, y) -> np.ndarray:
 class LagrangianGrad:
     """grad_X L(X; y) = grad f(X) + A*(y) at one point and multiplier, and its norms.
 
-    ``tangential`` is the norm of its part outside the rank-s normal space (M
-    needs it to vanish), ``frechet`` of its part outside the Frechet normal
-    cone of rank <= r (F does): the tangential part at s == r, all of it at
-    s < r. ``sigma``, its singular values, is taken on first use.
+    ``frechet`` is the norm of the part F needs to vanish: the tangential part
+    at s == r, all of it at s < r. ``tangential``, outside the rank-s normal
+    space (M needs it to vanish), and ``sigma``, its singular values, are
+    taken on first use.
     """
 
     def __init__(self, pa: "PointAnalysis", y: np.ndarray):
         self.y = y
         self.matrix = pa.grad + pa.prob.affine.adjoint(y)
         self.norm = float(np.linalg.norm(self.matrix))
-        self.tangential = _frechet_residual(pa.svd, pa.s, self.matrix)
+        self._svd = pa.svd
         self.frechet = self.tangential if pa.s == pa.prob.r else self.norm
+
+    @cached_property
+    def tangential(self) -> float:
+        return _frechet_residual(self._svd, self._svd.rank, self.matrix)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -174,9 +178,11 @@ def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
                              feasibility_residual=pa.feasibility_residual, s=pa.s)
     if not rep.feasible:
         return rep
-    rep.y, rep.f_residual = pa.multiplier(tangential=pa.s == prob.r)
-    rep.grad_lagrangian = pa.at(rep.y).matrix
-    rep.is_F = rep.f_residual <= prob.tol * pa.scale
+    y, resid = pa.multiplier(tangential=pa.s == prob.r)
+    rep.y = y
+    rep.f_residual = resid
+    rep.grad_lagrangian = pa.at(y).matrix
+    rep.is_F = resid <= prob.tol * pa.scale
     return rep
 
 
@@ -229,10 +235,12 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     if not pa.feasible:
         return False, None
     grad_l = pa.at(pa.multiplier(tangential=True)[0] if y_hint is None else y_hint)
+    if grad_l.tangential > prob.tol * pa.scale:
+        return False, grad_l.y
     # at s == r N^M is the normal space (rank <= min(m, n) - r); O is in every cone
-    return (grad_l.tangential <= prob.tol * pa.scale
-            and (pa.s == prob.r or grad_l.norm <= prob.tol * pa.scale
-                 or _mordukhovich_rank_ok(pa.svd, prob.r, grad_l.sigma))), grad_l.y
+    if pa.s == prob.r or grad_l.norm <= prob.tol * pa.scale:
+        return True, grad_l.y
+    return _mordukhovich_rank_ok(pa.svd, prob.r, grad_l.sigma), grad_l.y
 
 
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:
@@ -273,7 +281,13 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")
 
-    k = {CASE_FULL_RANK: 1, CASE_RANK_DEFICIENT: 2}.get(pa.qualification.intersection_rule_case)
+    qual = pa.qualification
+    if qual.intersection_rule_case == CASE_FULL_RANK:
+        k = 1
+    elif qual.intersection_rule_case == CASE_RANK_DEFICIENT:
+        k = 2
+    else:
+        k = None
     if k is not None:
         state = "satisfied" if rep.is_F else "violated"
         cls.append(f"necessary conditions {state} under Assumption {k} (Thm 4.1 i)")

@@ -41,12 +41,8 @@ def test_package_modules_have_no_unused_imports():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-# scipy modules loaded by the end of a script run in a fresh interpreter
-_SCIPY_MODULES = """
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-"""
-
-# analyze and a short solve through the CLI
+# analyze and a short solve through the CLI in a fresh interpreter; prints the
+# scipy modules loaded by then
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, sys
 import rankmoa.cli as cli
@@ -58,32 +54,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["analyze", work + "/tr.prob", "--point", "X4", "--json"]) == 0
     assert cli.main(["solve", work + "/tr.prob", "--x0", "H", "--iters", "3",
                      "--out", work + "/out"]) == 0
-""" + _SCIPY_MODULES
-
-# the fd oracle suite, which checks gradients and Hessians by finite differences
-_NO_SCIPY_ORACLE_SCRIPT = """
-import contextlib, io, sys
-import rankmoa.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["oracle", "fd"]) == 0
-""" + _SCIPY_MODULES
-
-
-def _run_fresh(script: str, *args) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
 
 
 def test_analyze_and_solve_do_not_import_scipy(tmp_path):
-    # scipy costs every process about 0.3 s of start-up; only two oracle suites need it
-    assert _run_fresh(_NO_SCIPY_SCRIPT, str(tmp_path)) == "[]"
+    # scipy costs every process about 0.3 s of start-up; only `rankmoa oracle` needs it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
     assert (tmp_path / "out" / "x_star.txt").is_file()
-
-
-def test_oracle_fd_does_not_import_scipy():
-    # only the curvature and hankel-rank1 suites import scipy, on first use
-    assert _run_fresh(_NO_SCIPY_ORACLE_SCRIPT) == "[]"

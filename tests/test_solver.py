@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
                      RankBound, SolverConfig, build_hankel, build_hankel_example,
                      project_affine, project_low_rank, rank_estimate, solve)
-from rankmoa import solver
+from rankmoa import cones, solver
 from rankmoa.linalg import DEFAULT_TOL, as_matrix
 from rankmoa.solver import (MODE_EXACT, MODE_PENALTY, stationarity_residual,
                             write_iterate_log)
@@ -235,6 +235,23 @@ def test_stationarity_residual_at_solution(trace_case):
     assert abs(y[0] + 2.0 / 3.0) <= 1e-9
     res1, _ = stationarity_residual(spec, points["X1"], alpha=0.5)
     assert res1 > 1e-3
+
+
+def test_stationarity_residual_below_the_rank_bound_projects_nothing(trace_case, monkeypatch):
+    # at s < r the residual is all of grad L, so the solver's stopping test,
+    # run every iteration, takes no tangent projection of it
+    spec, points = trace_case
+    calls = Counter()
+    project = cones.project_tangent_fixed_rank
+
+    def counted(*args):
+        calls["project"] += 1
+        return project(*args)
+    monkeypatch.setattr(cones, "project_tangent_fixed_rank", counted)
+    stationarity_residual(spec, points["X1"], alpha=0.5)  # rank 2, r = 3
+    assert calls["project"] == 0
+    stationarity_residual(spec, points["X4"], alpha=0.5)  # rank 3
+    assert calls["project"] == 1
 
 
 def _reference_hankel():
