@@ -1,4 +1,12 @@
-"""Affine equality constraints <A^i, X> = b_i: evaluation, adjoint, bases."""
+"""Affine equality constraints <A^i, X> = b_i: evaluation, adjoint, bases.
+
+The l x mn stack is factored at most once per map, by one cached thin
+``StackSVD`` (O(l mn) numbers): its pseudo-inverse and kernel cut at lstsq's
+default eps * max(l, mn) * sigma_1, its multiplier fit and rank at
+rank_tol * sigma_1; only ``kernel_basis`` at l < mn takes full factors.
+``stack_rank`` first tries to prove full row rank by one Cholesky of the
+l x l Gram matrix, without an SVD.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import compress, tangent_coordinates, tangent_mask
-from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _full_row_rank, _scale,
-                     as_shaped, least_squares, null_space, rank_estimate)
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, _full_row_rank, _scale, as_shaped
 
 
 @dataclass(frozen=True)
@@ -20,15 +26,12 @@ class AffineMap:
     shape (l, m, n), copied from the caller's input on construction, so it
     indexes and iterates like a sequence of m x n matrices. ``stack`` is its
     (l, m*n) view. Redundant (linearly dependent) matrices are allowed, the
-    stack rank is reported so qualification checks can warn: ``stack_rank``
-    answers l from one Cholesky of the l x l Gram matrix when that proves
-    full row rank, and ranks the stack by its SVD only otherwise. ``shape``
-    is required when there are no constraints.
+    stack rank is reported so qualification checks can warn. ``shape`` is
+    required when there are no constraints.
 
-    The pseudo-inverse ``stack_pinv``, the consistency verdict ``consistent``
-    and ``_rhs_scale``, the scale of every feasibility test, are computed on
-    first use and cached; ``mats`` and ``rhs`` are read-only copies, which
-    keeps them valid.
+    The stack's SVD, ``stack_pinv``, ``consistent`` and ``_rhs_scale``, the
+    scale of every feasibility test, are computed on first use and cached;
+    ``mats`` and ``rhs`` are read-only copies, which keeps them valid.
     """
 
     mats: np.ndarray
@@ -76,17 +79,13 @@ class AffineMap:
         return self.mats.reshape(self.l, self.shape[0] * self.shape[1])
 
     @cached_property
-    def stack_pinv(self) -> np.ndarray:
-        """(m*n) x l pseudo-inverse of ``stack``, from one SVD.
+    def _stack_svd(self) -> StackSVD:
+        return StackSVD(self.stack)
 
-        ``stack_pinv @ t`` is the minimum-norm least-squares solution that
-        ``np.linalg.lstsq(stack, t, rcond=None)`` returns: singular values at
-        or below lstsq's default cutoff eps * max(l, m*n) * sigma_1 are
-        dropped. The cutoff is lstsq's, not ``rank_tol``.
-        """
-        u, sigma, vt = np.linalg.svd(self.stack, full_matrices=False)
-        keep = sigma > np.finfo(float).eps * max(self.stack.shape) * sigma.max(initial=0.0)
-        return vt[keep].T @ (u[:, keep].T / sigma[keep, None])
+    @cached_property
+    def stack_pinv(self) -> np.ndarray:
+        """(m*n) x l pseudo-inverse: ``stack_pinv @ t`` is lstsq's solution at rcond=None."""
+        return self._stack_svd.pinv()
 
     @cached_property
     def _rhs_scale(self) -> float:
@@ -122,12 +121,8 @@ class AffineMap:
         return float(np.linalg.norm(self.apply(X) - self.rhs))
 
     def kernel_basis(self) -> np.ndarray:
-        """Frobenius-orthonormal basis of {Xi : <A^i, Xi> = 0 for all i}, as k x m x n.
-
-        The null space of the (l, m*n) stack by ``linalg.null_space``; with no
-        constraints it is the standard basis.
-        """
-        return null_space(self.stack).T.reshape(-1, *self.shape)
+        """Frobenius-orthonormal basis of ker A, as k x m x n; the standard one when l = 0."""
+        return self._stack_svd.kernel().T.reshape(-1, *self.shape)
 
     def normal_space_member(self, W, tol: float = DEFAULT_TOL):
         """Least-squares test for W in span{A^i}; returns (verdict, y or None)."""
@@ -137,27 +132,13 @@ class AffineMap:
             return True, y
         return False, None
 
-    def fit_multiplier(self, W, rank_tol: float = DEFAULT_RANK_TOL,
-                       tangent: ThinSVD | None = None, compressed=None):
-        """(y, residual) for the minimum-norm least-squares fit sum_i y_i A^i ~ W.
-
-        With ``tangent``, the ranked SVD of a point, only the tangential part
-        of W is fitted: both sides are read in the point's tangent coordinates.
-        ``compressed``, when given, is ``compress(tangent, self.mats)`` already taken.
-        """
-        if tangent is None:
-            return least_squares(self.mats, W, rank_tol)
-        C = compress(tangent, self.mats) if compressed is None else compressed
-        return least_squares(C[:, tangent_mask(tangent)], tangent_coordinates(tangent, W),
-                             rank_tol)
+    def fit_multiplier(self, W, rank_tol: float = DEFAULT_RANK_TOL):
+        """(y, residual) of the minimum-norm least-squares fit sum_i y_i A^i ~ W."""
+        return self._stack_svd.solve(np.ravel(W), rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """``rank_estimate(stack, rank_tol)``, without its SVD when full row rank is proved.
-
-        ``linalg._full_row_rank`` certifies that the estimate is l. When it
-        cannot (no constraints, l > m*n, dependent or ill-conditioned rows),
-        the stack is ranked by ``rank_estimate`` itself.
-        """
+        """``rank_estimate(stack, rank_tol)``: l when ``linalg._full_row_rank`` proves
+        it, else (no constraints, l > m*n, dependent or ill-conditioned rows) by the SVD."""
         if _full_row_rank(self.stack, rank_tol):
             return self.l
-        return rank_estimate(self.stack, rank_tol)
+        return self._stack_svd.rank(rank_tol)

@@ -1,13 +1,15 @@
-"""Dense matrix primitives: tolerance-ranked thin SVD, low-rank projection, null space, norms.
+"""Dense matrix primitives: tolerance-ranked SVDs, low-rank projection, norms.
 
 Two rules decide the package's relative tolerance tests, and each is
 written once here. A singular value counts toward the numerical rank when it exceeds
 ``_rank_cutoff``, ``rank_tol * sigma_1`` of the matrix being ranked; ``_rank``
-counts them, and ``least_squares`` truncates every multiplier solve at the same
+counts them, and ``StackSVD.solve`` truncates every multiplier solve at the same
 cutoff. A residual passes when it is at most ``tol * _scale(ref)``, its
 reference norm floored at 1. The oracles keep their own copies, to stay
 independent of what they check. ``_full_row_rank`` does not rank: it proves,
-without an SVD, that ``rank_estimate`` would find full row rank.
+without an SVD, that ``rank_estimate`` would find full row rank. ``StackSVD``
+factors a constraint system once, thin; its kernel and pseudo-inverse cut at
+lstsq's, and its kernel takes the full factors itself when the system is wide.
 
 All functions are pure; returned arrays should be treated as read-only.
 """
@@ -244,20 +246,6 @@ def _truncate(Z: np.ndarray, r: int):
     return (u[..., :r] * sigma[..., None, :r]) @ vh[..., :r, :], sigma
 
 
-def null_space(A: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {x : A x = 0} as columns, scipy.linalg.null_space's rule.
-
-    A must be a finite 2-d float array. Singular values at or below
-    eps * max(M, N) * sigma_1 count as zero. ``vh`` is taken in Fortran order,
-    the layout LAPACK (and scipy) return it in, so the basis is the same view
-    scipy returns and later products round the same way.
-    """
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(u.shape[0], vh.shape[1])
-    num = np.count_nonzero(s > tol)
-    return np.asfortranarray(vh)[num:].T
-
-
 def spectral_norm(X) -> float:
     """Largest singular value."""
     X = as_matrix(X)
@@ -341,15 +329,38 @@ def _full_row_rank(S: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     return bool(np.isfinite(R).all())
 
 
-def least_squares(cols, target, rank_tol: float = DEFAULT_RANK_TOL):
-    """Minimum-norm y minimizing ||sum_i y_i cols[i] - target||_F.
+class StackSVD:
+    """One thin SVD of an l x N system S: O(l N) numbers, never an N x N ``vh`` up front.
+    ``rank`` and ``solve`` cut at ``_rank_cutoff``; ``kernel`` and ``pinv`` at lstsq's
+    default eps * max(l, N) * sigma_1."""
 
-    Returns (y, residual norm). Singular values of the column system at or
-    below ``rank_tol * sigma_1`` are dropped, the rule of ``rank_estimate``:
-    a direction the columns span only to rounding error would otherwise
-    enter y with the inverse of a value near machine precision.
-    """
-    t = np.ravel(target)
-    C = np.ascontiguousarray(np.reshape(cols, (len(cols), t.size)).T)
-    y, *_ = np.linalg.lstsq(C, t, rcond=rank_tol)
-    return y, float(np.linalg.norm(C @ y - t))
+    def __init__(self, S: np.ndarray):
+        self.S = S
+        self.u, self.sigma, self.vh = np.linalg.svd(S, full_matrices=False)
+
+    def rank(self, rank_tol: float) -> int:
+        return int(_rank(self.sigma, rank_tol))
+
+    def solve(self, t: np.ndarray, rank_tol: float):
+        """(y, ||S^T y - t||) for the minimum-norm least-squares y of S^T y ~ t. Values at
+        or below the rank cutoff are dropped: a direction S spans only to rounding error
+        would otherwise enter y with the inverse of a value near machine precision."""
+        k = self.rank(rank_tol)
+        y = self.u[:, :k] @ ((self.vh[:k] @ t) / self.sigma[:k])
+        return y, float(np.linalg.norm(self.S.T @ y - t))
+
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis of ker S as columns, scipy's: a view of a Fortran-ordered vh.
+        When l < N the thin vh lacks the kernel, so the full factors are taken here only."""
+        sigma, vh = self.sigma, self.vh
+        if self.S.shape[0] < self.S.shape[1]:
+            _, sigma, vh = np.linalg.svd(self.S, full_matrices=True)
+        return np.asfortranarray(vh)[self._lstsq_rank(sigma):].T
+
+    def pinv(self) -> np.ndarray:
+        k = self._lstsq_rank(self.sigma)
+        return self.vh[:k].T @ (self.u[:, :k].T / self.sigma[:k, None])
+
+    def _lstsq_rank(self, sigma: np.ndarray) -> int:
+        return int(np.count_nonzero(sigma > np.amax(sigma, initial=0.0)
+                                    * np.finfo(float).eps * max(self.S.shape)))

@@ -11,7 +11,7 @@ The problem file is a UTF-8 JSON document:
     }
 
 Matrices are row-major nested arrays of decimal literals. Named points let
-an instance carry its interesting candidates along.
+an instance carry its interesting candidates along; each label appears once.
 """
 
 from __future__ import annotations
@@ -279,8 +279,10 @@ def load_problem(path) -> LoadedProblem:
             raise ProblemFormatError(
                 f"{path}: named_points[{i}] needs 'label' and 'matrix'"
             )
-        points[str(p["label"])] = _float_array(p["matrix"], (m, n),
-                                               f"{path}: named_points[{i}]")
+        label = str(p["label"])
+        if label in points:
+            raise ProblemFormatError(f"{path}: named_points[{i}] repeats the label {label!r}")
+        points[label] = _float_array(p["matrix"], (m, n), f"{path}: named_points[{i}]")
     try:
         spec = ProblemSpec(
             objective=objective,

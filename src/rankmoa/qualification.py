@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineMap
-from .cones import compress, tangent_mask
+from .cones import compress, tangent_coordinates, tangent_mask
 from .errors import QualificationError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, ThinSVD, _scale, as_shaped, rank_estimate
+from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, ThinSVD, _scale, as_shaped,
+                     rank_estimate)
 from .report import JsonReport
 
 CASE_FULL_RANK = "eq_full_rank"
@@ -49,6 +50,21 @@ class QualificationReport(JsonReport):
     warnings: tuple = ()
 
 
+class PointConstraints:
+    """U^T A^i V at ``svd``'s point; ``tangent``: on first use, the SVD of its tangent part."""
+
+    def __init__(self, svd: ThinSVD, amap: AffineMap):
+        self.svd = svd
+        self.compressed = compress(svd, amap.mats)
+        self._tangent = None  # not a cached_property: in Python 3.11 that locks every instance
+
+    @property
+    def tangent(self) -> StackSVD:
+        if self._tangent is None:
+            self._tangent = StackSVD(self.compressed[:, tangent_mask(self.svd)])
+        return self._tangent
+
+
 def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     """l x m x n compressed constraint matrices, trailing (m-s) x (n-s) block zeroed."""
     T = compress(svd, amap.mats)
@@ -56,18 +72,18 @@ def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
     return T
 
 
-def build_R(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray:
-    """U^T A^i V_g stacked (transposed convention when the point is wider than tall).
+def build_R(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
+    """U^T A^i V_g stacked (transposed convention when the point is wider than tall)."""
+    return _slice_R(svd, compress(svd, amap.mats))
 
-    ``compressed``, when given, is ``compress(svd, amap.mats)`` already taken.
-    """
-    C = compress(svd, amap.mats) if compressed is None else compressed
+
+def _slice_R(svd: ThinSVD, C: np.ndarray) -> np.ndarray:
     if svd.m >= svd.n:
         return C[:, :, :svd.rank]
     return C[:, :svd.rank, :].transpose(0, 2, 1)
 
 
-def _independent(k: int, svd: ThinSVD, amap: AffineMap, tol: float, compressed=None):
+def _independent(k: int, cons: PointConstraints, tol: float):
     """(verdict, rank, note) for Assumption k: independence of the T^i (k = 1) or R^i (k = 2).
 
     The row width of the ranked stack bounds l; ``note`` says so when l
@@ -75,18 +91,17 @@ def _independent(k: int, svd: ThinSVD, amap: AffineMap, tol: float, compressed=N
     concurrent callers each keep their own.
     """
     if k == 1:
-        C = compress(svd, amap.mats) if compressed is None else compressed
-        mats, what = C[:, tangent_mask(svd)], "compressed matrices; the first qualification"
+        l, bound = cons.tangent.S.shape
+        rank, what = cons.tangent.rank(tol), "compressed matrices; the first qualification"
     else:
-        mats = build_R(svd, amap, compressed)
+        R = _slice_R(cons.svd, cons.compressed)
+        l, bound = len(R), int(np.prod(R.shape[1:]))
+        rank = rank_estimate(R.reshape(l, bound), tol)
         what = "column-compressed matrices; the second qualification"
-    l = len(mats)
-    bound = int(np.prod(mats.shape[1:]))
     note = None
     if l > bound:
         note = (f"{l} constraints exceed the dimension {bound} available to the "
                 f"{what} cannot hold")
-    rank = rank_estimate(mats.reshape(l, bound), tol)
     return rank == l, rank, note
 
 
@@ -99,16 +114,16 @@ def _warned(verdict: bool, rank: int, note):
 
 def assumption1_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the T^i, ranked on their l x d_T nonzero entries; (verdict, rank)."""
-    return _warned(*_independent(1, svd, amap, tol))
+    return _warned(*_independent(1, PointConstraints(svd, amap), tol))
 
 
 def assumption2_holds(svd: ThinSVD, amap: AffineMap, tol: float = DEFAULT_RANK_TOL):
     """Linear independence of the R^i stack; returns (verdict, rank)."""
-    return _warned(*_independent(2, svd, amap, tol))
+    return _warned(*_independent(2, PointConstraints(svd, amap), tol))
 
 
-def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
-                    tol: float = DEFAULT_RANK_TOL, compressed=None) -> QualificationReport:
+def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int, tol: float = DEFAULT_RANK_TOL,
+                    constraints: PointConstraints | None = None) -> QualificationReport:
     """Qualification verdicts plus the intersection-rule case at the base point.
 
     The basic-qualification flag tests triviality of the kernel of
@@ -116,13 +131,12 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int,
     qualification: the tangent projection of A^i is U T^i V^T, so both stacks
     have the same singular values. The Mordukhovich variant follows because
     that normal cone sits inside the fixed-rank normal space. Both
-    qualifications read ``compressed`` (``compress(svd, amap.mats)``) when given.
+    qualifications read ``constraints``, the point's record, when given.
     """
     s = svd.rank
-    if compressed is None:
-        compressed = compress(svd, amap.mats)
-    a1, t_rank, note1 = _independent(1, svd, amap, tol, compressed)
-    a2, r_rank, note2 = _independent(2, svd, amap, tol, compressed)
+    cons = PointConstraints(svd, amap) if constraints is None else constraints
+    a1, t_rank, note1 = _independent(1, cons, tol)
+    a2, r_rank, note2 = _independent(2, cons, tol)
     notes = [note for note in (note1, note2) if note is not None]
 
     if s == r and a1:
@@ -161,20 +175,24 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
 
     Returns (member, y, residual). Requires a certified intersection-rule
     case; the split formula is only valid under the matching qualification,
-    the only one checked (Assumption 1 at s == r, Assumption 2 at s < r).
+    the only one checked (Assumption 1 at s == r, Assumption 2 at s < r), at
+    the cutoff ``PointAnalysis.qualification`` applies, min(tol, rank_tol).
     """
     s = svd.rank
     if s > r:
         raise QualificationError(f"base point has rank {s} above the bound r={r}")
-    C = compress(svd, amap.mats)
-    ok, _, _ = _independent(1 if s == r else 2, svd, amap, min(tol, DEFAULT_RANK_TOL), C)
+    cons = PointConstraints(svd, amap)
+    ok, _, _ = _independent(1 if s == r else 2, cons, min(tol, svd.rank_tol))
     if not ok:
         raise QualificationError(
             "intersection rule is not certified at this point: "
             f"Assumption {1 if s == r else 2} fails (s={s}, r={r})"
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
-    y, resid = amap.fit_multiplier(W, svd.rank_tol, svd if s == r else None, C)
+    if s == r:
+        y, resid = cons.tangent.solve(tangent_coordinates(svd, W), svd.rank_tol)
+    else:
+        y, resid = amap.fit_multiplier(W, svd.rank_tol)
     member = resid <= tol * _scale(float(np.linalg.norm(W)))
     return member, y, resid
 

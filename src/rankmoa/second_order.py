@@ -7,8 +7,8 @@ At a full-rank F-stationary point (s == r) the relevant quadratic form is
 evaluated on an orthonormal basis B_1..B_d of T_L(X) intersected with the
 tangent space of the fixed-rank manifold; its extreme eigenvalues decide the
 necessary (min >= 0) and sufficient (min > 0) conditions. That basis is the
-null space of the constraints' tangent coordinates, read by Assumption 1
-and the tangential multiplier fit too. The second term is the curvature of
+kernel of ``PointConstraints.tangent``, which Assumption 1 and the
+tangential multiplier fit read too. The second term is the curvature of
 the fixed-rank manifold: a feasible curve through X with velocity Xi has
 normal acceleration 2 P_N(Xi X^+ Xi), which the normal gradient of L reads
 (Absil, Mahony & Sepulchre, 2008); ``rankmoa oracle curvature`` replays the
@@ -51,8 +51,9 @@ import numpy as np
 
 from .affine import AffineMap
 from .cones import compress, in_tangent_bouligand_compressed, tangent_mask
-from .linalg import ThinSVD, _count_arg, as_matrix, null_space, project_low_rank, pseudo_inverse
+from .linalg import ThinSVD, _count_arg, as_matrix, project_low_rank, pseudo_inverse
 from .model import ProblemSpec
+from .qualification import PointConstraints
 from .report import JsonReport
 from .stationarity import PointAnalysis, lagrangian_grad
 
@@ -116,15 +117,14 @@ def plain_quad(prob: ProblemSpec, X, Xi) -> float:
                             as_matrix(Xi, "Xi")[None])[0, 0])
 
 
-def _reduced_basis(svd: ThinSVD, amap: AffineMap, compressed=None) -> np.ndarray:
+def _reduced_basis(cons: PointConstraints) -> np.ndarray:
     """Orthonormal d x m x n basis of ker A intersected with the rank-s tangent space.
 
-    It is the null space of the tangent coordinates of the A^i (all of them
-    when l = 0), mapped back to matrices U E V^T, an isometry. ``compressed``,
-    when given, is ``compress(svd, amap.mats)`` already taken.
+    It is the kernel of the tangent coordinates of the A^i (all of them
+    when l = 0), mapped back to matrices U E V^T, an isometry.
     """
-    C = compress(svd, amap.mats) if compressed is None else compressed
-    null = null_space(C[:, tangent_mask(svd)])
+    svd = cons.svd
+    null = cons.tangent.kernel()
     E = np.zeros((null.shape[1], svd.m, svd.n))
     E[:, tangent_mask(svd)] = null.T
     return svd.u @ E @ svd.v.T
@@ -137,7 +137,7 @@ def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
             f"base point has rank {svd.rank}, but the rank-{r} tangent space "
             "is only a subspace when the rank equals the bound"
         )
-    return list(_reduced_basis(svd, amap))
+    return list(_reduced_basis(PointConstraints(svd, amap)))
 
 
 def _extreme_eigs(Q: np.ndarray):
@@ -231,7 +231,7 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             f"(residual {grad_l.frechet:.3e} > {prob.tol * pa.scale:.3e})"
         )
 
-    basis = _reduced_basis(svd, prob.affine, pa.compressed)
+    basis = _reduced_basis(pa.constraints)
     if s == prob.r:
         lo, hi = _extreme_eigs(_gram_form(prob.objective, X, basis, grad_l.matrix,
                                           pseudo_inverse(svd)))

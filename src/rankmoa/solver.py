@@ -13,10 +13,10 @@ such in the result:
   must re-converge rather than run a constant number of sweeps. One inner
   round costs its kernels and little else: the affine projection, two
   matrix-vector products with the constraint stack and its pseudo-inverse
-  (which ``AffineMap.stack_pinv`` factors once per map), then
-  ``linalg._truncate``, one call of NumPy's thin-SVD kernel and an r-wide
-  product. Whether the constraint system is consistent does not depend on
-  the point, so ``AffineMap.consistent`` decides it once per map too.
+  ``AffineMap.stack_pinv``, then ``linalg._truncate``, one call of NumPy's
+  thin-SVD kernel and an r-wide product. The map's one SVD of its stack gives
+  the pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier
+  fit at rank_tol and ``AffineMap.consistent``, a verdict of the map, not the point.
   ``project_affine`` validates the round's input, the only validation in the
   round, and the tie flag of ``project_low_rank`` is not computed; the
   stopping test takes its norms as sqrt(x @ x), the sum np.linalg.norm

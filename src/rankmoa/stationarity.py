@@ -31,11 +31,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cones import _frechet_residual, _mordukhovich_rank_ok, compress
+from .cones import _frechet_residual, _mordukhovich_rank_ok, tangent_coordinates
 from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
-from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, QualificationReport,
-                            bq_certificates)
+from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, PointConstraints,
+                            QualificationReport, bq_certificates)
 from .report import JsonReport
 
 
@@ -98,7 +98,7 @@ class PointAnalysis:
     """The quantities every check at one point X reads, each computed once.
 
     The oriented SVD, the objective gradient and feasibility are taken on
-    construction; the compressed constraint stack, recovered multipliers, the
+    construction; the constraints at the point, recovered multipliers, the
     qualification report and each multiplier's ``LagrangianGrad`` on first
     use. A gradient whose norm is not finite raises ValueError, since residuals
     are compared against it. Every check that takes a point also accepts an
@@ -149,22 +149,22 @@ class PointAnalysis:
         return self._records[key]
 
     @cached_property
-    def compressed(self) -> np.ndarray:
-        """U^T A^i V of every constraint, the stack every constraint test here reads."""
-        return compress(self.svd, self.prob.affine.mats)
+    def constraints(self) -> PointConstraints:
+        """U^T A^i V and its tangent SVD, which every constraint test here reads."""
+        return PointConstraints(self.svd, self.prob.affine)
 
     @cached_property
     def qualification(self) -> QualificationReport:
         prob = self.prob
         return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol),
-                               self.compressed)
+                               self.constraints)
 
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
     if not tangential:
         return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol)
-    return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol, pa.svd, pa.compressed)
+    return pa.constraints.tangent.solve(tangent_coordinates(pa.svd, -pa.grad), pa.prob.rank_tol)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:

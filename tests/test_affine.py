@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoa import AffineMap
-from rankmoa.linalg import _full_row_rank, rank_estimate
+from rankmoa.linalg import StackSVD, _full_row_rank, rank_estimate
 from rankmoa.problems import hankel_constraints
 
 
@@ -102,17 +102,23 @@ def _stack_draw(rng, kind, l, m, n):
     return S.reshape(l, m, n)
 
 
+def _spy_factorizations(monkeypatch, shapes):
+    """Append the shape of every system StackSVD factors to shapes."""
+    init = StackSVD.__init__
+
+    def spy(self, S):
+        shapes.append(S.shape)
+        init(self, S)
+    monkeypatch.setattr(StackSVD, "__init__", spy)
+
+
 def test_stack_rank_equals_rank_estimate(rng, monkeypatch):
     # the Cholesky certificate only answers when the SVD rank is l, so
     # stack_rank must equal rank_estimate on every kind of stack, including
     # l = 0 and l > m*n; the spy shows how often it answered without an SVD
-    import rankmoa.affine
+    # (a fresh map per question, so the map's cached SVD hides none)
     ranked = []
-
-    def spy(S, rank_tol):
-        ranked.append(S.shape)
-        return rank_estimate(S, rank_tol)
-    monkeypatch.setattr(rankmoa.affine, "rank_estimate", spy)
+    _spy_factorizations(monkeypatch, ranked)
     kinds = ("generic", "near-dependent", "dependent", "row-scaled", "overall-scaled",
              "graded")
     asked = 0
@@ -120,19 +126,41 @@ def test_stack_rank_equals_rank_estimate(rng, monkeypatch):
         m, n = (int(k) for k in rng.integers(1, 5, size=2))
         l = int(rng.integers(0, m * n + 3))
         mats = _stack_draw(rng, kinds[draw % len(kinds)], l, m, n)
-        amap = AffineMap(mats, np.zeros(l), shape=(m, n))
         for tol in (1e-8, 1e-3, 0.3):
             asked += 1
+            amap = AffineMap(mats, np.zeros(l), shape=(m, n))
             assert amap.stack_rank(tol) == rank_estimate(amap.stack, tol)
     assert 0 < len(ranked) < asked
 
 
 def test_stack_rank_certifies_hankel_stacks_without_an_svd(monkeypatch):
-    import rankmoa.affine
-    monkeypatch.setattr(rankmoa.affine, "rank_estimate",
+    monkeypatch.setattr(StackSVD, "__init__",
                         lambda *a: pytest.fail("full row rank should be certified"))
     for N in (3, 8, 16):
         assert hankel_constraints(N, N).stack_rank() == (N - 1) ** 2
+
+
+def test_wide_stacks_hold_no_square_factor(rng):
+    # a 3 x 2000 stack and an unconstrained 0 x 2000 one: the pseudo-inverse and
+    # the full multiplier fit read thin factors, O(l * mn) numbers; a 2000 x 2000
+    # vh would take 32 MB
+    import tracemalloc
+    m, n = 40, 50
+    W = rng.standard_normal((m, n))
+    for l in (3, 0):
+        amap = AffineMap(rng.standard_normal((l, m, n)), np.zeros(l), shape=(m, n))
+        tracemalloc.start()
+        try:
+            pinv = amap.stack_pinv
+            y, resid = amap.fit_multiplier(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pinv.shape == (m * n, l) and y.shape == (l,)
+        assert peak < (m * n) ** 2 * 8 / 20
+        assert np.allclose(pinv, np.linalg.pinv(amap.stack))
+        if l == 0:
+            assert resid == pytest.approx(np.linalg.norm(W))
 
 
 def test_full_row_rank_refuses_what_it_cannot_prove():
@@ -208,7 +236,6 @@ def test_hankel_constraints_count():
 
 def test_tangential_fit_solves_in_tangent_coordinates(monkeypatch):
     # rank-2 Hankel point of size 16: d_T = 256 - 14 * 14 = 60 tangent directions
-    import rankmoa.affine
     from rankmoa import FrobeniusDistance, ProblemSpec, RankBound
     from rankmoa.stationarity import PointAnalysis
     v = np.vander([0.6, -0.8], 16, increasing=True)
@@ -217,15 +244,16 @@ def test_tangential_fit_solves_in_tangent_coordinates(monkeypatch):
     prob = ProblemSpec(FrobeniusDistance(X + rng.standard_normal((16, 16))),
                        hankel_constraints(16, 16), RankBound(2))
     shapes = []
-    real = rankmoa.affine.least_squares
+    _spy_factorizations(monkeypatch, shapes)
+    solve = StackSVD.solve
 
-    def spy(cols, target, rank_tol):
-        shapes.append((np.shape(cols), np.shape(target)))
-        return real(cols, target, rank_tol)
+    def spy(self, t, rank_tol):
+        shapes.append(np.shape(t))
+        return solve(self, t, rank_tol)
 
-    monkeypatch.setattr(rankmoa.affine, "least_squares", spy)
+    monkeypatch.setattr(StackSVD, "solve", spy)
     pa = PointAnalysis(prob, X)
     assert pa.feasible and pa.s == 2
     y, resid = pa.multiplier(tangential=True)
-    assert shapes == [((225, 60), (60,))]
+    assert shapes == [(225, 60), (60,)]
     assert np.isclose(resid, pa.at(y).tangential, rtol=1e-10, atol=1e-12)

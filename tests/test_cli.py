@@ -79,6 +79,11 @@ def _set_rhs(value):
     pytest.param(["analyze", "--point", "X4"], _set_rhs(None), None, id="analyze-rhs-null"),
     pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(named_points=5),
                  None, id="named-points-not-a-list"),
+    # a repeated label would otherwise let the last entry win silently
+    pytest.param(["analyze", "--point", "X4"],
+                 lambda doc: doc["named_points"].append({"label": "X4",
+                                                         "matrix": [[0.0] * 4] * 4}),
+                 None, id="named-points-repeated-label"),
     pytest.param(["analyze", "--point"], None, "nan 0 0 0", id="analyze-point-nan"),
     # ||grad f|| overflows: an infinite residual scale would pass every test
     pytest.param(["analyze", "--point"], None, "1e300 0 0 0",
@@ -344,6 +349,52 @@ def test_analyze_compresses_the_constraint_stack_once(problem_files, tmp_path,
         assert main(["analyze", str(path), "--point", point, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["second_order"]["case"] == case
         assert shapes.count(stack) == 1
+
+
+def test_each_constraint_system_is_factored_once_per_request(problem_files, tmp_path,
+                                                              monkeypatch, capsys):
+    # one StackSVD of the l x mn stack per map and one of the l x d_T tangent
+    # coordinates per analyzed point serve every rank, multiplier fit, kernel
+    # and pseudo-inverse; nothing calls lstsq
+    from rankmoa.linalg import StackSVD
+    from rankmoa.stationarity import PointAnalysis
+    shapes, calls = [], Counter()
+    init, analysis, lstsq = StackSVD.__init__, PointAnalysis.__init__, np.linalg.lstsq
+
+    def spy(self, S):
+        shapes.append(S.shape)
+        init(self, S)
+
+    def counted_analysis(self, *args):
+        calls["analyses"] += 1
+        analysis(self, *args)
+
+    def counted_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+    monkeypatch.setattr(StackSVD, "__init__", spy)
+    monkeypatch.setattr(PointAnalysis, "__init__", counted_analysis)
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    hankel = problem_files["hankel33"]
+    cases = ((hankel, "Xbar", (4, 9), "full_rank"),
+             (_deficient_problem(tmp_path / "deficient.prob"), "X", (2, 20), "rank_deficient"))
+    for path, point, stack, case in cases:
+        shapes.clear()
+        assert main(["analyze", str(path), "--point", point, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["second_order"]["case"] == case
+        tangent = [shape for shape in shapes if shape != stack]
+        assert shapes.count(stack) <= 1 and len(tangent) <= 1
+        assert tangent == [(stack[0], 8)]  # d_T = mn - (m - s)(n - s) = 8 at both points
+    assert calls["lstsq"] == 0
+    shapes.clear()
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["solve", str(hankel), "--x0", "Xtilde", "--iters", "3",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["iterations"] == 3
+    # three stopping tests and the final classification, each at a rank-2 point
+    assert calls == {"analyses": 4}
+    assert shapes.count((4, 9)) == 1 and shapes.count((4, 8)) == 4 and len(shapes) == 5
 
 
 def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):

@@ -258,6 +258,28 @@ def test_frechet_normal_raises_when_uncertified(diagonal_case):
         frechet_normal_of_feasible_set(svd, spec.affine, spec.r, np.eye(3))
 
 
+def test_frechet_split_certifies_at_the_points_rank_tol():
+    # the tangent coordinates' sigma_2 / sigma_1 is about 1.5e-9: independent at
+    # the problem's rank_tol of 1e-10, dependent at the default 1e-8. The split
+    # must rank them at the cutoff the point's qualification report used.
+    from rankmoa import FrobeniusDistance, ProblemSpec, RankBound
+    from rankmoa.stationarity import PointAnalysis
+    A0 = np.zeros((4, 4))
+    A0[0, 1] = 1.0
+    A1 = A0.copy()
+    A1[0, 2] = 3e-9
+    amap = AffineMap([A0, A1], np.zeros(2))
+    prob = ProblemSpec(FrobeniusDistance(np.zeros((4, 4))), amap, RankBound(2),
+                       rank_tol=1e-10)
+    pa = PointAnalysis(prob, np.diag([2.0, 1.0, 0.0, 0.0]))
+    assert pa.qualification.intersection_rule_case == CASE_FULL_RANK
+    assert pa.qualification.t_rank == 2
+    member, y, resid = frechet_normal_decomposition(pa.svd, amap, prob.r,
+                                                    amap.adjoint([1.0, -2.0]))
+    assert member and resid <= 1e-12
+    assert np.allclose(y, [1.0, -2.0], rtol=1e-6)
+
+
 def test_diag_embedding_equivalence_against_vector_condition(rng):
     assert diag_embedding_equivalence([], np.array([1.0, 0.0, 0.0]), 2)
     for _ in range(30):

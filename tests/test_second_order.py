@@ -15,7 +15,7 @@ from rankmoa.model import CustomObjective
 from rankmoa.problems import hankel_constraints
 from rankmoa.oracle import (curvature_quadratic_terms, fd_quad, planted_saddle,
                             planted_stationary, saddle_3x3)
-from rankmoa.qualification import CASE_FULL_RANK
+from rankmoa.qualification import CASE_FULL_RANK, PointConstraints
 
 from conftest import random_rank_matrix
 
@@ -303,7 +303,7 @@ def test_gram_form_symmetry(hankel_case):
     gradL = np.zeros((3, 3))
     gradL[2, 2] = -1e-6
     X = points["Xbar"]
-    basis = _reduced_basis(svd, AffineMap([], [], shape=(3, 3)))
+    basis = _reduced_basis(PointConstraints(svd, AffineMap([], [], shape=(3, 3))))
     Q = _gram_form(spec.objective, X, basis, gradL, pinv)
     assert np.linalg.norm(Q - Q.T) <= 1e-12
     for i, P in enumerate(basis):
@@ -463,7 +463,7 @@ def test_reduced_basis_spans_the_reference_space(rng, m, n, s, l):
     from rankmoa.second_order import _reduced_basis
     svd = orient_svd(random_rank_matrix(rng, m, n, s))
     amap = AffineMap(rng.standard_normal((l, m, n)), np.zeros(l), shape=(m, n))
-    basis = _reduced_basis(svd, amap).reshape(-1, m * n)
+    basis = _reduced_basis(PointConstraints(svd, amap)).reshape(-1, m * n)
     ref = _reference_reduced_basis(svd, amap)
     assert basis.shape == ref.shape
     assert np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
