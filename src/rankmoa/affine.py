@@ -11,10 +11,10 @@ l x l Gram matrix, without an SVD.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .lazy import lazy_attribute
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, _full_row_rank, _scale, as_shaped
 
 
@@ -73,26 +73,26 @@ class AffineMap:
     def l(self) -> int:
         return len(self.mats)
 
-    @cached_property
+    @lazy_attribute
     def stack(self) -> np.ndarray:
         """l x (m*n) view of ``mats``: row i is the vectorized A^i."""
         return self.mats.reshape(self.l, self.shape[0] * self.shape[1])
 
-    @cached_property
+    @lazy_attribute
     def _stack_svd(self) -> StackSVD:
         return StackSVD(self.stack)
 
-    @cached_property
+    @lazy_attribute
     def stack_pinv(self) -> np.ndarray:
         """(m*n) x l pseudo-inverse: ``stack_pinv @ t`` is lstsq's solution at rcond=None."""
         return self._stack_svd.pinv()
 
-    @cached_property
+    @lazy_attribute
     def _rhs_scale(self) -> float:
         """``linalg._scale`` of ||b||."""
         return _scale(float(np.linalg.norm(self.rhs)))
 
-    @cached_property
+    @lazy_attribute
     def consistent(self) -> bool:
         """Whether some X satisfies A(X) = b, to ``DEFAULT_TOL`` relative to max(1, ||b||).
 

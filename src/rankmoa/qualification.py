@@ -24,6 +24,7 @@ import numpy as np
 from .affine import AffineMap
 from .cones import compress, tangent_coordinates, tangent_mask
 from .errors import QualificationError
+from .lazy import lazy_attribute
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, ThinSVD, _scale, as_shaped,
                      rank_estimate)
 from .report import JsonReport
@@ -56,13 +57,10 @@ class PointConstraints:
     def __init__(self, svd: ThinSVD, amap: AffineMap):
         self.svd = svd
         self.compressed = compress(svd, amap.mats)
-        self._tangent = None  # not a cached_property: in Python 3.11 that locks every instance
 
-    @property
+    @lazy_attribute
     def tangent(self) -> StackSVD:
-        if self._tangent is None:
-            self._tangent = StackSVD(self.compressed[:, tangent_mask(self.svd)])
-        return self._tangent
+        return StackSVD(self.compressed[:, tangent_mask(self.svd)])
 
 
 def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:

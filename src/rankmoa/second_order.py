@@ -26,7 +26,14 @@ condition. The directions are built in the point's compressed coordinates
 U^T Xi V, where the normal part is the trailing (m - s) x (n - s) block.
 Without constraints every draw lies in the cone by construction; with them
 the projection onto ker A can break the rank bound, so those draws are tested
-for membership in the same coordinates.
+for membership in the same coordinates. Every draw lies in ker A, so while the
+certificate holds none can carry negative curvature: the curvature quotients
+are computed only without it. Without constraints the certified sampler is
+then left with the norm filter alone, which the tangent part of a draw,
+orthogonal to its normal part, decides from below; only the draws whose
+tangent part is under the filter's 1e-10 (every draw at s = 0) are truncated.
+Either way ``cone_samples_tested`` counts the draws in the cone that pass the
+filter.
 
 The sampler runs in blocks of ``CONE_BLOCK`` draws. The calling thread draws
 every block from the one seeded stream, in order, and hands its compression,
@@ -162,16 +169,29 @@ def _pool(pid: int, size: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(size, thread_name_prefix="rankmoa-cone")
 
 
-def _cone_block(svd: ThinSVD, g: np.ndarray, k: int, Kc):
-    """Kept compressed cone directions of one block of draws and their norms.
+def _cone_block(svd: ThinSVD, g: np.ndarray, k: int, Kc, curvature: bool):
+    """(kept, xi, norm) of one block of draws: how many lie in the cone with a
+    norm of at least 1e-10 and, with ``curvature``, those compressed directions
+    and their norms (else None and None).
 
     In compressed coordinates xi = U^T Xi V (an isometry) the tangent part of
     a draw is g1 off the trailing (m - s) x (n - s) block, the normal part
     that block of g2 truncated to rank k = r - s. With the compressed kernel
     basis Kc the draws are projected onto ker A and kept only if still in the
-    cone; draws of vanishing norm are dropped. Pure, so blocks run on any thread.
+    cone. Without Kc or ``curvature`` only the norm filter is left, and the
+    tangent part, orthogonal to the normal part, bounds the norm from below:
+    only the draws it leaves under 1e-10 (all of them at s = 0) are truncated.
+    Pure, so blocks run on any thread.
     """
     s = svd.rank
+    passed = 0
+    if Kc is None and not curvature:
+        tangent = compress(svd, g[:, 0])[:, tangent_mask(svd)]
+        short = np.linalg.norm(tangent, axis=1) < 1e-10
+        passed = len(g) - int(np.count_nonzero(short))
+        g = g[short]
+        if not len(g):
+            return passed, None, None
     g = compress(svd, g)
     xi = g[:, 0]
     xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
@@ -184,10 +204,12 @@ def _cone_block(svd: ThinSVD, g: np.ndarray, k: int, Kc):
         member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
     norm = np.linalg.norm(flat, axis=1)
     keep = np.flatnonzero((norm >= 1e-10) & member)
-    return xi[keep], norm[keep]
+    if not curvature:
+        return passed + len(keep), None, None
+    return len(keep), xi[keep], norm[keep]
 
 
-def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc):
+def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc, curvature: bool):
     """``_cone_block`` of each block of ``samples`` draws, yielded in block order.
 
     The draws are taken here, on the caller's thread, from the one stream;
@@ -199,7 +221,7 @@ def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc):
     for start in range(0, samples, CONE_BLOCK):
         # draw i holds (g1, g2) in the order a per-draw loop would take them
         g = rng.standard_normal((min(CONE_BLOCK, samples - start), 2, svd.m, svd.n))
-        pending.append(pool.submit(_cone_block, svd, g, k, Kc))
+        pending.append(pool.submit(_cone_block, svd, g, k, Kc, curvature))
         if len(pending) == size:
             yield pending.popleft().result()
     while pending:
@@ -260,14 +282,19 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         )
 
     Kc = compress(svd, ker).reshape(len(ker), -1) if prob.l else None
-    blocks = _sampled_blocks(svd, np.random.default_rng(seed), samples, prob.r - s, Kc)
+    # every draw lies in ker A, so with the certificate its quad / norm^2 is at
+    # least min_eig > tol and no draw can count as a violation
+    curvature = not rep.sufficient_ok
+    blocks = _sampled_blocks(svd, np.random.default_rng(seed), samples, prob.r - s, Kc,
+                             curvature)
     tested = violations = 0
-    for xi, norm in blocks:
-        Xi = svd.u @ xi @ svd.v.T
-        hess = prob.objective.hess_apply(X, Xi).reshape(len(xi), X.size)
-        quad = np.einsum("ij,ij->i", hess, Xi.reshape(len(xi), X.size))
-        tested += len(xi)
-        violations += int(np.count_nonzero(quad / norm ** 2 < -prob.tol))
+    for kept, xi, norm in blocks:
+        tested += kept
+        if curvature:
+            Xi = svd.u @ xi @ svd.v.T
+            hess = prob.objective.hess_apply(X, Xi).reshape(kept, X.size)
+            quad = np.einsum("ij,ij->i", hess, Xi.reshape(kept, X.size))
+            violations += int(np.count_nonzero(quad / norm ** 2 < -prob.tol))
     rep.cone_samples_tested = tested
     rep.cone_violations = violations
     if violations:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .cones import _frechet_residual, _mordukhovich_rank_ok, tangent_coordinates
+from .lazy import lazy_attribute
 from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
 from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, PointConstraints,
@@ -85,11 +85,11 @@ class LagrangianGrad:
         self._svd = pa.svd
         self.frechet = self.tangential if pa.s == pa.prob.r else self.norm
 
-    @cached_property
+    @lazy_attribute
     def tangential(self) -> float:
         return _frechet_residual(self._svd, self._svd.rank, self.matrix)
 
-    @cached_property
+    @lazy_attribute
     def sigma(self) -> np.ndarray:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
@@ -148,12 +148,12 @@ class PointAnalysis:
             self._records[key] = LagrangianGrad(self, y)
         return self._records[key]
 
-    @cached_property
+    @lazy_attribute
     def constraints(self) -> PointConstraints:
         """U^T A^i V and its tangent SVD, which every constraint test here reads."""
         return PointConstraints(self.svd, self.prob.affine)
 
-    @cached_property
+    @lazy_attribute
     def qualification(self) -> QualificationReport:
         prob = self.prob
         return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol),

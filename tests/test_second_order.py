@@ -434,12 +434,20 @@ def test_cone_sampler_matches_per_draw_reference(rng):
     y0 = rng.standard_normal(amap.l)
     hankel = ProblemSpec(FrobeniusDistance(Xh + amap.adjoint(y0)), amap, RankBound(3))
     cases = [(free, X, np.zeros(0)), (tangent_ker, X, np.zeros(2)), (hankel, Xh, y0)]
+    # the ker A certificate holds at l = 0: a Frobenius point of rank 1, where the
+    # tangent part decides the norm filter, and X = 0, where every draw is truncated
+    zero = np.zeros((5, 4))
+    cases += [_sampler_cases(rng)[0],
+              (ProblemSpec(FrobeniusDistance(zero), AffineMap([], [], shape=(5, 4)),
+                           RankBound(2)), zero, np.zeros(0))]
     for prob, point, y in cases:
         ref = _reference_cone_counts(prob, point, 2000, seed=5)
         for samples in (0, 1, 513, 2000):
             rep = check_second_order(prob, point, y, samples=samples, seed=5)
             assert rep.case == "rank_deficient"
             assert (rep.cone_samples_tested, rep.cone_violations) == ref[samples]
+    assert all(check_second_order(prob, point, y, samples=0).sufficient_ok
+               for prob, point, y in cases[3:])
     # the first two cases test draws and find curvature of both signs
     for prob, point, y in cases[:2]:
         rep = check_second_order(prob, point, y, seed=5)

@@ -363,3 +363,40 @@ def test_to_dict_matches_jsonable_asdict(trace_case, hankel_case):
         assert got == ref
         assert (json.dumps(got, sort_keys=True, allow_nan=False)
                 == json.dumps(ref, sort_keys=True, allow_nan=False))
+
+
+def test_lazy_point_attributes_do_not_serialize_points(rng, monkeypatch):
+    # a thread held inside one point's ``constraints`` must not block another
+    # point's: Python 3.11's functools.cached_property locks across instances
+    import threading
+    from rankmoa import stationarity
+    from rankmoa.stationarity import PointAnalysis
+    X = random_rank_matrix(rng, 5, 4, 2)
+    mats = rng.standard_normal((2, 5, 4))
+    prob = ProblemSpec(FrobeniusDistance(X), AffineMap(mats, np.tensordot(mats, X)),
+                       RankBound(2))
+    held, free = PointAnalysis(prob, X), PointAnalysis(prob, X)
+    entered, release = threading.Event(), threading.Event()
+    point_constraints = stationarity.PointConstraints
+
+    def constraints(svd, amap):
+        if svd is held.svd:
+            entered.set()
+            release.wait(30)
+        return point_constraints(svd, amap)
+    monkeypatch.setattr(stationarity, "PointConstraints", constraints)
+    read = {}
+    holder = threading.Thread(target=lambda: read.setdefault("held", held.constraints))
+    reader = threading.Thread(target=lambda: read.setdefault("free", free.constraints))
+    holder.start()
+    try:
+        assert entered.wait(10)
+        reader.start()
+        reader.join(5)
+        assert not reader.is_alive(), "reading one point's constraints waited for another's"
+    finally:
+        release.set()
+        holder.join(10)
+        reader.join(10)
+    assert not holder.is_alive() and not reader.is_alive()
+    assert read["free"] is free.constraints and read["held"] is held.constraints
