@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--strict", action="store_true",
                     help="exit 3 when the qualification is not certified")
     pa.add_argument("--samples", type=int, default=2000,
-                    help="cone samples for the rank-deficient second-order check")
+                    help="cone samples for the rank-deficient second-order check, "
+                         "drawn only where hess f is not positive definite on ker A")
     pa.add_argument("--seed", type=int, default=None, help=SEED_HELP)
 
     ps = sub.add_parser("solve", help="search for an alpha-stationary point")

@@ -21,37 +21,19 @@ the flattened basis in a third, with no contraction path to plan per call.
 At a rank-deficient point (s < r) the tangent cone of the feasible set is
 not a subspace, so the check is two-tier: a positive-definiteness
 certificate of plain hess f on all of ker A (a superset of the cone) proves
-sufficiency, while randomized cone directions can only falsify the necessary
-condition. The directions are built in the point's compressed coordinates
-U^T Xi V, where the normal part is the trailing (m - s) x (n - s) block.
-Without constraints every draw lies in the cone by construction; with them
-the projection onto ker A can break the rank bound, so those draws are tested
-for membership in the same coordinates. Every draw lies in ker A, so while the
-certificate holds none can carry negative curvature: the curvature quotients
-are computed only without it. Without constraints the certified sampler is
-then left with the norm filter alone, which the tangent part of a draw,
-orthogonal to its normal part, decides from below; only the draws whose
-tangent part is under the filter's 1e-10 (every draw at s = 0) are truncated.
-Either way ``cone_samples_tested`` counts the draws in the cone that pass the
-filter.
-
-The sampler runs in blocks of ``CONE_BLOCK`` draws. The calling thread draws
-every block from the one seeded stream, in order, and hands its compression,
-truncation, kernel projection and membership test to a thread pool, one per
-process, sized by the CPU affinity mask; LAPACK releases the GIL, so blocks
-overlap. At most pool-size blocks are in flight, which bounds memory by pool
-size x ``CONE_BLOCK`` draws. ``hess_apply`` (possibly a user callback) and
-the counts stay on the calling thread, which consumes the blocks in order,
-so the report does not depend on the pool size.
+sufficiency, and only where it fails are randomized cone directions drawn,
+which can only falsify the necessary condition. The directions are built in
+the point's compressed coordinates U^T Xi V, where the normal part is the
+trailing (m - s) x (n - s) block. Without constraints every draw lies in the
+cone by construction; with them the projection onto ker A can break the rank
+bound, so those draws are tested for membership in the same coordinates. The
+draws are taken from the one seeded stream in blocks of ``CONE_BLOCK``, which
+bounds memory whatever the number of samples.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,7 +49,7 @@ from .stationarity import PointAnalysis, lagrangian_grad
 CASE_FULL = "full_rank"
 CASE_DEFICIENT = "rank_deficient"
 # cone directions drawn, projected and tested together; the sampler's memory is
-# bounded by the pool size times this many draws
+# bounded by this many draws
 CONE_BLOCK = 512
 
 
@@ -154,80 +136,6 @@ def _extreme_eigs(Q: np.ndarray):
     return float(eigs[0]), float(eigs[-1])
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _pool(pid: int, size: int) -> ThreadPoolExecutor:
-    """The cone sampler's pool, created on first use; keyed by pid, so a forked
-    child builds its own."""
-    return ThreadPoolExecutor(size, thread_name_prefix="rankmoa-cone")
-
-
-def _cone_block(svd: ThinSVD, g: np.ndarray, k: int, Kc, curvature: bool):
-    """(kept, xi, norm) of one block of draws: how many lie in the cone with a
-    norm of at least 1e-10 and, with ``curvature``, those compressed directions
-    and their norms (else None and None).
-
-    In compressed coordinates xi = U^T Xi V (an isometry) the tangent part of
-    a draw is g1 off the trailing (m - s) x (n - s) block, the normal part
-    that block of g2 truncated to rank k = r - s. With the compressed kernel
-    basis Kc the draws are projected onto ker A and kept only if still in the
-    cone. Without Kc or ``curvature`` only the norm filter is left, and the
-    tangent part, orthogonal to the normal part, bounds the norm from below:
-    only the draws it leaves under 1e-10 (all of them at s = 0) are truncated.
-    Pure, so blocks run on any thread.
-    """
-    s = svd.rank
-    passed = 0
-    if Kc is None and not curvature:
-        tangent = compress(svd, g[:, 0])[:, tangent_mask(svd)]
-        short = np.linalg.norm(tangent, axis=1) < 1e-10
-        passed = len(g) - int(np.count_nonzero(short))
-        g = g[short]
-        if not len(g):
-            return passed, None, None
-    g = compress(svd, g)
-    xi = g[:, 0]
-    xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
-    flat = xi.reshape(len(xi), -1)
-    member = True
-    if Kc is not None:
-        flat = (flat @ Kc.T) @ Kc
-        xi = flat.reshape(xi.shape)
-        # only the kernel projection can break the rank bound
-        member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
-    norm = np.linalg.norm(flat, axis=1)
-    keep = np.flatnonzero((norm >= 1e-10) & member)
-    if not curvature:
-        return passed + len(keep), None, None
-    return len(keep), xi[keep], norm[keep]
-
-
-def _sampled_blocks(svd: ThinSVD, rng, samples: int, k: int, Kc, curvature: bool):
-    """``_cone_block`` of each block of ``samples`` draws, yielded in block order.
-
-    The draws are taken here, on the caller's thread, from the one stream;
-    the blocks run on the pool, at most pool-size of them in flight.
-    """
-    size = _cpu_count()
-    pool = _pool(os.getpid(), size)
-    pending = deque()
-    for start in range(0, samples, CONE_BLOCK):
-        # draw i holds (g1, g2) in the order a per-draw loop would take them
-        g = rng.standard_normal((min(CONE_BLOCK, samples - start), 2, svd.m, svd.n))
-        pending.append(pool.submit(_cone_block, svd, g, k, Kc, curvature))
-        if len(pending) == size:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
                        seed: int = 0) -> SecondOrderReport:
     """Second-order necessary/sufficient verdicts at an F-stationary point.
@@ -280,27 +188,40 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             "hess f is positive definite on ker A, a superset of the feasible "
             "tangent cone, so X is a strictly local minimizer (Thm 4.4 ii)"
         )
+        return rep
 
+    # the verdict is open, so every draw is curvature-tested. In compressed
+    # coordinates xi = U^T Xi V (an isometry) its tangent part is g1 off the
+    # trailing (m - s) x (n - s) block, its normal part that block of g2
+    # truncated to rank k = r - s; with constraints it is projected onto ker A
+    # and kept only if still in the cone
+    k = prob.r - s
     Kc = compress(svd, ker).reshape(len(ker), -1) if prob.l else None
-    # every draw lies in ker A, so with the certificate its quad / norm^2 is at
-    # least min_eig > tol and no draw can count as a violation
-    curvature = not rep.sufficient_ok
-    blocks = _sampled_blocks(svd, np.random.default_rng(seed), samples, prob.r - s, Kc,
-                             curvature)
-    tested = violations = 0
-    for kept, xi, norm in blocks:
-        tested += kept
-        if curvature:
-            Xi = svd.u @ xi @ svd.v.T
-            hess = prob.objective.hess_apply(X, Xi).reshape(kept, X.size)
-            quad = np.einsum("ij,ij->i", hess, Xi.reshape(kept, X.size))
-            violations += int(np.count_nonzero(quad / norm ** 2 < -prob.tol))
-    rep.cone_samples_tested = tested
-    rep.cone_violations = violations
-    if violations:
+    rng = np.random.default_rng(seed)
+    for start in range(0, samples, CONE_BLOCK):
+        # draw i holds (g1, g2) in the order a per-draw loop would take them
+        g = compress(svd, rng.standard_normal((min(CONE_BLOCK, samples - start), 2,
+                                               svd.m, svd.n)))
+        xi = g[:, 0]
+        xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
+        flat = xi.reshape(len(xi), -1)
+        member = True
+        if Kc is not None:
+            flat = (flat @ Kc.T) @ Kc
+            xi = flat.reshape(xi.shape)
+            # only the kernel projection can break the rank bound
+            member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
+        norm = np.linalg.norm(flat, axis=1)
+        keep = np.flatnonzero((norm >= 1e-10) & member)
+        Xi = svd.u @ xi[keep] @ svd.v.T
+        hess = prob.objective.hess_apply(X, Xi).reshape(len(keep), X.size)
+        quad = np.einsum("ij,ij->i", hess, Xi.reshape(len(keep), X.size))
+        rep.cone_samples_tested += len(keep)
+        rep.cone_violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
+    if rep.cone_violations:
         rep.necessary_ok = False
         rep.notes.append(
-            f"{violations} sampled feasible cone directions carry negative "
+            f"{rep.cone_violations} sampled feasible cone directions carry negative "
             "curvature; the second-order necessary condition fails"
         )
     return rep

@@ -243,13 +243,29 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     return _mordukhovich_rank_ok(pa.svd, prob.r, grad_l.sigma), grad_l.y
 
 
+def _unique_minimizer(prob: ProblemSpec, pa: PointAnalysis, y, lf: float) -> bool:
+    """Thm 4.2 ii with a strict margin: X is alpha-stationary at some step above 1/l_f.
+
+    At alpha = 1/l_f strong convexity bounds f(Z) - f(X) below only by 0,
+    which admits ties, so at s == r the spectral bound must hold with room:
+    sigma_1(grad_X L) + tol * scale < l_f * sigma_r(X). At s < r every step
+    works once grad_X L vanishes.
+    """
+    grad_l = pa.at(y)
+    tol = prob.tol * pa.scale
+    if grad_l.frechet > tol:
+        return False
+    return pa.s < prob.r or prob.r == 0 or (
+        float(grad_l.sigma[0]) + tol < lf * float(pa.svd.sigma[prob.r - 1]))
+
+
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:
     """Aggregate first-order report with theorem-backed conclusions.
 
     ``is_alpha`` is tested at the supplied step, else at 1/l_f when the
     objective declares a strong-convexity modulus l_f. Uniqueness (Thm 4.2 ii)
-    needs alpha-stationarity at a step >= 1/l_f, which implies it at 1/l_f,
-    so it is always probed at 1/l_f whatever step the caller tests.
+    is decided apart from it, by ``_unique_minimizer``'s strict margin at
+    1/l_f, whatever step the caller tests.
     """
     pa = PointAnalysis.of(prob, X)
     rep = check_F_stationary(prob, pa)
@@ -261,13 +277,10 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     rep.beta = beta_bound(prob, pa, rep.y)
 
     lf = prob.objective.strong_convexity_modulus
-    a_unique = 1.0 / lf if lf else None
-    unique_ok = bool(lf) and check_alpha_stationary(prob, pa, rep.y, a_unique)
-    a = a_unique if alpha is None else alpha
+    a = 1.0 / lf if alpha is None and lf else alpha
     if a is not None:
         rep.alpha_tested = float(a)
-        rep.is_alpha = (unique_ok if a == a_unique
-                        else check_alpha_stationary(prob, pa, rep.y, a))
+        rep.is_alpha = check_alpha_stationary(prob, pa, rep.y, a)
 
     convex = prob.objective.convex
     cls = rep.classification
@@ -276,7 +289,7 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
             cls.append("global minimizer (Thm 4.1 ii)")
         else:
             cls.append("global minimizer restricted on M_X(Γ) (Thm 4.1 ii)")
-    if unique_ok:
+    if lf and _unique_minimizer(prob, pa, rep.y, lf):
         cls.append("unique global minimizer (Thm 4.2 ii)")
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")

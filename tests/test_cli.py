@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound, build_hankel,
-                     save_problem)
+from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec, RankBound,
+                     build_hankel, save_problem)
 from rankmoa.cli import main
 from rankmoa.cones import in_tangent_bouligand_Mr
 from rankmoa.linalg import project_low_rank
@@ -251,13 +251,13 @@ def test_analyze_notes_duplicated_constraints(problem_files, tmp_path, monkeypat
     assert (5, 9) in shapes
 
 
-def _count_hess_apply(monkeypatch, calls):
-    hess_apply = FrobeniusDistance.hess_apply
+def _count_hess_apply(monkeypatch, calls, cls=FrobeniusDistance):
+    hess_apply = cls.hess_apply
 
     def counted_hess(self, X, Xi):
         calls["hess_apply"] += 1
         return hess_apply(self, X, Xi)
-    monkeypatch.setattr(FrobeniusDistance, "hess_apply", counted_hess)
+    monkeypatch.setattr(cls, "hess_apply", counted_hess)
 
 
 def _count_calls(monkeypatch, calls, *fns):
@@ -398,10 +398,9 @@ def test_each_constraint_system_is_factored_once_per_request(problem_files, tmp_
 
 
 def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
-    # the rank-deficient sampler factors its draws as stacks: SVDs and cone calls
-    # grow with the number of blocks, not with the number of samples. hess f is
-    # positive definite on ker A here, so no draw is curvature-tested, and at
-    # l = 0 the tangent parts alone pass the norm filter, so none is truncated
+    # the rank-deficient sampler runs only where the ker A certificate fails, and
+    # there it factors its draws as stacks: SVDs and cone calls grow with the
+    # number of blocks, not with the number of samples
     rng = np.random.default_rng(3)
     X = random_rank_matrix(rng, 5, 4, 1)
     # constraints inside the tangent space keep kernel-projected draws in the cone
@@ -421,31 +420,41 @@ def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, counted)
     _count_hess_apply(monkeypatch, calls)
+    _count_hess_apply(monkeypatch, calls, LinearTrace)
+    names = ("svd", "in_tangent_bouligand_Mr", "project_low_rank", "hess_apply")
 
-    def run(path, *extra):
-        calls.clear()
-        code = main(["analyze", str(path), "--point", "X", "--json", *extra])
-        assert code == 0
-        second = json.loads(capsys.readouterr().out)["second_order"]
-        assert second["case"] == "rank_deficient"
-        return dict(calls), second["cone_samples_tested"]
+    def added(objective, l):
+        """Calls that 2000 samples add over --samples 0, and the samples tested."""
+        path = tmp_path / f"deficient{l}.prob"
+        save_problem(ProblemSpec(objective, amaps[l], RankBound(3)), path,
+                     named_points={"X": X})
+        counts = []
+        for extra in (["--samples", "0"], []):  # then the default 2000 samples
+            calls.clear()
+            code = main(["analyze", str(path), "--point", "X", "--json", *extra])
+            assert code == 0
+            second = json.loads(capsys.readouterr().out)["second_order"]
+            assert second["case"] == "rank_deficient"
+            counts.append(dict(calls))
+        base, sampled = counts
+        return ({k: sampled.get(k, 0) - base.get(k, 0) for k in names},
+                second["cone_samples_tested"], second["sufficient_ok"])
 
     blocks = math.ceil(2000 / CONE_BLOCK)
-    # one truncation per block; with constraints also the normal-block spectra
-    # of the membership test, and the full spectra of its undecided draws
     for l, svds_per_block in ((0, 1), (2, 3)):
-        path = tmp_path / f"deficient{l}.prob"
-        save_problem(ProblemSpec(FrobeniusDistance(X), amaps[l], RankBound(3)), path,
-                     named_points={"X": X})
-        base, _ = run(path, "--samples", "0")
-        sampled, tested = run(path)  # the default 2000 samples
-        assert tested == 2000
-        added = {k: sampled.get(k, 0) - base.get(k, 0)
-                 for k in ("in_tangent_bouligand_Mr", "project_low_rank", "hess_apply")}
-        assert added["in_tangent_bouligand_Mr"] <= blocks
-        assert added["project_low_rank"] <= (blocks if l else 0)
-        assert added["hess_apply"] == 0
-        assert sampled["svd"] - base["svd"] <= svds_per_block * blocks
+        # hess f is positive definite on ker A: nothing is drawn
+        calls_added, tested, certified = added(FrobeniusDistance(X), l)
+        assert certified and tested == 0
+        assert calls_added == dict.fromkeys(names, 0)
+        # hess f = 0 leaves the verdict open: one truncation per block; with
+        # constraints also the normal-block spectra of the membership test, and
+        # the full spectra of its undecided draws
+        calls_added, tested, certified = added(LinearTrace(np.zeros((5, 4))), l)
+        assert not certified and tested == 2000
+        assert calls_added["in_tangent_bouligand_Mr"] <= blocks
+        assert calls_added["project_low_rank"] == blocks
+        assert calls_added["hess_apply"] == blocks
+        assert calls_added["svd"] <= svds_per_block * blocks
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

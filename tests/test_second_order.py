@@ -433,25 +433,26 @@ def test_cone_sampler_matches_per_draw_reference(rng):
     amap = hankel_constraints(5, 5)
     y0 = rng.standard_normal(amap.l)
     hankel = ProblemSpec(FrobeniusDistance(Xh + amap.adjoint(y0)), amap, RankBound(3))
-    cases = [(free, X, np.zeros(0)), (tangent_ker, X, np.zeros(2)), (hankel, Xh, y0)]
-    # the ker A certificate holds at l = 0: a Frobenius point of rank 1, where the
-    # tangent part decides the norm filter, and X = 0, where every draw is truncated
-    zero = np.zeros((5, 4))
-    cases += [_sampler_cases(rng)[0],
-              (ProblemSpec(FrobeniusDistance(zero), AffineMap([], [], shape=(5, 4)),
-                           RankBound(2)), zero, np.zeros(0))]
-    for prob, point, y in cases:
+    # the column weights leave the ker A certificate open, so the draws are tested
+    for prob, point, y in ((free, X, np.zeros(0)), (tangent_ker, X, np.zeros(2))):
         ref = _reference_cone_counts(prob, point, 2000, seed=5)
         for samples in (0, 1, 513, 2000):
             rep = check_second_order(prob, point, y, samples=samples, seed=5)
-            assert rep.case == "rank_deficient"
+            assert rep.case == "rank_deficient" and not rep.sufficient_ok
             assert (rep.cone_samples_tested, rep.cone_violations) == ref[samples]
-    assert all(check_second_order(prob, point, y, samples=0).sufficient_ok
-               for prob, point, y in cases[3:])
-    # the first two cases test draws and find curvature of both signs
-    for prob, point, y in cases[:2]:
-        rep = check_second_order(prob, point, y, seed=5)
-        assert 0 < rep.cone_violations < rep.cone_samples_tested
+        # curvature of both signs among the draws
+        assert 0 < ref[2000][1] < ref[2000][0]
+    # the certificate holds at the Hankel point, at a Frobenius point of rank 1
+    # and at X = 0 (s = 0), so nothing is drawn
+    zero = np.zeros((5, 4))
+    certified = [(hankel, Xh, y0), _sampler_cases(rng)[0],
+                 (ProblemSpec(FrobeniusDistance(zero), AffineMap([], [], shape=(5, 4)),
+                              RankBound(2)), zero, np.zeros(0))]
+    for prob, point, y in certified:
+        for samples in (0, 1, 513, 2000):
+            rep = check_second_order(prob, point, y, samples=samples, seed=5)
+            assert rep.case == "rank_deficient" and rep.sufficient_ok
+            assert (rep.cone_samples_tested, rep.cone_violations) == (0, 0)
 
 
 def _reference_reduced_basis(svd, amap):
@@ -498,7 +499,10 @@ def test_check_second_order_rejects_negative_samples():
             check_second_order(prob, X, np.zeros(0), seed=bad)
         with pytest.raises(TypeError, match="seed"):
             check_second_order(prob, np.eye(4), np.zeros(0), samples=10, seed=bad)
-    rep = check_second_order(prob, X, np.zeros(0), samples=np.int64(5), seed=np.uint8(3))
+    # hess f = 0 leaves the ker A certificate open, so every draw is tested
+    flat = ProblemSpec(LinearTrace(np.zeros((4, 4))), AffineMap([], [], shape=(4, 4)),
+                       RankBound(2))
+    rep = check_second_order(flat, X, np.zeros(0), samples=np.int64(5), seed=np.uint8(3))
     assert rep.cone_samples_tested == 5
 
 
@@ -516,96 +520,13 @@ def _sampler_cases(rng):
     return [(free, X, np.zeros(0)), (constrained, X, np.zeros(2)), (planted, X, np.zeros(0))]
 
 
-def test_cone_sampler_report_does_not_depend_on_pool_size(rng, monkeypatch):
-    from rankmoa import second_order
-    cases = _sampler_cases(rng)
-    reports = {}
-    for size in (1, 2, 4):
-        monkeypatch.setattr(second_order, "_cpu_count", lambda size=size: size)
-        reports[size] = [check_second_order(prob, X, y, samples=1700, seed=9)
-                         for prob, X, y in cases]
-    assert reports[1] == reports[2] == reports[4]
-    free, constrained, planted = reports[1]
-    assert free.cone_samples_tested == 1700 and constrained.cone_samples_tested > 0
-    assert 0 < planted.cone_violations < planted.cone_samples_tested
-
-
-def test_cone_sampler_keeps_hess_apply_on_the_calling_thread(rng, monkeypatch):
-    import threading
-    from rankmoa import second_order
-    block_threads, hess_threads = set(), set()
-    cone_block = second_order._cone_block
-
-    def recorded_block(*args):
-        block_threads.add(threading.current_thread().name)
-        return cone_block(*args)
-    monkeypatch.setattr(second_order, "_cone_block", recorded_block)
-    for prob, X, y in _sampler_cases(rng):
-        obj = prob.objective
-
-        def hess(Y, Xi, obj=obj):
-            hess_threads.add(threading.get_ident())
-            return obj.hess_apply(Y, Xi)
-        recorded = CustomObjective("recorded", (5, 4), value_fn=obj.value, grad_fn=obj.grad,
-                                   hess_apply_fn=hess)
-        rep = check_second_order(ProblemSpec(recorded, prob.affine, prob.rank_bound),
-                                 X, y, samples=1100, seed=2)
-        assert rep.cone_samples_tested > 0
-    assert hess_threads == {threading.get_ident()}
-    assert block_threads and all(n.startswith("rankmoa-cone") for n in block_threads)
-
-
-def test_cone_sampler_block_errors_propagate(rng, monkeypatch):
-    from rankmoa import second_order
-    prob, X, y = _sampler_cases(rng)[1]
-    want = check_second_order(prob, X, y, seed=4)
-    err = np.linalg.LinAlgError("SVD did not converge")
-    truncations = []
-
-    def failing(Z, k, rank_tol):
-        truncations.append(len(Z))
-        if len(truncations) == 2:
-            raise err
-        return project_low_rank(Z, k, rank_tol)
-    monkeypatch.setattr(second_order, "project_low_rank", failing)
-    with pytest.raises(np.linalg.LinAlgError) as info:
-        check_second_order(prob, X, y, seed=4)
-    assert info.value is err
-    monkeypatch.undo()
-    assert check_second_order(prob, X, y, seed=4) == want
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork with live pool threads
-def test_cone_sampler_runs_in_a_forked_child(rng):
-    import multiprocessing
-    prob, X, y = _sampler_cases(rng)[2]
-    want = check_second_order(prob, X, y, seed=6)  # the parent's pool is now running
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-
-    def child():
-        send.send(check_second_order(prob, X, y, seed=6))
-    proc = ctx.Process(target=child)
-    proc.start()
-    try:
-        assert recv.poll(60), "the forked child did not report within 60 s"
-        assert recv.recv() == want
-    finally:
-        proc.join(10)
-        if proc.is_alive():
-            proc.kill()
-    assert proc.exitcode == 0
-
-
-def test_cone_sampler_concurrent_callers_share_the_pool(rng, monkeypatch):
-    # more calling threads and pool workers than cores, with frequent thread
-    # switches: every caller still gets the serial report
+def test_cone_sampler_concurrent_callers_get_the_serial_report(rng):
+    # more calling threads than cores, with frequent thread switches
     import sys
     from concurrent.futures import ThreadPoolExecutor
-    from rankmoa import second_order
-    monkeypatch.setattr(second_order, "_cpu_count", lambda: 3)
     cases = _sampler_cases(rng)
     want = [check_second_order(prob, X, y, samples=1100, seed=8) for prob, X, y in cases]
+    assert want[2].cone_samples_tested > 0  # the planted case leaves the verdict open
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

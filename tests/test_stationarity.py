@@ -195,6 +195,39 @@ def test_uniqueness_probed_at_inverse_modulus(trace_case, alpha):
     assert "unique global minimizer (Thm 4.2 ii)" in rep.classification
 
 
+def _tie_problem(h2):
+    """f = 0.5 ||X - diag(1, h2)||^2 with r = 1 and no constraints."""
+    return ProblemSpec(FrobeniusDistance(np.diag([1.0, h2])), AffineMap([], [], shape=(2, 2)),
+                       RankBound(1))
+
+
+def test_tied_minimizers_are_not_labelled_unique():
+    # diag(1, 0) and diag(0, 1) both attain f = 0.5: each is a global minimizer
+    # and alpha-stationary at 1/l_f = 1, but neither is the unique one
+    prob = _tie_problem(1.0)
+    for X in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+        rep = classify_first_order(prob, X)
+        assert rep.is_F and rep.alpha_tested == 1.0 and rep.is_alpha
+        assert "global minimizer restricted on M_X(Γ) (Thm 4.1 ii)" in rep.classification
+        assert "unique global minimizer (Thm 4.2 ii)" not in rep.classification
+
+
+def test_near_tie_is_not_labelled_unique():
+    # diag(1, 0) is feasible with f = 0.5 - 5e-10 + 5e-19 < 0.5 = f(X): X is not
+    # even a global minimizer, and its spectral bound holds only within tol
+    prob = _tie_problem(1.0 - 1e-9)
+    X = np.diag([0.0, 1.0 - 1e-9])
+    rep = classify_first_order(prob, X)
+    assert rep.is_F
+    assert "unique global minimizer (Thm 4.2 ii)" not in rep.classification
+    assert prob.objective.value(np.diag([1.0, 0.0])) < prob.objective.value(X)
+    # the spectral gap 1e-9 is inside tol, so the true minimizer diag(1, 0) is
+    # not certified unique either; at a gap of 1e-3 it is
+    for h2, unique in ((1.0 - 1e-9, False), (1.0 - 1e-3, True)):
+        rep = classify_first_order(_tie_problem(h2), np.diag([1.0, 0.0]))
+        assert ("unique global minimizer (Thm 4.2 ii)" in rep.classification) == unique
+
+
 def test_classify_lrr_global(lrr_case):
     spec = lrr_case(4)
     wbar = np.full((4, 4), 0.25)
