@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, ProblemFormatError
 from .linalg import check_positive
-from .problems import load_problem
+from .problems import _float_array, load_problem
 from .qualification import CASE_NOT_CERTIFIED
 from .report import _dumps, _savetxt, jsonable
 from .second_order import check_second_order
@@ -51,30 +51,23 @@ def _seed(args) -> int:
 
 def _load_point(label: str, named: dict, shape):
     if label in named:
-        X, name = named[label], label
-    else:
-        path = Path(label)
-        if not path.exists():
-            raise ProblemFormatError(
-                f"point {label!r} is neither a named point "
-                f"({', '.join(sorted(named)) or 'none defined'}) nor a readable file"
-            )
-        name = path.name
-        try:
-            if path.suffix.lower() == ".json":
-                with open(path, "r", encoding="utf-8") as fh:
-                    X = np.asarray(json.load(fh), dtype=float)
-            else:
-                X = np.loadtxt(path, ndmin=2)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"point {name} is not a numeric matrix: {exc}") from exc
-    if X.shape != shape:
+        return named[label], label  # load_problem checked its shape and entries
+    path = Path(label)
+    if not path.exists():
         raise ProblemFormatError(
-            f"point {name} has shape {X.shape}, problem expects {shape}"
+            f"point {label!r} is neither a named point "
+            f"({', '.join(sorted(named)) or 'none defined'}) nor a readable file"
         )
-    if not np.all(np.isfinite(X)):
-        raise ProblemFormatError(f"point {name} has non-finite entries")
-    return X, name
+    name = path.name
+    try:
+        if path.suffix.lower() == ".json":
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        else:
+            data = np.loadtxt(path, ndmin=2)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"point {name} is not a numeric matrix: {exc}") from exc
+    return _float_array(data, shape, f"point {name}"), name
 
 
 def _fmt_vec(v, limit=8):

@@ -227,7 +227,8 @@ def objective_from_doc(doc: dict) -> Objective:
     """The objective a document from ``objective_to_doc`` describes.
 
     Every failure is a ValueError that names the field at fault: a missing
-    one, one of the wrong type, or ``params`` the registered factory rejects.
+    one, one of the wrong type or holding an integer beyond double range,
+    or ``params`` the registered factory rejects.
     """
     kind = doc.get("kind")
     if kind == "registered_custom":
@@ -238,7 +239,7 @@ def objective_from_doc(doc: dict) -> Objective:
             raise ValueError(f"field 'id': no objective registered under id {obj_id!r}")
         try:
             return make_custom(obj_id, **params)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"field 'params': objective {obj_id!r} rejects them: {exc}") from exc
     if not isinstance(kind, str) or kind not in _DOC_FIELDS:
         raise ValueError(f"unknown objective kind {kind!r}")
@@ -246,6 +247,8 @@ def objective_from_doc(doc: dict) -> Objective:
     value = _field(doc, key)
     try:
         return cls(value)
+    except OverflowError as exc:  # an integer literal beyond double range
+        raise ValueError(f"field {key!r}: number beyond double range") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"field {key!r}: {exc}") from exc
 

@@ -73,6 +73,26 @@ def _set_rhs(value):
     return lambda doc: doc["constraints"][0].update(rhs=value)
 
 
+def _set(*keys, value):
+    """An edit that sets doc[k0][k1]...[kn] = value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+BIG = 10 ** 400  # json.dumps writes every digit: an integer literal beyond double range
+BIG_EDITS = {
+    "matrix": _set("constraints", 0, "matrix", 1, 2, value=BIG),
+    "rhs": _set_rhs(BIG),
+    "target": _set("objective", "target", 0, 0, value=BIG),
+    "named-point": _set("named_points", 0, "matrix", 0, 0, value=BIG),
+    "rank-tol": _set("rank_tol", value=BIG),
+    "tol": _set("tol", value=BIG),
+}
+
+
 @pytest.mark.parametrize("argv, edit, point_row", [
     pytest.param(["solve"], _set_rhs("abc"), None, id="solve-rhs-not-a-number"),
     pytest.param(["solve"], _set_rhs(None), None, id="solve-rhs-null"),
@@ -122,6 +142,16 @@ def _set_rhs(value):
                  id="objective-not-an-object"),
     pytest.param(["solve"], lambda doc: doc["objective"].pop("target"), None,
                  id="objective-target-missing"),
+    *[pytest.param(argv, edit, None, id=f"{argv[0]}-{field}-beyond-double-range")
+      for field, edit in BIG_EDITS.items()
+      for argv in (["analyze", "--point", "X4"], ["solve"])],
+    # a list row is written as a .json point file
+    pytest.param(["analyze", "--point"], None, [BIG, 0, 0, 0],
+                 id="analyze-json-point-beyond-double-range"),
+    pytest.param(["solve", "--x0"], None, [BIG, 0, 0, 0],
+                 id="solve-json-x0-beyond-double-range"),
+    pytest.param(["analyze", "--point"], None, [0, 0, 0], id="analyze-json-point-ragged"),
+    pytest.param(["analyze", "--point"], None, {"0": 0}, id="analyze-json-point-dict-row"),
 ])
 def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, argv, edit,
                                 point_row):
@@ -135,9 +165,13 @@ def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, ar
     path = tmp_path / "case.prob"
     path.write_text(json.dumps(doc))
     args = [argv[0], str(path), *argv[1:]]
-    if point_row is not None:
+    if isinstance(point_row, str):
         point = tmp_path / "point.txt"
         point.write_text("\n".join([point_row] + ["0 0 0 0"] * 3) + "\n")
+        args.append(str(point))
+    elif point_row is not None:
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps([point_row] + [[0, 0, 0, 0]] * 3))
         args.append(str(point))
     code = main(args)  # an uncaught exception here is the traceback under test
     err = capsys.readouterr().err

@@ -1,12 +1,18 @@
+import gc
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmoa import (HankelInstance, LRRInstance, ProblemFormatError,
                      build_hankel, build_lrr, load_problem, save_problem)
 from rankmoa.model import CustomObjective, register_objective
-from rankmoa.problems import hankel_constraints
+from rankmoa import problems
+from rankmoa.problems import _float_array, hankel_constraints
 
 
 def _hankel_matrix(x, m, n):
@@ -265,3 +271,156 @@ def test_load_names_the_objective_field_at_fault(tmp_path, trace_case, objective
     with pytest.raises(ProblemFormatError, match=message) as info:
         load_problem(path)
     assert str(info.value).count(str(path)) == 1  # the path is named once
+
+
+def _asarray_float_array(doc, shape, where):
+    """_float_array by np.asarray alone, the conversion the flat pass must reproduce."""
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{where}: not numeric") from exc
+    if arr.shape != shape:
+        raise ProblemFormatError(f"{where}: shape {arr.shape} differs from {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ProblemFormatError(f"{where}: non-finite entries")
+    return arr
+
+
+def _float_array_flat(doc, shape, where):
+    """_float_array with the flat pass tried at every size."""
+    with mock.patch.object(problems, "FLAT_MIN_ENTRIES", 0):
+        return _float_array(doc, shape, where)
+
+
+# ints up to 2**1000 include many above 2**53, which round on conversion
+_ENTRIES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                     st.integers(-2 ** 1000, 2 ** 1000),
+                     st.sampled_from([-0.0, 5e-324, 2.0 ** -1030, 2 ** 53 + 1]))
+# what a malformed document can hold in place of an entry, a row or a matrix
+_DEFECTS = [
+    lambda old: None,
+    lambda old: math.nan,
+    lambda old: math.inf,
+    lambda old: -math.inf,
+    lambda old: "abc",
+    lambda old: [old],  # one level too deep
+    lambda old: {"0": old},
+    # a dict as long as the list it replaces, whose keys are numeric strings
+    lambda old: {repr(float(i)): 0.0 for i in range(len(old))} if isinstance(old, list) else old,
+    lambda old: old + [0.0] if isinstance(old, list) else old,  # ragged
+    lambda old: old[:-1] if isinstance(old, list) else old,
+]
+
+
+def _nest(flat, shape):
+    if len(shape) == 1:
+        return list(flat)
+    step = len(flat) // shape[0]
+    return [_nest(flat[i * step:(i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+def _outcome(convert, doc, shape):
+    try:
+        return "array", convert(doc, shape, "doc").tobytes()
+    except ProblemFormatError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_array_is_asarray_bit_for_bit(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    size = math.prod(shape)
+    doc = _nest(data.draw(st.lists(_ENTRIES, min_size=size, max_size=size)), shape)
+    got = _float_array_flat(doc, shape, "doc")
+    assert got.shape == shape
+    assert got.tobytes() == np.asarray(doc, dtype=float).tobytes()
+    # corrupt one entry, row or matrix: same array or the same message
+    path = [data.draw(st.integers(0, n - 1)) for n in shape]
+    path = path[:data.draw(st.integers(1, len(shape)))]
+    node = doc
+    for i in path[:-1]:
+        node = node[i]
+    node[path[-1]] = data.draw(st.sampled_from(_DEFECTS))(node[path[-1]])
+    assert _outcome(_float_array_flat, doc, shape) == _outcome(_asarray_float_array, doc,
+                                                                shape)
+
+
+def test_float_array_defects_at_every_level_match_asarray():
+    shape = (2, 2, 2)
+    for defect in _DEFECTS:
+        for depth in range(1, len(shape) + 1):
+            doc = _nest([float(i) for i in range(8)], shape)
+            node = doc
+            for _ in range(depth - 1):
+                node = node[0]
+            node[0] = defect(node[0])  # the first item: the flat pass reads on past it
+            assert _outcome(_float_array_flat, doc, shape) == _outcome(
+                _asarray_float_array, doc, shape), (defect, depth)
+
+
+def test_float_array_names_integers_beyond_double_range():
+    for convert in (_float_array, _float_array_flat):
+        with pytest.raises(ProblemFormatError, match="^doc: number beyond double range$"):
+            convert([[1.0, 10 ** 400]], (1, 2), "doc")
+
+
+def _put(*keys, value=10 ** 400):  # json.dumps writes every digit of the integer
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_put("constraints", 0, "matrix", 0, 0), r"constraints\[0\]", id="matrix"),
+    pytest.param(_put("constraints", 0, "rhs"), "constraint 'rhs'", id="rhs"),
+    pytest.param(_put("objective", "target", 0, 0), "objective: field 'target'", id="target"),
+    pytest.param(_put("named_points", 2, "matrix", 0, 0), r"named_points\[2\]",
+                 id="named-point"),
+    pytest.param(_put("rank_tol"), "field 'rank_tol'", id="rank-tol"),
+    pytest.param(_put("tol"), "field 'tol'", id="tol"),
+])
+def test_load_names_the_integer_beyond_double_range(tmp_path, trace_case, edit, message):
+    path = tmp_path / "big.json"
+    save_problem(trace_case[0], path, named_points=trace_case[1])
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ProblemFormatError, match=f"{message}: number beyond double range$"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_problem_pauses_and_restores_the_collector(tmp_path, enabled):
+    spec = build_hankel(np.zeros((16, 16)), 4)  # a dense file: 3600 rows decode to lists
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_problem(spec, good)
+    doc = json.loads(good.read_text())
+    doc["constraints"][7]["rhs"] = "abc"
+    bad.write_text(json.dumps(doc))
+    passes = []
+
+    def callback(phase, info):
+        passes.append(info["generation"])
+
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(callback)
+        try:
+            loaded = load_problem(good)
+        finally:
+            gc.callbacks.remove(callback)
+        # 225 x 16 x 16 entries take the flat pass: the same bits as the builder's
+        assert loaded.spec.affine.mats.tobytes() == spec.affine.mats.tobytes()
+        assert gc.isenabled() is enabled
+        # the error path only restores the state: the traceback keeps the
+        # decoded document alive past the load
+        with pytest.raises(ProblemFormatError, match="constraint 'rhs': not numeric"):
+            load_problem(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert passes == []  # no collector pass ran inside the load
