@@ -173,7 +173,7 @@ def _print_analysis(doc, rep, qual, second):
     print(f"  necessary: {'ok' if second.necessary_ok else 'VIOLATED'}; "
           f"sufficient: {'ok' if second.sufficient_ok else 'not certified'}")
     if second.case == "rank_deficient":
-        print(f"  cone samples tested {second.cone_samples_tested}, "
+        print(f"  cone subspaces searched {second.cone_samples_tested}, "
               f"violations {second.cone_violations}")
     for nline in second.notes:
         print(f"  note: {nline}")
@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--strict", action="store_true",
                     help="exit 3 when the qualification is not certified")
     pa.add_argument("--samples", type=int, default=2000,
-                    help="cone samples for the rank-deficient second-order check, "
-                         "drawn only where hess f is not positive definite on ker A")
-    pa.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+                    help="most cone subspaces the rank-deficient second-order search examines, "
+                         "where hess f has curvature below -tol on ker A")
+    pa.add_argument("--seed", type=int, default=None, help=SEED_HELP + "; the search ignores it")
 
     ps = sub.add_parser("solve", help="search for an alpha-stationary point")
     ps.add_argument("problem")

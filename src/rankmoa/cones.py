@@ -129,36 +129,23 @@ def project_normal_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
 
 
 def in_tangent_bouligand_Mr(q: ConeQuery, H):
-    """H is tangent iff its normal component has rank at most r - s.
-
-    The rank decision is taken relative to the scale of H itself, not of its
-    (possibly vanishing) normal part, so exactly tangent directions pass;
-    H = O passes, its normal part being O. H may be a (..., m, n) stack; the
-    result is then a boolean array of the leading shape. The test runs on
-    compress(svd, H) by ``in_tangent_bouligand_compressed``.
-    """
-    C = compress(q.svd, as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True))
-    member = in_tangent_bouligand_compressed(C, q.s, q.r - q.s, q.svd.rank_tol)
-    return bool(member) if C.ndim == 2 else member
-
-
-def in_tangent_bouligand_compressed(C, s: int, k: int, rank_tol: float) -> np.ndarray:
-    """Bouligand membership of H = U C V^T, read off its compressed (..., m, n) stack C.
-
-    The normal part of H is U_perp C[s:, s:] V_perp^T, so H is a member iff
-    C[s:, s:] has at most k = r - s singular values above rank_tol * sigma_1(H).
-    sigma_1(N) <= sigma_1(H) <= ||H||_F brackets that cutoff: ranking the block
-    against sigma_1(N) admits, against ||H||_F rejects, and only the matrices
-    left between the two pay for a values-only SVD of C. Returns a boolean
+    """H is tangent iff its normal block N = C[s:, s:] of C = compress(svd, H) has rank
+    at most r - s, counted against rank_tol * sigma_1(H): relative to H, not to its
+    (possibly vanishing) normal part, so exactly tangent directions and H = O pass.
+    sigma_1(N) <= sigma_1(H) <= ||H||_F brackets that cutoff: ranking N against
+    sigma_1(N) admits, against ||H||_F rejects, and only the matrices between pay for a
+    values-only SVD of C. H may be a (..., m, n) stack; the result is then a boolean
     array of the leading shape.
     """
-    sv = np.linalg.svd(C[..., s:, s:], compute_uv=False)
-    member = np.asarray(_rank(sv, rank_tol) <= k)
-    between = ~member & (_rank(sv, rank_tol, np.linalg.norm(C, axis=(-2, -1))) <= k)
+    C = compress(q.svd, as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True))
+    k, tol = q.r - q.s, q.svd.rank_tol
+    sv = np.linalg.svd(C[..., q.s:, q.s:], compute_uv=False)
+    member = np.asarray(_rank(sv, tol) <= k)
+    between = ~member & (_rank(sv, tol, np.linalg.norm(C, axis=(-2, -1))) <= k)
     if between.any():
         top = np.linalg.svd(C[between], compute_uv=False)[..., 0]
-        member[between] = _rank(sv[between], rank_tol, top) <= k
-    return member
+        member[between] = _rank(sv[between], tol, top) <= k
+    return bool(member) if C.ndim == 2 else member
 
 
 def _frechet_residual(svd: ThinSVD, r: int, W) -> float:

@@ -330,13 +330,13 @@ def _full_row_rank(S: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
 
 
 class StackSVD:
-    """One thin SVD of an l x N system S: O(l N) numbers, never an N x N ``vh`` up front.
-    ``rank`` and ``solve`` cut at ``_rank_cutoff``; ``kernel`` and ``pinv`` at lstsq's
-    default eps * max(l, N) * sigma_1."""
+    """One thin SVD of an l x N system S: O(l N) numbers, never an N x N ``vh`` up front
+    unless ``full``. ``rank`` and ``solve`` cut at ``_rank_cutoff``; ``kernel`` and ``pinv``
+    at lstsq's default eps * max(l, N) * sigma_1."""
 
-    def __init__(self, S: np.ndarray):
+    def __init__(self, S: np.ndarray, full: bool = False):
         self.S = S
-        self.u, self.sigma, self.vh = np.linalg.svd(S, full_matrices=False)
+        self.u, self.sigma, self.vh = np.linalg.svd(S, full_matrices=full)
 
     def rank(self, rank_tol: float) -> int:
         return int(_rank(self.sigma, rank_tol))
@@ -351,9 +351,9 @@ class StackSVD:
 
     def kernel(self) -> np.ndarray:
         """Orthonormal basis of ker S as columns, scipy's: a view of a Fortran-ordered vh.
-        When l < N the thin vh lacks the kernel, so the full factors are taken here only."""
+        When l < N a thin vh lacks the kernel: the full factors are taken here unless ``full``."""
         sigma, vh = self.sigma, self.vh
-        if self.S.shape[0] < self.S.shape[1]:
+        if len(vh) < self.S.shape[1]:
             _, sigma, vh = np.linalg.svd(self.S, full_matrices=True)
         return np.asfortranarray(vh)[self._lstsq_rank(sigma):].T
 

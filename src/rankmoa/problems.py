@@ -183,6 +183,7 @@ def build_trace_example():
 # 5 x 16 x 16 stack but 16 against 13 us on 3 x 8 x 8: below a few hundred
 # entries its structure check and fixed cost outweigh the per-entry saving.
 FLAT_MIN_ENTRIES = 512
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # numpy caps an array's bytes at intp's max
 
 
 def _float_array(doc, shape, where):
@@ -301,6 +302,10 @@ def _load_problem(path) -> LoadedProblem:
     n = need("n", int)
     if m < 1 or n < 1:
         raise ProblemFormatError(f"{path}: m and n must be positive")
+    if m * n > _MAX_ENTRIES:  # numpy could not even describe an m x n float array
+        big = [key for key in ("m", "n") if doc[key] > _MAX_ENTRIES]
+        fields = f"field {big[0]!r}" if len(big) == 1 else "fields 'm' and 'n'"
+        raise ProblemFormatError(f"{path}: {fields}: an m x n array would be too large")
     l = need("l", int)
     r = need("r", int)
     if not 0 <= r < min(m, n):

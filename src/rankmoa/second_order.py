@@ -18,29 +18,34 @@ Gram matrix is assembled from matmuls alone, as
 (X^+)^T B_i^T grad_X L come from two stacked matmuls and are contracted with
 the flattened basis in a third, with no contraction path to plan per call.
 
-At a rank-deficient point (s < r) the tangent cone of the feasible set is
-not a subspace, so the check is two-tier: a positive-definiteness
-certificate of plain hess f on all of ker A (a superset of the cone) proves
-sufficiency, and only where it fails are randomized cone directions drawn,
-which can only falsify the necessary condition. The directions are built in
-the point's compressed coordinates U^T Xi V, where the normal part is the
-trailing (m - s) x (n - s) block. Without constraints every draw lies in the
-cone by construction; with them the projection onto ker A can break the rank
-bound, so those draws are tested for membership in the same coordinates. The
-draws are taken from the one seeded stream in blocks of ``CONE_BLOCK``, which
-bounds memory whatever the number of samples.
+At a rank-deficient point (s < r) the feasible tangent cone is T_s(X) plus
+the normal blocks U_perp N V_perp^T of rank <= k = r - s, cut by ker A: a
+union of linear spaces (Levin, Kileel & Boumal, "Finding stationary points
+on bounded-rank matrices"). Plain hess f positive definite on ker A, a
+superset, proves sufficiency; its minimum there at or above -tol rules out
+any violation. Only below -tol is the cone searched, which can only falsify.
+From each eigenvector of the form on ker A below -tol, P spans the top k
+left singular vectors of its normal block, and the form's exact minimum on
+T_s(X) + {U_perp P Z V_perp^T}, cut by ker A, costs one SVD and one Hessian
+call. The search alternates to the row space Q of the minimizer's block, on
+T_s(X) + {U_perp W Q^T V_perp^T}, and back; each minimizer lies in the next
+space, so the eigenvalue cannot rise. It stops at the first eigenvalue below
+-tol, whose eigenvector is a witness, once the eigenvalue falls by less than
+tol, or after ``samples`` spaces. The spaces are one-sided since a generic
+pair P W Q^T meets ker A only in T_s(X) once l reaches the pair's dimension.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .affine import AffineMap
-from .cones import compress, in_tangent_bouligand_compressed, tangent_mask
-from .linalg import ThinSVD, _count_arg, as_matrix, project_low_rank, pseudo_inverse
+from .cones import tangent_mask
+from .linalg import StackSVD, ThinSVD, _count_arg, as_matrix, pseudo_inverse
 from .model import ProblemSpec
 from .qualification import PointConstraints
 from .report import JsonReport
@@ -48,9 +53,6 @@ from .stationarity import PointAnalysis, lagrangian_grad
 
 CASE_FULL = "full_rank"
 CASE_DEFICIENT = "rank_deficient"
-# cone directions drawn, projected and tested together; the sampler's memory is
-# bounded by this many draws
-CONE_BLOCK = 512
 
 
 @dataclass
@@ -130,10 +132,37 @@ def tangent_intersection_basis(svd: ThinSVD, amap: AffineMap, r: int) -> list:
 
 
 def _extreme_eigs(Q: np.ndarray):
-    if Q.shape[0] == 0:
-        return math.inf, -math.inf
     eigs = np.linalg.eigvalsh(Q)
-    return float(eigs[0]), float(eigs[-1])
+    return float(eigs.min(initial=math.inf)), float(eigs.max(initial=-math.inf))
+
+
+def _cone_search(objective, X, cons: PointConstraints, ker, gram, r: int, tol: float):
+    """Yield (lam, xi) per space of the cone examined (module docstring): the form's least
+    eigenvalue there and a unit eigenvector, or (inf, O) where ker A leaves only O."""
+    svd, (m, n), mask = cons.svd, X.shape, tangent_mask(cons.svd)
+    s, k, d_t = svd.rank, r - svd.rank, int(mask.sum())
+    tangent, normal = cons.compressed[:, mask], cons.compressed[:, s:, s:]
+    eigs, vecs = np.linalg.eigh(gram)
+    for N in svd.u_perp.T @ np.tensordot(vecs[:, eigs < -tol].T, ker, 1) @ svd.v_perp:
+        # F = P: the top k eigenvectors of N N^T, the leading left singular vectors of N
+        F, left, prev = np.linalg.eigh(N @ N.T)[1][:, -k:], True, math.inf
+        while True:
+            # coordinates: the tangent entries, then Z of the normal block F Z (left) or
+            # Z F^T, an isometry since F has orthonormal columns
+            zshape = (k, n - s) if left else (m - s, k)
+            An = (F.T @ normal if left else normal @ F).reshape(len(normal), math.prod(zshape))
+            W = StackSVD(np.concatenate([tangent, An], axis=1), full=True).kernel()
+            E = np.zeros((W.shape[1], m, n))
+            E[:, mask], Z = W[:d_t].T, W[d_t:].T.reshape(-1, *zshape)
+            E[:, s:, s:] = F @ Z if left else Z @ F.T
+            B = svd.u @ E @ svd.v.T
+            lam, w = (np.linalg.eigh(_gram_form(objective, X, B)) if len(B)
+                      else ([math.inf], np.zeros((0, 1))))
+            yield lam[0], np.tensordot(w[:, 0], B, 1)
+            if not lam[0] < prev - tol:
+                break
+            prev, z = lam[0], np.tensordot(w[:, 0], Z, 1)
+            F, left = np.linalg.qr(z.T if left else z)[0], not left
 
 
 def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
@@ -141,12 +170,13 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD, gradient and record
-    of grad_X L at y are reused. A point that is not feasible or a negative
-    ``samples`` or ``seed`` raises ValueError, a non-integer or boolean one
-    TypeError, all before any work.
+    of grad_X L at y are reused. At s < r ``samples`` bounds the linear spaces
+    of the cone searched; the search is deterministic, ``seed`` only validated.
+    A point that is not feasible or a negative ``samples`` or ``seed`` raises
+    ValueError, a non-integer or boolean one TypeError, all before any work.
     """
     samples = _count_arg(samples, "samples")
-    seed = _count_arg(seed, "seed")
+    _count_arg(seed, "seed")
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         raise ValueError(
@@ -173,10 +203,11 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             rep.notes.append("strictly local minimizer restricted on M^r (Thm 4.4 i)")
         return rep
 
-    # rank-deficient point: certificate on supersets, falsification by sampling
+    # rank-deficient point: certificate on supersets, falsification by a cone search
     sub_lo, _ = _extreme_eigs(_gram_form(prob.objective, X, basis))
     ker = prob.affine.kernel_basis()
-    lo, hi = _extreme_eigs(_gram_form(prob.objective, X, ker))
+    gram = _gram_form(prob.objective, X, ker)
+    lo, hi = _extreme_eigs(gram)
 
     rep = SecondOrderReport(
         case=CASE_DEFICIENT, basis_dim=len(ker), min_eig=lo, max_eig=hi,
@@ -188,40 +219,16 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
             "hess f is positive definite on ker A, a superset of the feasible "
             "tangent cone, so X is a strictly local minimizer (Thm 4.4 ii)"
         )
+    if lo >= -prob.tol:  # no direction of ker A, so none of the cone, can violate
         return rep
-
-    # the verdict is open, so every draw is curvature-tested. In compressed
-    # coordinates xi = U^T Xi V (an isometry) its tangent part is g1 off the
-    # trailing (m - s) x (n - s) block, its normal part that block of g2
-    # truncated to rank k = r - s; with constraints it is projected onto ker A
-    # and kept only if still in the cone
-    k = prob.r - s
-    Kc = compress(svd, ker).reshape(len(ker), -1) if prob.l else None
-    rng = np.random.default_rng(seed)
-    for start in range(0, samples, CONE_BLOCK):
-        # draw i holds (g1, g2) in the order a per-draw loop would take them
-        g = compress(svd, rng.standard_normal((min(CONE_BLOCK, samples - start), 2,
-                                               svd.m, svd.n)))
-        xi = g[:, 0]
-        xi[:, s:, s:] = project_low_rank(g[:, 1, s:, s:], k, svd.rank_tol)[0]
-        flat = xi.reshape(len(xi), -1)
-        member = True
-        if Kc is not None:
-            flat = (flat @ Kc.T) @ Kc
-            xi = flat.reshape(xi.shape)
-            # only the kernel projection can break the rank bound
-            member = in_tangent_bouligand_compressed(xi, s, k, svd.rank_tol)
-        norm = np.linalg.norm(flat, axis=1)
-        keep = np.flatnonzero((norm >= 1e-10) & member)
-        Xi = svd.u @ xi[keep] @ svd.v.T
-        hess = prob.objective.hess_apply(X, Xi).reshape(len(keep), X.size)
-        quad = np.einsum("ij,ij->i", hess, Xi.reshape(len(keep), X.size))
-        rep.cone_samples_tested += len(keep)
-        rep.cone_violations += int(np.count_nonzero(quad / norm[keep] ** 2 < -prob.tol))
-    if rep.cone_violations:
-        rep.necessary_ok = False
-        rep.notes.append(
-            f"{rep.cone_violations} sampled feasible cone directions carry negative "
-            "curvature; the second-order necessary condition fails"
-        )
+    search = _cone_search(prob.objective, X, pa.constraints, ker, gram, prob.r, prob.tol)
+    for lam, _ in itertools.islice(search, samples):
+        rep.cone_samples_tested += 1
+        if lam < -prob.tol:
+            rep.cone_violations, rep.necessary_ok = 1, False
+            rep.notes.append(
+                f"a linear space of the feasible tangent cone carries curvature {lam:.3e}; "
+                "the second-order necessary condition fails"
+            )
+            break
     return rep

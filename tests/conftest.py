@@ -63,3 +63,16 @@ def certified_instance(rng):
         if rep.intersection_rule_case != CASE_NOT_CERTIFIED:
             return svd, amap, r
     raise AssertionError("failed to draw a certified instance")
+
+
+def planted_curvature(X, dirs, weights):
+    """f(Y) = 0.5 ||Y - X||^2 - 0.5 sum_j w_j <D_j, Y - X>^2: stationary at X with
+    hess f = I - sum_j w_j D_j D_j^T, so unit D_j carry curvature 1 - w_j."""
+    from rankmoa.model import CustomObjective
+    dirs, weights = np.asarray(dirs, dtype=float), np.asarray(weights, dtype=float)
+
+    def hess(Y, Xi):
+        return Xi - np.tensordot(weights * np.tensordot(dirs, Xi, 2), dirs, 1)
+    return CustomObjective("planted-curvature", X.shape,
+                           value_fn=lambda Y: 0.5 * float(np.tensordot(hess(Y, Y - X), Y - X)),
+                           grad_fn=lambda Y: hess(Y, Y - X), hess_apply_fn=hess)

@@ -11,11 +11,9 @@ import pytest
 from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec, RankBound,
                      build_hankel, save_problem)
 from rankmoa.cli import main
-from rankmoa.cones import in_tangent_bouligand_Mr
-from rankmoa.linalg import project_low_rank
-from rankmoa.second_order import CONE_BLOCK
+from rankmoa.model import CustomObjective, make_custom, register_objective
 
-from conftest import random_rank_matrix
+from conftest import planted_curvature, random_rank_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -152,6 +150,12 @@ BIG_EDITS = {
                  id="solve-json-x0-beyond-double-range"),
     pytest.param(["analyze", "--point"], None, [0, 0, 0], id="analyze-json-point-ragged"),
     pytest.param(["analyze", "--point"], None, {"0": 0}, id="analyze-json-point-dict-row"),
+    # no m x n float array of these sizes can exist, not even an empty stack of them
+    pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(l=0, constraints=[],
+                                                                     m=10 ** 400),
+                 None, id="dimension-m-400-digits"),
+    pytest.param(["solve"], lambda doc: doc.update(l=0, constraints=[], m=2 ** 40, n=2 ** 40),
+                 None, id="dimensions-m-n-2-pow-40"),
 ])
 def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, argv, edit,
                                 point_row):
@@ -294,15 +298,21 @@ def _count_hess_apply(monkeypatch, calls, cls=FrobeniusDistance):
     monkeypatch.setattr(cls, "hess_apply", counted_hess)
 
 
+def _counted(calls, fn):
+    """fn, counting its calls in calls by name."""
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
 def _count_calls(monkeypatch, calls, *fns):
     """Count each call of fns in calls by name, through every module alias,
     since callers import these by name."""
     modules = [m for name, m in list(sys.modules.items())
                if name == "rankmoa" or name.startswith("rankmoa.")]
     for fn in fns:
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
+        counted = _counted(calls, fn)
         for mod in modules:
             for attr, val in list(vars(mod).items()):
                 if val is fn:
@@ -431,64 +441,56 @@ def test_each_constraint_system_is_factored_once_per_request(problem_files, tmp_
     assert shapes.count((4, 9)) == 1 and shapes.count((4, 8)) == 4 and len(shapes) == 5
 
 
-def test_analyze_cone_sampling_runs_in_blocks(tmp_path, monkeypatch, capsys):
-    # the rank-deficient sampler runs only where the ker A certificate fails, and
-    # there it factors its draws as stacks: SVDs and cone calls grow with the
-    # number of blocks, not with the number of samples
+def test_analyze_cone_search_call_counts(tmp_path, monkeypatch, capsys):
+    # the rank-deficient cone search runs only where the ker A certificate fails and
+    # hess f has curvature below -tol on ker A; there each linear space it examines
+    # costs at most one SVD and one hess_apply call
     rng = np.random.default_rng(3)
     X = random_rank_matrix(rng, 5, 4, 1)
-    # constraints inside the tangent space keep kernel-projected draws in the cone
-    u1 = np.linalg.svd(X)[0][:, :1]
-    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
+    u, _, vh = np.linalg.svd(X)
+    mats = [u[:, :1] @ rng.standard_normal((1, 4)) for _ in range(2)]
     amaps = {0: AffineMap([], [], shape=(5, 4)),
              2: AffineMap(mats, [float(np.tensordot(a, X)) for a in mats])}
+    register_objective("planted-curvature",
+                       lambda X, dirs, weights: planted_curvature(np.array(X), dirs, weights))
+    # a rank-1 normal direction with curvature -2, and one whose normal block
+    # I / sqrt(3) carries -0.5 on ker A but at least 0.5 on every rank-1 block
+    witness = np.outer(u[:, 1], vh[1])
+    hidden = u[:, 1:4] @ vh[1:] / np.sqrt(3.0)
     calls = Counter()
-    modules = [m for name, m in list(sys.modules.items())
-               if name == "rankmoa" or name.startswith("rankmoa.")]
-    for fn in (in_tangent_bouligand_Mr, project_low_rank, np.linalg.svd):
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-        for mod in modules + [np.linalg]:
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-    _count_hess_apply(monkeypatch, calls)
-    _count_hess_apply(monkeypatch, calls, LinearTrace)
-    names = ("svd", "in_tangent_bouligand_Mr", "project_low_rank", "hess_apply")
+    monkeypatch.setattr(np.linalg, "svd", _counted(calls, np.linalg.svd))
+    for cls in (FrobeniusDistance, LinearTrace, CustomObjective):
+        _count_hess_apply(monkeypatch, calls, cls)
 
     def added(objective, l):
-        """Calls that 2000 samples add over --samples 0, and the samples tested."""
+        """Calls that 2000 samples add over --samples 0, and the second-order report."""
         path = tmp_path / f"deficient{l}.prob"
-        save_problem(ProblemSpec(objective, amaps[l], RankBound(3)), path,
+        save_problem(ProblemSpec(objective, amaps[l], RankBound(2)), path,
                      named_points={"X": X})
         counts = []
         for extra in (["--samples", "0"], []):  # then the default 2000 samples
             calls.clear()
-            code = main(["analyze", str(path), "--point", "X", "--json", *extra])
-            assert code == 0
+            assert main(["analyze", str(path), "--point", "X", "--json", *extra]) == 0
             second = json.loads(capsys.readouterr().out)["second_order"]
             assert second["case"] == "rank_deficient"
             counts.append(dict(calls))
-        base, sampled = counts
-        return ({k: sampled.get(k, 0) - base.get(k, 0) for k in names},
-                second["cone_samples_tested"], second["sufficient_ok"])
+        base, searched = counts
+        return {k: searched.get(k, 0) - base.get(k, 0) for k in ("svd", "hess_apply")}, second
 
-    blocks = math.ceil(2000 / CONE_BLOCK)
-    for l, svds_per_block in ((0, 1), (2, 3)):
-        # hess f is positive definite on ker A: nothing is drawn
-        calls_added, tested, certified = added(FrobeniusDistance(X), l)
-        assert certified and tested == 0
-        assert calls_added == dict.fromkeys(names, 0)
-        # hess f = 0 leaves the verdict open: one truncation per block; with
-        # constraints also the normal-block spectra of the membership test, and
-        # the full spectra of its undecided draws
-        calls_added, tested, certified = added(LinearTrace(np.zeros((5, 4))), l)
-        assert not certified and tested == 2000
-        assert calls_added["in_tangent_bouligand_Mr"] <= blocks
-        assert calls_added["project_low_rank"] == blocks
-        assert calls_added["hess_apply"] == blocks
-        assert calls_added["svd"] <= svds_per_block * blocks
+    for l in (0, 2):
+        # certified, or no curvature below -tol on ker A: nothing is searched
+        for objective in (FrobeniusDistance(X), LinearTrace(np.zeros((5, 4)))):
+            calls_added, second = added(objective, l)
+            assert calls_added == {"svd": 0, "hess_apply": 0}
+            assert second["cone_samples_tested"] == 0 and second["necessary_ok"]
+        for dirs, weights, tested, ok in (([witness], [3.0], 1, False),
+                                         ([hidden], [1.5], 2, True)):
+            objective = make_custom("planted-curvature", X=X.tolist(),
+                                    dirs=np.array(dirs).tolist(), weights=weights)
+            calls_added, second = added(objective, l)
+            assert (second["cone_samples_tested"], second["necessary_ok"]) == (tested, ok)
+            assert second["cone_violations"] == int(not ok)
+            assert calls_added == {"svd": tested, "hess_apply": tested}
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -208,6 +209,21 @@ def test_load_counts_constraints(tmp_path, hankel_case):
     doc["l"] = 3
     path.write_text(json.dumps(doc))
     with pytest.raises(ProblemFormatError, match="constraints listed"):
+        load_problem(path)
+
+
+@pytest.mark.parametrize("m, n, fields", [(10 ** 400, 4, "field 'm'"),
+                                           (4, 10 ** 400, "field 'n'"),
+                                           (2 ** 40, 2 ** 40, "fields 'm' and 'n'")])
+def test_load_names_dimensions_too_large_for_an_array(tmp_path, trace_case, m, n, fields):
+    # l = 0: no constraint list holds m x n entries, so only the header declares the size
+    path = tmp_path / "huge.json"
+    save_problem(trace_case[0], path)
+    doc = json.loads(path.read_text())
+    doc.update(l=0, constraints=[], m=m, n=n)
+    path.write_text(json.dumps(doc))
+    message = f"^{re.escape(str(path))}: {fields}: an m x n array would be too large$"
+    with pytest.raises(ProblemFormatError, match=message):
         load_problem(path)
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ import scipy.linalg
 
 from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, LinearTrace, ProblemSpec,
                      RankBound, bq_certificates, check_F_stationary, check_second_order,
-                     in_tangent_bouligand_Mr, orient_svd, plain_quad, project_low_rank,
-                     riemannian_quad, save_problem, tangent_intersection_basis)
+                     in_tangent_bouligand_Mr, orient_svd, plain_quad, riemannian_quad,
+                     save_problem, tangent_intersection_basis)
 from rankmoa.cli import main
 from rankmoa.cones import project_normal_fixed_rank, project_tangent_fixed_rank
 from rankmoa.linalg import ThinSVD
@@ -17,7 +19,7 @@ from rankmoa.oracle import (curvature_quadratic_terms, fd_quad, planted_saddle,
                             planted_stationary, saddle_3x3)
 from rankmoa.qualification import CASE_FULL_RANK, PointConstraints
 
-from conftest import random_rank_matrix
+from conftest import planted_curvature, random_rank_matrix
 
 
 def test_riemannian_quad_reduces_to_hessian_when_gradient_vanishes(rng):
@@ -385,29 +387,6 @@ def test_reduced_form_matches_polarized_oracle(rng, hankel_case, scale):
         assert abs(rep.max_eig - eigs[-1]) <= 1e-10 * scale
 
 
-def _reference_cone_counts(prob, X, samples, seed):
-    """Cumulative (tested, violations) after each draw of a per-draw sampler."""
-    svd = orient_svd(X, prob.rank_tol)
-    q = ConeQuery(svd, prob.r, prob.tol)
-    K = prob.affine.kernel_basis().reshape(-1, X.size)
-    rng = np.random.default_rng(seed)
-    tested = violations = 0
-    counts = [(0, 0)]
-    for _ in range(samples):
-        g1 = rng.standard_normal(X.shape)
-        g2 = rng.standard_normal(X.shape)
-        xi = project_tangent_fixed_rank(svd, g1) + project_low_rank(
-            project_normal_fixed_rank(svd, g2), prob.r - svd.rank, prob.rank_tol)[0]
-        if prob.l:
-            xi = (K.T @ (K @ xi.ravel())).reshape(X.shape)
-        norm = float(np.linalg.norm(xi))
-        if norm >= 1e-10 and in_tangent_bouligand_Mr(q, xi):
-            tested += 1
-            violations += plain_quad(prob, X, xi) / norm**2 < -prob.tol
-        counts.append((tested, violations))
-    return counts
-
-
 def _column_weighted(X, d):
     """f(Y) = 0.5 tr(Y D Y^T) - <X D, Y>, stationary at X, curvature of both signs."""
     D = np.diag(d)
@@ -417,42 +396,141 @@ def _column_weighted(X, d):
                            hess_apply_fn=lambda Y, Xi: Xi @ D)
 
 
-def test_cone_sampler_matches_per_draw_reference(rng):
-    d = np.array([0.5, -1.0, 0.3, 0.2])
-    X = random_rank_matrix(rng, 5, 4, 1)
-    free = ProblemSpec(_column_weighted(X, d), AffineMap([], [], shape=(5, 4)), RankBound(3))
-    # constraints inside the tangent space keep kernel-projected draws in the cone
-    u1 = orient_svd(X).u[:, :1]
-    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
-    tangent_ker = ProblemSpec(_column_weighted(X, d),
-                              AffineMap(mats, [float(np.tensordot(a, X)) for a in mats]),
-                              RankBound(3))
-    # rank-1 Hankel point H = X + A*(y0), F-stationary at y0
+def _cone_witness(prob, X):
+    """The first (lam, xi) of the cone search with lam below -tol, else None."""
+    from rankmoa.second_order import _cone_search, _gram_form
+    ker = prob.affine.kernel_basis()
+    search = _cone_search(prob.objective, X, PointConstraints(orient_svd(X, prob.rank_tol),
+                                                              prob.affine),
+                          ker, _gram_form(prob.objective, X, ker), prob.r, prob.tol)
+    return next(((lam, xi) for lam, xi in search if lam < -prob.tol), None)
+
+
+def _one_sided_direction(rng, svd, amap, k):
+    """A unit cone direction in ker A: tangent part plus a normal block whose columns lie
+    in a random k-dimensional span P, from scipy's null space of A on that space."""
+    s, (m, n) = svd.rank, (svd.m, svd.n)
+    P = svd.u_perp @ np.linalg.qr(rng.standard_normal((m - s, k)))[0]
+    space = [np.outer(svd.u[:, i], svd.v[:, j]) for i in range(m) for j in range(n)
+             if i < s or j < s]
+    space += [np.outer(P[:, a], svd.v_perp[:, b]) for a in range(k) for b in range(n - s)]
+    space = np.array(space).reshape(len(space), -1)
+    null = scipy.linalg.null_space(amap.stack @ space.T) if amap.l else np.eye(len(space))
+    D = (null @ rng.standard_normal(null.shape[1])) @ space
+    return (D / np.linalg.norm(D)).reshape(m, n)
+
+
+@pytest.mark.parametrize("l", [0, 3])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_cone_search_witness_passes_independent_checks(rng, s, k, l):
+    # a planted cone direction D in ker A with curvature -2, and a generic direction
+    # G of ker A with -5 whose normal block has full rank: the constraints touch the
+    # normal block, so the old projected draws left the cone
+    m, n = 6, 5
+    X = random_rank_matrix(rng, m, n, s)
+    A = rng.standard_normal((l, m, n))
+    amap = AffineMap(A, np.tensordot(A, X), shape=(m, n))
+    svd = orient_svd(X)
+    D = _one_sided_direction(rng, svd, amap, k)
+    G = np.tensordot(rng.standard_normal(len(amap.kernel_basis())), amap.kernel_basis(), 1)
+    G = G - np.tensordot(G, D) * D
+    prob = ProblemSpec(planted_curvature(X, [D, G / np.linalg.norm(G)], [3.0, 6.0]),
+                       amap, RankBound(s + k))
+    lam, xi = _cone_witness(prob, X)
+    norm = float(np.linalg.norm(xi))
+    assert in_tangent_bouligand_Mr(ConeQuery(svd, s + k, prob.tol), xi)
+    normal = np.linalg.svd(project_normal_fixed_rank(svd, xi), compute_uv=False)
+    assert np.count_nonzero(normal > 1e-10 * norm) <= k
+    assert np.linalg.norm(amap.apply(xi)) <= 1e-10 * norm
+    quad = prob.objective.hess_quad(X, xi) / norm**2
+    assert quad < -prob.tol and abs(quad - lam) <= 1e-10
+    rep = check_second_order(prob, X, np.zeros(l))
+    assert rep.case == "rank_deficient" and not rep.sufficient_ok
+    assert not rep.necessary_ok and rep.cone_violations == 1
+    assert 1 <= rep.cone_samples_tested <= 2000
+    assert rep.min_eig <= -4.0
+
+
+@pytest.mark.parametrize("seed, tested", [(30, 5), (149, 2)])
+def test_cone_search_alternates_to_a_witness(seed, tested):
+    # a generic direction G of ker A (s = 0, k = 1, l = 3): the space P from its
+    # normal block has no negative curvature, the alternation finds some
+    rng = np.random.default_rng(seed)
+    m, n, s, k, l = 6, 5, int(rng.integers(0, 3)), int(rng.integers(1, 3)), int(rng.choice([0, 3]))
+    assert (s, k, l) == (0, 1, 3)
+    X = random_rank_matrix(rng, m, n, s)
+    A = rng.standard_normal((l, m, n))
+    amap = AffineMap(A, np.tensordot(A, X), shape=(m, n))
+    K = amap.kernel_basis()
+    G = np.tensordot(rng.standard_normal(len(K)), K, 1)
+    prob = ProblemSpec(planted_curvature(X, [G / np.linalg.norm(G)], [rng.uniform(1.2, 4)]),
+                       amap, RankBound(s + k))
+    from rankmoa.second_order import _cone_search, _gram_form
+    search = _cone_search(prob.objective, X, PointConstraints(orient_svd(X), amap), K,
+                          _gram_form(prob.objective, X, K), prob.r, prob.tol)
+    lams = [lam for lam, _ in itertools.islice(search, tested)]
+    assert lams[-1] < -prob.tol <= lams[-2]
+    assert all(b < a for a, b in zip(lams, lams[1:]))  # one start: never rising
+    lam, xi = _cone_witness(prob, X)
+    assert lam == lams[-1] and np.linalg.norm(amap.apply(xi)) <= 1e-10
+    assert in_tangent_bouligand_Mr(ConeQuery(orient_svd(X), k, prob.tol), xi)
+    rep = check_second_order(prob, X, np.zeros(l))
+    assert (rep.necessary_ok, rep.cone_samples_tested, rep.cone_violations) == (False, tested, 1)
+
+
+def test_cone_search_skips_what_ker_A_decides(rng):
+    # the certificate holds at a Hankel point, at a Frobenius point of rank 1 and at
+    # X = 0 (s = 0); hess f = 0 leaves it open but has no curvature below -tol on
+    # ker A: nothing is searched in any of them
     z = 0.8 ** np.arange(5)
     Xh = 2.0 * np.outer(z, z)
     amap = hankel_constraints(5, 5)
     y0 = rng.standard_normal(amap.l)
     hankel = ProblemSpec(FrobeniusDistance(Xh + amap.adjoint(y0)), amap, RankBound(3))
-    # the column weights leave the ker A certificate open, so the draws are tested
-    for prob, point, y in ((free, X, np.zeros(0)), (tangent_ker, X, np.zeros(2))):
-        ref = _reference_cone_counts(prob, point, 2000, seed=5)
-        for samples in (0, 1, 513, 2000):
-            rep = check_second_order(prob, point, y, samples=samples, seed=5)
-            assert rep.case == "rank_deficient" and not rep.sufficient_ok
-            assert (rep.cone_samples_tested, rep.cone_violations) == ref[samples]
-        # curvature of both signs among the draws
-        assert 0 < ref[2000][1] < ref[2000][0]
-    # the certificate holds at the Hankel point, at a Frobenius point of rank 1
-    # and at X = 0 (s = 0), so nothing is drawn
     zero = np.zeros((5, 4))
-    certified = [(hankel, Xh, y0), _sampler_cases(rng)[0],
-                 (ProblemSpec(FrobeniusDistance(zero), AffineMap([], [], shape=(5, 4)),
-                              RankBound(2)), zero, np.zeros(0))]
-    for prob, point, y in certified:
+    free = AffineMap([], [], shape=(5, 4))
+    cases = [(hankel, Xh, y0), _sampler_cases(rng)[0],
+             (ProblemSpec(FrobeniusDistance(zero), free, RankBound(2)), zero, np.zeros(0)),
+             (ProblemSpec(LinearTrace(zero), free, RankBound(2)), zero, np.zeros(0))]
+    for prob, point, y in cases:
         for samples in (0, 1, 513, 2000):
             rep = check_second_order(prob, point, y, samples=samples, seed=5)
-            assert rep.case == "rank_deficient" and rep.sufficient_ok
+            assert rep.case == "rank_deficient" and rep.necessary_ok
             assert (rep.cone_samples_tested, rep.cone_violations) == (0, 0)
+
+
+def test_cone_search_stops_when_the_eigenvalue_stops_falling(rng):
+    # hess f = I - 1.5 V V^T with V's normal block I / sqrt(3) on three normal
+    # directions: -0.5 on ker A, but a rank-1 block holds at most a third of V,
+    # so every space of the cone has curvature >= 0.5 and no witness exists
+    X = random_rank_matrix(rng, 5, 4, 1)
+    svd = orient_svd(X)
+    V = svd.u_perp[:, :3] @ svd.v_perp.T / np.sqrt(3.0)
+    u1 = svd.u[:, :1]
+    mats = [u1 @ rng.standard_normal((1, 4)) for _ in range(2)]
+    for amap in (AffineMap([], [], shape=(5, 4)),
+                 AffineMap(mats, [float(np.tensordot(a, X)) for a in mats])):
+        prob = ProblemSpec(planted_curvature(X, [V], [1.5]), amap, RankBound(2))
+        assert _cone_witness(prob, X) is None
+        rep = check_second_order(prob, X, np.zeros(amap.l))
+        assert abs(rep.min_eig + 0.5) <= 1e-12 and rep.necessary_ok
+        # one space from V's start, its right-hand alternate, then no fall
+        assert (rep.cone_samples_tested, rep.cone_violations) == (2, 0)
+        assert check_second_order(prob, X, np.zeros(amap.l), samples=1).cone_samples_tested == 1
+
+
+def test_cone_search_yields_inf_where_ker_A_leaves_only_O(rng):
+    # X = 0, r = 1: 10 generic constraints on 4 x 4 leave a 6-dimensional ker A
+    # that meets no 4-dimensional space {p z^T}, so every start ends at once
+    concave = CustomObjective("concave", (4, 4), value_fn=lambda Y: -0.5 * float(np.sum(Y * Y)),
+                              grad_fn=lambda Y: -Y, hess_apply_fn=lambda Y, Xi: -Xi)
+    prob = ProblemSpec(concave, AffineMap(rng.standard_normal((10, 4, 4)), np.zeros(10)),
+                       RankBound(1))
+    rep = check_second_order(prob, np.zeros((4, 4)), np.zeros(10))
+    assert abs(rep.min_eig + 1.0) <= 1e-12 and rep.subspace_min_eig == math.inf
+    assert (rep.necessary_ok, rep.cone_samples_tested, rep.cone_violations) == (True, 6, 0)
+    assert _cone_witness(prob, np.zeros((4, 4))) is None
 
 
 def _reference_reduced_basis(svd, amap):
@@ -499,11 +577,12 @@ def test_check_second_order_rejects_negative_samples():
             check_second_order(prob, X, np.zeros(0), seed=bad)
         with pytest.raises(TypeError, match="seed"):
             check_second_order(prob, np.eye(4), np.zeros(0), samples=10, seed=bad)
-    # hess f = 0 leaves the ker A certificate open, so every draw is tested
+    # hess f = 0 leaves the ker A certificate open, but no curvature on ker A is below
+    # -tol, so nothing is searched
     flat = ProblemSpec(LinearTrace(np.zeros((4, 4))), AffineMap([], [], shape=(4, 4)),
                        RankBound(2))
     rep = check_second_order(flat, X, np.zeros(0), samples=np.int64(5), seed=np.uint8(3))
-    assert rep.cone_samples_tested == 5
+    assert rep.cone_samples_tested == 0 and rep.necessary_ok
 
 
 def _sampler_cases(rng):
