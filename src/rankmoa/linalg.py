@@ -236,13 +236,15 @@ def _truncate(Z: np.ndarray, r: int):
     around them. A stack or an empty matrix (or a NumPy without the gufunc)
     goes through np.linalg.svd. Only the r kept triplets enter the product,
     and the singular vectors' signs cancel in it, so no orientation is applied.
+    The 2-d product indexes without the stack's broadcast axes: the same
+    float operations, fewer indexing steps.
     """
     if Z.ndim == 2 and Z.size and _svd_thin is not None:
         u, sigma, vh = _svd_thin(Z, signature="d->ddd")
         if sigma[0] != sigma[0]:  # the gufunc fills its outputs with NaN when dgesdd fails
             raise np.linalg.LinAlgError("SVD did not converge")
-    else:
-        u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
+        return (u[:, :r] * sigma[:r]) @ vh[:r], sigma
+    u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
     return (u[..., :r] * sigma[..., None, :r]) @ vh[..., :r, :], sigma
 
 

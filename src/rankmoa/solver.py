@@ -10,18 +10,20 @@ such in the result:
   affine-projected last so feasibility holds at report time. A fixed round
   count leaves an error floor: the gradient step re-enters the infeasible
   region by O(alpha * ||grad f||) every outer iteration, so the inner loop
-  must re-converge rather than run a constant number of sweeps. One inner
-  round costs its kernels and little else: the affine projection, two
+  must re-converge rather than run a constant number of sweeps. The rounds
+  are one loop over the map's cached arrays, bound once per solve: the
+  gradient step is validated once per outer iteration, an inconsistent map
+  is warned about once per solve, and a round is the affine correction (two
   matrix-vector products with the constraint stack and its pseudo-inverse
-  ``AffineMap.stack_pinv``, then ``linalg._truncate``, one call of NumPy's
-  thin-SVD kernel and an r-wide product. The map's one SVD of its stack gives
-  the pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier
-  fit at rank_tol and ``AffineMap.consistent``, a verdict of the map, not the point.
-  ``project_affine`` validates the round's input, the only validation in the
-  round, and the tie flag of ``project_low_rank`` is not computed; the
-  stopping test takes its norms as sqrt(x @ x), the sum np.linalg.norm
-  computes. The map's constraint array is read-only, so neither cache can go
-  stale.
+  ``AffineMap.stack_pinv``, none when l = 0), one ``linalg._truncate`` call
+  (one call of NumPy's thin-SVD kernel and an r-wide product) and the
+  stopping test, its norms taken inline as sqrt(x @ x), the sum
+  np.linalg.norm computes. The map's one SVD of its stack gives the
+  pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier fit
+  at rank_tol and ``AffineMap.consistent``, a verdict of the map, not the
+  point. The tie flag of ``project_low_rank`` is not computed. The map's
+  constraint array is read-only, so neither cache can go stale. A round
+  whose correction overflows raises ``DivergenceError``.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
   the plain rank-projected step.
 
@@ -65,8 +67,7 @@ class SolverConfig:
         check_positive(self.stop_tol, "stop_tol")
         if self.affine_mode not in (MODE_EXACT, MODE_PENALTY):
             raise ValueError(f"unknown affine_mode {self.affine_mode!r}")
-        if self.affine_mode == MODE_PENALTY:
-            check_positive(self.rho, "penalty weight rho")
+        check_positive(self.rho, "penalty weight rho")
 
 
 @dataclass
@@ -90,17 +91,18 @@ def project_affine(amap: AffineMap, X) -> np.ndarray:
     if amap.l == 0:
         return X
     if not amap.consistent:
-        warnings.warn(
-            "constraint system is inconsistent; returning the least-squares "
-            "projection", RuntimeWarning, stacklevel=2,
-        )
-    return X + (amap.stack_pinv @ (amap.rhs - amap.stack @ X.ravel())).reshape(amap.shape)
+        _warn_inconsistent(3)
+    return _corrected(X, amap.stack, amap.stack_pinv, amap.rhs)
 
 
-def _norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) of a real array, bit for bit: its ravel, dot and sqrt."""
-    x = x.ravel()
-    return math.sqrt(x @ x)
+def _corrected(X: np.ndarray, stack: np.ndarray, pinv: np.ndarray, rhs: np.ndarray):
+    """X + pinv (rhs - stack vec X), reshaped to X: the projection's two products."""
+    return X + (pinv @ (rhs - stack @ X.ravel())).reshape(X.shape)
+
+
+def _warn_inconsistent(stacklevel: int) -> None:
+    warnings.warn("constraint system is inconsistent; returning the least-squares "
+                  "projection", RuntimeWarning, stacklevel=stacklevel)
 
 
 def stationarity_residual(prob: ProblemSpec, X, alpha: float):
@@ -123,40 +125,57 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Iterate projected gradient steps until alpha-stationarity or max_iters."""
     X = as_shaped(X0, (prob.m, prob.n), "X0")
+    amap, r = prob.affine, prob.r
+    exact = cfg.affine_mode == MODE_EXACT
+    if exact:
+        inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
+        stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if amap.l else (None,) * 3
+        if amap.l and not amap.consistent:
+            _warn_inconsistent(2)
     log = []
     converged = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         iterations = k
         g = prob.objective.grad(X)
-        if cfg.affine_mode == MODE_PENALTY:
-            g = g + cfg.rho * prob.affine.adjoint(prob.affine.apply(X) - prob.affine.rhs)
+        if not exact:
+            g = g + cfg.rho * amap.adjoint(amap.apply(X) - amap.rhs)
         W = X - cfg.alpha * g
         # an overflowing ||W|| catches inf or NaN entries and steps too large to project
         if not math.isfinite(np.linalg.norm(W)):
             raise DivergenceError(f"gradient step norm overflowed at iteration {k} "
                                   f"(alpha = {cfg.alpha:g})")
-        if cfg.affine_mode == MODE_PENALTY:
-            W, _ = project_low_rank(W, prob.r, prob.rank_tol)
+        if not exact:
+            W, _ = project_low_rank(W, r, prob.rank_tol)
         else:
-            inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
+            # validated once here; each round's arrays are the previous round's output
+            W = as_shaped(W, amap.shape, "X")
             for j in range(_INNER_CAP):
                 prev = W
-                # project_affine validates W; _truncate takes it as it is
-                W, _ = _truncate(project_affine(prob.affine, W), prob.r)
-                if j + 1 >= _INNER_MIN and _norm(W - prev) <= inner_tol * _scale(_norm(W)):
-                    break
+                if stack is not None:
+                    W = _corrected(W, stack, pinv, rhs)
+                try:
+                    W, _ = _truncate(W, r)
+                except np.linalg.LinAlgError:
+                    if np.isfinite(W).all():
+                        raise
+                    msg = f"affine projection overflowed at iteration {k}"
+                    raise DivergenceError(msg) from None
+                if j + 1 >= _INNER_MIN:
+                    d, w = (W - prev).ravel(), W.ravel()
+                    if math.sqrt(d @ d) <= inner_tol * _scale(math.sqrt(w @ w)):
+                        break
         X = W
         f = prob.objective.value(X)
         if not np.isfinite(f) or f > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"objective reached {f:.3e} at iteration {k}")
         stat, _ = stationarity_residual(prob, X, cfg.alpha)
-        log.append((k, f, prob.affine.residual(X), stat))
+        log.append((k, f, amap.residual(X), stat))
         if stat <= cfg.stop_tol:
             converged = True
             break
-    if cfg.affine_mode == MODE_EXACT:
-        X = project_affine(prob.affine, X)
+    if exact:
+        X = project_affine(amap, X)
     report = classify_first_order(prob, X, alpha=cfg.alpha)
     return SolveResult(x=X, report=report, log=log, converged=converged,
                        iterations=iterations)

@@ -127,6 +127,8 @@ BIG_EDITS = {
     pytest.param(["solve", "--alpha", "nan"], None, None, id="solve-alpha-nan"),
     pytest.param(["solve", "--mode", "quadratic_penalty", "--rho", "nan"], None, None,
                  id="solve-rho-nan"),
+    # exact_projection never reads rho, but the option's contract holds in every mode
+    pytest.param(["solve", "--rho", "nan"], None, None, id="solve-exact-rho-nan"),
     pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
     pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
     pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
@@ -517,6 +519,23 @@ def test_solve_divergence_exit_4(problem_files, tmp_path, capsys):
                  str(tmp_path / "big.txt"), "--alpha", "50", "--iters", "200",
                  "--out", str(tmp_path / "o")])
     assert code == 4
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_affine_correction_overflow_exit_4(tmp_path, capsys):
+    # a finite gradient step whose constraint residual b - A(W) overflows
+    rng = np.random.default_rng(0)
+    H = 1e150 * rng.standard_normal((4, 4))
+    A = 1e160 * rng.standard_normal((2, 4, 4))
+    path = tmp_path / "huge.prob"
+    save_problem(ProblemSpec(FrobeniusDistance(H), AffineMap(A, [0, 0]), RankBound(1)),
+                 path, named_points={"x0": H})
+    code = main(["solve", str(path), "--x0", "x0", "--iters", "3",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("divergence: ") and "iteration 1" in err
 
 
 def test_solve_out_is_a_file_exit_2_before_solving(problem_files, tmp_path, monkeypatch,

@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -8,11 +9,14 @@ from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
                      RankBound, SolverConfig, build_hankel, build_hankel_example,
-                     project_affine, project_low_rank, rank_estimate, solve)
-from rankmoa import cones, solver
+                     build_trace_example, project_affine, project_low_rank,
+                     rank_estimate, solve)
+from rankmoa import cones, linalg, solver
 from rankmoa.linalg import DEFAULT_TOL, as_matrix
+from rankmoa.report import _dumps
 from rankmoa.solver import (MODE_EXACT, MODE_PENALTY, stationarity_residual,
                             write_iterate_log)
+from rankmoa.stationarity import classify_first_order
 
 
 def _hankel_average(X):
@@ -154,6 +158,10 @@ def test_solver_config_validation():
         SolverConfig(affine_mode="bogus")
     with pytest.raises(ValueError):
         SolverConfig(affine_mode=MODE_PENALTY, rho=0.0)
+    # rho is checked in every mode, as the CLI's --rho promises
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            SolverConfig(rho=bad)
 
 
 def test_solve_hankel_recovers_target(hankel_case):
@@ -228,6 +236,19 @@ def test_solve_overflowing_step_raises_divergence(hankel_case, mode):
         solve(spec, points["Xbar"] + 1.0, SolverConfig(alpha=1e308, affine_mode=mode))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_solve_overflowing_affine_correction_raises_divergence():
+    # the step itself is finite, but b - A(W) overflows in the first round and
+    # the SVD would be handed NaN entries
+    rng = np.random.default_rng(0)
+    H = 1e150 * rng.standard_normal((4, 4))
+    A = 1e160 * rng.standard_normal((2, 4, 4))
+    prob = ProblemSpec(FrobeniusDistance(H), AffineMap(A, [0.0, 0.0]), RankBound(1))
+    with pytest.raises(DivergenceError, match="affine projection overflowed at iteration 1"):
+        solve(prob, H, SolverConfig(max_iters=3))
+
+
 def test_stationarity_residual_at_solution(trace_case):
     spec, points = trace_case
     res, y = stationarity_residual(spec, points["X4"], alpha=0.5)
@@ -271,13 +292,13 @@ def test_reference_hankel_solve_keeps_the_multiplier_bounded():
 
 
 def test_reference_hankel_solve_factors_the_projector_once(monkeypatch):
-    # the inner rounds apply the cached pseudo-inverse of the constraint stack;
-    # lstsq is left to the multiplier solves, one per iteration and one for
-    # the final classification
+    # the inner rounds, one linalg._truncate call each, apply the cached
+    # pseudo-inverse of the constraint stack; lstsq is left to the multiplier
+    # solves, one per iteration and one for the final classification
     prob, x0 = _reference_hankel()
     stack = prob.affine.stack
     calls = Counter()
-    lstsq, svd, project = np.linalg.lstsq, np.linalg.svd, solver.project_affine
+    lstsq, svd, truncate = np.linalg.lstsq, np.linalg.svd, solver._truncate
 
     def counting_lstsq(*args, **kwargs):
         calls["lstsq"] += 1
@@ -288,16 +309,16 @@ def test_reference_hankel_solve_factors_the_projector_once(monkeypatch):
             calls["factor"] += 1
         return svd(a, *args, **kwargs)
 
-    def counting_project(*args, **kwargs):
-        calls["project"] += 1
-        return project(*args, **kwargs)
+    def counting_truncate(*args, **kwargs):
+        calls["round"] += 1
+        return truncate(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(solver, "project_affine", counting_project)
+    monkeypatch.setattr(solver, "_truncate", counting_truncate)
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
-    assert calls["project"] >= 3 * solver._INNER_MIN
+    assert calls["round"] >= 3 * solver._INNER_MIN
     assert calls["lstsq"] <= result.iterations + 1
     solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert calls["factor"] <= 1  # cached on the AffineMap
@@ -314,16 +335,21 @@ class _CountedArray(np.ndarray):
 
 
 def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
-    # the consistency verdict is the map's: computed on first use, then each
-    # projection is stack @ x and stack_pinv @ (b - stack @ x), nothing more
+    # the consistency verdict is the map's: computed once, then each round's
+    # correction is stack @ x and stack_pinv @ (b - stack @ x), nothing more.
+    # A round's products are those since the previous round, or since the
+    # gradient step for an iteration's first round
     prob, x0 = _reference_hankel()
     amap = prob.affine
     amap.__dict__["stack"] = amap.stack.view(_CountedArray)
     amap.__dict__["stack_pinv"] = amap.stack_pinv.view(_CountedArray)
     prop = AffineMap.__dict__["consistent"]
-    verdict, project = prop.func, solver.project_affine
+    verdict, truncate = prop.func, solver._truncate
+    objective = type(prob.objective)
+    grad = objective.grad
     verdicts = []
-    per_call = []
+    per_round = []
+    mark = [0]
 
     def counting_verdict(self):
         before = _CountedArray.products
@@ -331,30 +357,38 @@ def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
         verdicts.append(_CountedArray.products - before)
         return out
 
-    def counting_project(*args, **kwargs):
-        before, seen = _CountedArray.products, sum(verdicts)
-        out = project(*args, **kwargs)
-        per_call.append(_CountedArray.products - before - (sum(verdicts) - seen))
+    def marking_grad(*args, **kwargs):
+        out = grad(*args, **kwargs)
+        mark[0] = _CountedArray.products
+        return out
+
+    def counting_truncate(*args, **kwargs):
+        per_round.append(_CountedArray.products - mark[0])
+        out = truncate(*args, **kwargs)
+        mark[0] = _CountedArray.products
         return out
 
     monkeypatch.setattr(prop, "func", counting_verdict)
-    monkeypatch.setattr(solver, "project_affine", counting_project)
+    monkeypatch.setattr(objective, "grad", marking_grad)
+    monkeypatch.setattr(solver, "_truncate", counting_truncate)
     _CountedArray.products = 0
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
     assert len(verdicts) == 1
-    assert len(per_call) >= 3 * solver._INNER_MIN
-    assert set(per_call) == {2}
+    assert len(per_round) >= 3 * solver._INNER_MIN
+    assert set(per_round) == {2}
 
 
 def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
-    # a round is project_affine, then one linalg._truncate call (one call of
-    # numpy's thin-SVD gufunc); np.linalg.svd is left to the per-iteration analysis
+    # a round is the affine correction, then one linalg._truncate call (one
+    # call of numpy's thin-SVD gufunc); np.linalg.svd is left to the
+    # per-iteration analysis. The step is validated once per iteration, and
+    # project_affine, the validated public entry, runs once: the final projection
     prob, x0 = _reference_hankel()
     assert prob.affine.consistent  # factors the map's pseudo-inverse up front
     calls = Counter()
     depth = [0]
-    svd = np.linalg.svd
+    svd, gufunc, as_shaped = np.linalg.svd, linalg._svd_thin, solver.as_shaped
 
     def counted(fn, name):
         def wrapped(*args, **kwargs):
@@ -370,15 +404,112 @@ def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
         calls["svd in a round" if depth[0] else "svd"] += 1
         return svd(*args, **kwargs)
 
+    def counting_gufunc(*args, **kwargs):
+        calls["gufunc"] += 1
+        return gufunc(*args, **kwargs)
+
+    def counting_validation(x, shape, name="matrix", stack=False):
+        calls[f"validate {name}"] += 1
+        return as_shaped(x, shape, name, stack)
+
     monkeypatch.setattr(solver, "project_affine", counted(solver.project_affine, "project"))
-    monkeypatch.setattr(solver, "_truncate", counted(solver._truncate, "truncate"))
+    monkeypatch.setattr(solver, "_truncate", counted(solver._truncate, "round"))
+    monkeypatch.setattr(solver, "as_shaped", counting_validation)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    if gufunc is not None:
+        monkeypatch.setattr(linalg, "_svd_thin", counting_gufunc)
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
-    # the final affine projection is the only one without a truncation
-    assert calls["truncate"] == calls["project"] - 1 >= 3 * solver._INNER_MIN
+    assert calls["round"] >= 3 * solver._INNER_MIN
     assert calls["svd in a round"] == 0
-    assert 0 < calls["svd"] < calls["truncate"]
+    if gufunc is not None:
+        assert calls["gufunc"] == calls["round"]
+    assert 0 < calls["svd"] < calls["round"]
+    assert calls["project"] == 1
+    assert calls["validate X"] == result.iterations + 1  # the last by project_affine
+
+
+def _ravel_norm(x):
+    x = x.ravel()
+    return math.sqrt(x @ x)
+
+
+def _reference_solve(prob, X0, cfg):
+    """solve's exact_projection loop as first written: every round is
+    project_affine, then the rank-r truncation by np.linalg.svd with the
+    broadcast product, then the norm test."""
+    X = as_matrix(X0)
+    log, converged, iterations = [], False, 0
+    for k in range(1, cfg.max_iters + 1):
+        iterations = k
+        W = X - cfg.alpha * prob.objective.grad(X)
+        inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
+        for j in range(solver._INNER_CAP):
+            prev = W
+            u, sigma, vh = np.linalg.svd(project_affine(prob.affine, W), full_matrices=False)
+            W = (u[..., :prob.r] * sigma[..., None, :prob.r]) @ vh[..., :prob.r, :]
+            if (j + 1 >= solver._INNER_MIN
+                    and _ravel_norm(W - prev) <= inner_tol * max(1.0, _ravel_norm(W))):
+                break
+        X = W
+        f = prob.objective.value(X)
+        stat, _ = stationarity_residual(prob, X, cfg.alpha)
+        log.append((k, f, prob.affine.residual(X), stat))
+        if stat <= cfg.stop_tol:
+            converged = True
+            break
+    X = project_affine(prob.affine, X)
+    return X, log, converged, iterations, classify_first_order(prob, X, alpha=cfg.alpha)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(24)
+    prob8, x8 = _reference_hankel()
+    hk, hk_points = build_hankel_example()
+    tr, tr_points = build_trace_example()
+    cases = [("hankel8", prob8, x8, 3), ("hankel3-Xtilde", hk, hk_points["Xtilde"], 200),
+             ("trace-H", tr, tr_points["H"], 200)]
+    for l in (0, 2, 3, 4):
+        amap = (_consistent_map(rng, 4, 3, range(l)) if l
+                else AffineMap([], [], shape=(4, 3)))
+        H = rng.standard_normal((4, 3))
+        prob = ProblemSpec(FrobeniusDistance(H), amap, RankBound(1))
+        cases.append((f"random-l{l}", prob, project_low_rank(H, 1)[0], 40))
+    eye = np.eye(2)
+    inconsistent = ProblemSpec(FrobeniusDistance(np.diag([2.0, 1.0])),
+                               AffineMap([eye, eye], [0.0, 1.0]), RankBound(1))
+    cases.append(("inconsistent", inconsistent, np.diag([1.0, 0.0]), 20))
+    return cases
+
+
+@pytest.mark.parametrize("stop_tol", [SolverConfig().stop_tol, 1e-12])
+def test_solve_matches_the_per_round_reference_bitwise(stop_tol):
+    # the rounds read the map's arrays once per solve and validate once per
+    # iteration; the float operations, and so every output bit, are the reference's
+    for name, prob, x0, iters in _reference_cases():
+        cfg = SolverConfig(alpha=0.5, max_iters=iters, stop_tol=stop_tol)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve(prob, x0, cfg)
+            ref_x, ref_log, ref_converged, ref_iters, ref_report = _reference_solve(
+                prob, x0, cfg)
+        warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert bool(warned) == (name == "inconsistent"), name
+        assert result.x.tobytes() == ref_x.tobytes(), name
+        assert result.log == ref_log, name
+        assert (result.iterations, result.converged) == (ref_iters, ref_converged), name
+        assert _dumps(result.report.to_dict()) == _dumps(ref_report.to_dict()), name
+
+
+def test_solve_warns_once_for_an_inconsistent_map():
+    eye = np.eye(2)
+    prob = ProblemSpec(FrobeniusDistance(np.diag([2.0, 1.0])),
+                       AffineMap([eye, eye], [0.0, 1.0]), RankBound(1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(prob, np.diag([1.0, 0.0]), SolverConfig(max_iters=5))
+    # one for the rounds, one from the final project_affine
+    assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True, True]
 
 
 def test_write_iterate_log(tmp_path, hankel_case):
