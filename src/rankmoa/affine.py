@@ -10,6 +10,7 @@ l x l Gram matrix, without an SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,8 +118,10 @@ class AffineMap:
         return (self.stack.T @ y).reshape(self.shape)
 
     def residual(self, X) -> float:
-        """Euclidean feasibility residual ||A(X) - b||."""
-        return float(np.linalg.norm(self.apply(X) - self.rhs))
+        """Euclidean feasibility residual ||A(X) - b||; inf, unwarned, when A(X) overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = float(np.linalg.norm(self.apply(X) - self.rhs))
+        return math.inf if math.isnan(res) else res
 
     def kernel_basis(self) -> np.ndarray:
         """Frobenius-orthonormal basis of ker A, as k x m x n; the standard one when l = 0."""

@@ -165,6 +165,17 @@ def _mordukhovich_rank_ok(svd: ThinSVD, r: int, sigma: np.ndarray) -> bool:
     return bool(_rank(sigma, svd.rank_tol) <= min(svd.m, svd.n) - r)
 
 
+def _in_mordukhovich(svd: ThinSVD, r: int, tangential: float, norm: float, sigma,
+                     threshold: float) -> bool:
+    """W in N^M(X) from its residual outside the rank-s normal space, its norm and
+    ``sigma()``, its singular values, which only the rank bound at s < r takes."""
+    if tangential > threshold:
+        return False
+    if svd.rank == r or norm <= threshold:
+        return True
+    return _mordukhovich_rank_ok(svd, r, sigma())
+
+
 def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
     """Frechet normality: tangential part vanishes if s == r, else W = O."""
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
@@ -172,11 +183,12 @@ def in_normal_frechet_Mr(q: ConeQuery, W) -> bool:
 
 
 def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
-    """Tangential part vanishes and rank(W) <= min(m, n) - r."""
+    """Tangential part vanishes and, unless s == r or W is within tolerance of O,
+    rank(W) <= min(m, n) - r: ``check_M_stationary``'s rule, scaled by ||W||."""
     W = as_shaped(W, (q.svd.m, q.svd.n), "W")
-    if _frechet_residual(q.svd, q.s, W) > q.tol * _scale(float(np.linalg.norm(W))):
-        return False
-    return _mordukhovich_rank_ok(q.svd, q.r, np.linalg.svd(W, compute_uv=False))
+    norm = float(np.linalg.norm(W))
+    return _in_mordukhovich(q.svd, q.r, _frechet_residual(q.svd, q.s, W), norm,
+                            lambda: np.linalg.svd(W, compute_uv=False), q.tol * _scale(norm))
 
 
 def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
@@ -197,13 +209,8 @@ def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
 
 
 def in_normal_frechet_MXr(q: ConeQuery, W) -> bool:
-    """Frechet normal cone of the union of flats: U^T W V_g = O if s == r, else W = O."""
-    if q.svd.m < q.svd.n:
-        qt = ConeQuery(q.svd.transposed(), q.r, q.tol)
-        return in_normal_frechet_MXr(qt, as_matrix(W, "W").T)
-    W = as_shaped(W, (q.svd.m, q.svd.n), "W")
-    scale = _scale(float(np.linalg.norm(W)))
+    """Frechet normal cone of the union of flats: at s == r the normal space of the flat
+    on the rank prefix, U^T W V_g = O; at s < r, like N^F(X), only W = O."""
     if q.s == q.r:
-        resid = float(np.linalg.norm(q.svd.u.T @ W @ q.svd.v_gamma))
-        return resid <= q.tol * scale
-    return float(np.linalg.norm(W)) <= q.tol * scale
+        return in_normal_MXJ(q.svd, range(q.s), W, q.tol)
+    return in_normal_frechet_Mr(q, W)

@@ -56,11 +56,19 @@ class PointConstraints:
 
     def __init__(self, svd: ThinSVD, amap: AffineMap):
         self.svd = svd
+        self.amap = amap
         self.compressed = compress(svd, amap.mats)
 
     @lazy_attribute
     def tangent(self) -> StackSVD:
         return StackSVD(self.compressed[:, tangent_mask(self.svd)])
+
+    def fit(self, W, tangential: bool, rank_tol: float):
+        """(y, residual) of the minimum-norm least-squares fit sum_i y_i A^i ~ W: on W's
+        tangent coordinates at the point when ``tangential``, else on all of W."""
+        if tangential:
+            return self.tangent.solve(tangent_coordinates(self.svd, W), rank_tol)
+        return self.amap.fit_multiplier(W, rank_tol)
 
 
 def build_T(svd: ThinSVD, amap: AffineMap) -> np.ndarray:
@@ -187,10 +195,7 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
             f"Assumption {1 if s == r else 2} fails (s={s}, r={r})"
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
-    if s == r:
-        y, resid = cons.tangent.solve(tangent_coordinates(svd, W), svd.rank_tol)
-    else:
-        y, resid = amap.fit_multiplier(W, svd.rank_tol)
+    y, resid = cons.fit(W, s == r, svd.rank_tol)
     member = resid <= tol * _scale(float(np.linalg.norm(W)))
     return member, y, resid
 

@@ -185,10 +185,10 @@ def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
         )
     X, svd, s = pa.X, pa.svd, pa.s
     grad_l = pa.at(y)
-    if grad_l.frechet > prob.tol * pa.scale:
+    if grad_l.frechet > pa.threshold:
         raise ValueError(
             f"point is not F-stationary at the supplied multiplier "
-            f"(residual {grad_l.frechet:.3e} > {prob.tol * pa.scale:.3e})"
+            f"(residual {grad_l.frechet:.3e} > {pa.threshold:.3e})"
         )
 
     basis = _reduced_basis(pa.constraints)

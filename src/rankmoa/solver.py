@@ -2,30 +2,30 @@
 
 The base iteration is the rank-r projection of a gradient step. Nonempty
 affine constraints are handled by one of two heuristics, clearly labeled as
-such in the result:
+such in the result. Both run one loop of rounds over the map's cached
+arrays, bound once per solve. The gradient step is validated once per outer
+iteration, and its rounds run under one ``np.errstate`` that silences
+overflow: a round whose correction overflows raises ``DivergenceError``,
+with no warning ahead of it. A round is the affine correction, if any, and
+one ``linalg._truncate`` call (one call of NumPy's thin-SVD kernel and an
+r-wide product; the tie flag of ``project_low_rank`` is not computed).
 
-* exact_projection: after each gradient step, alternate the closed-form
-  affine projection and the rank-r truncation until the inner iterate stops
-  moving (at least three rounds, capped); the returned iterate is
-  affine-projected last so feasibility holds at report time. A fixed round
-  count leaves an error floor: the gradient step re-enters the infeasible
-  region by O(alpha * ||grad f||) every outer iteration, so the inner loop
-  must re-converge rather than run a constant number of sweeps. The rounds
-  are one loop over the map's cached arrays, bound once per solve: the
-  gradient step is validated once per outer iteration, an inconsistent map
-  is warned about once per solve, and a round is the affine correction (two
-  matrix-vector products with the constraint stack and its pseudo-inverse
-  ``AffineMap.stack_pinv``, none when l = 0), one ``linalg._truncate`` call
-  (one call of NumPy's thin-SVD kernel and an r-wide product) and the
-  stopping test, its norms taken inline as sqrt(x @ x), the sum
-  np.linalg.norm computes. The map's one SVD of its stack gives the
-  pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier fit
-  at rank_tol and ``AffineMap.consistent``, a verdict of the map, not the
-  point. The tie flag of ``project_low_rank`` is not computed. The map's
-  constraint array is read-only, so neither cache can go stale. A round
-  whose correction overflows raises ``DivergenceError``.
-* quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient and keep
-  the plain rank-projected step.
+* exact_projection: the correction is the closed-form affine projection
+  (two matrix-vector products with the constraint stack and its
+  pseudo-inverse ``AffineMap.stack_pinv``, none when l = 0), and rounds
+  repeat until the inner iterate stops moving (at least three, capped); the
+  returned iterate is affine-projected last so feasibility holds at report
+  time. A fixed round count leaves an error floor: the gradient step
+  re-enters the infeasible region by O(alpha * ||grad f||) every outer
+  iteration, so the inner loop must re-converge rather than run a constant
+  number of sweeps. The stopping test takes its norms inline as
+  sqrt(x @ x), the sum np.linalg.norm computes. The map's one SVD of its
+  stack gives the pseudo-inverse at lstsq's cutoff, the stopping tests'
+  full multiplier fit at rank_tol and ``AffineMap.consistent``, a verdict
+  of the map, not the point, warned about once per solve. The map's
+  constraint array is read-only, so neither cache can go stale.
+* quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient; the
+  step is one uncorrected round.
 
 Termination uses the alpha-stationarity residual with a freshly recovered
 multiplier; the final point is classified by the first-order machinery.
@@ -41,7 +41,7 @@ import numpy as np
 
 from .affine import AffineMap
 from .errors import DivergenceError
-from .linalg import _count_arg, _scale, _truncate, as_shaped, check_positive, project_low_rank
+from .linalg import _count_arg, _scale, _truncate, as_shaped, check_positive
 from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
@@ -108,18 +108,15 @@ def _warn_inconsistent(stacklevel: int) -> None:
 def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     """Scaled alpha-stationarity residual with a recovered multiplier.
 
-    Combines the tangential (or full) Lagrangian-gradient norm, the excess of
-    the spectral norm over sigma_r / alpha, and the feasibility residual.
+    Combines the tangential (or full) Lagrangian-gradient norm, the positive
+    part of its ``excess`` over the alpha bound, and the feasibility residual.
     """
     pa = PointAnalysis(prob, X)
     feas = pa.feasibility_residual / prob.affine._rhs_scale
     if prob.r == 0:
         return feas, np.zeros(prob.l)
     grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r)[0])
-    excess = 0.0
-    if pa.s == prob.r:
-        excess = max(0.0, float(grad_l.sigma[0]) - float(pa.svd.sigma[prob.r - 1]) / alpha)
-    return (grad_l.frechet + excess) / pa.scale + feas, grad_l.y
+    return (grad_l.frechet + max(0.0, grad_l.excess(alpha))) / pa.scale + feas, grad_l.y
 
 
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:
@@ -127,11 +124,11 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     X = as_shaped(X0, (prob.m, prob.n), "X0")
     amap, r = prob.affine, prob.r
     exact = cfg.affine_mode == MODE_EXACT
-    if exact:
-        inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
-        stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if amap.l else (None,) * 3
-        if amap.l and not amap.consistent:
-            _warn_inconsistent(2)
+    rounds = _INNER_CAP if exact else 1
+    inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
+    stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if exact and amap.l else (None,) * 3
+    if stack is not None and not amap.consistent:
+        _warn_inconsistent(2)
     log = []
     converged = False
     iterations = 0
@@ -145,12 +142,11 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         if not math.isfinite(np.linalg.norm(W)):
             raise DivergenceError(f"gradient step norm overflowed at iteration {k} "
                                   f"(alpha = {cfg.alpha:g})")
-        if not exact:
-            W, _ = project_low_rank(W, r, prob.rank_tol)
-        else:
-            # validated once here; each round's arrays are the previous round's output
-            W = as_shaped(W, amap.shape, "X")
-            for j in range(_INNER_CAP):
+        # validated once here; each round's arrays are the previous round's output
+        W = as_shaped(W, amap.shape, "X")
+        # an overflowing correction is reported below, not warned about round by round
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(rounds):
                 prev = W
                 if stack is not None:
                     W = _corrected(W, stack, pinv, rhs)

@@ -19,7 +19,9 @@ certified at the tested y values. All tests at one point read a single
 ``PointAnalysis`` of it, and the F, alpha, beta, M, second-order and
 solver-stopping tests at one y apply their cone rules to one record,
 ``PointAnalysis.at(y)``: grad_X L, its norm and Frechet residual and, on
-first use, its tangential residual and singular values.
+first use, its tangential residual and singular values. M applies the rule
+of ``cones.in_normal_mordukhovich_Mr`` to it; alpha, uniqueness and the
+solver's stopping test read its ``excess`` over the alpha bound.
 Infeasible inputs produce reports with all verdicts false, never exceptions.
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import _frechet_residual, _mordukhovich_rank_ok, tangent_coordinates
+from .cones import _frechet_residual, _in_mordukhovich
 from .lazy import lazy_attribute
 from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
@@ -75,7 +77,7 @@ class LagrangianGrad:
     ``frechet`` is the norm of the part F needs to vanish: the tangential part
     at s == r, all of it at s < r. ``tangential``, outside the rank-s normal
     space (M needs it to vanish), and ``sigma``, its singular values, are
-    taken on first use.
+    taken on first use; ``excess`` reads sigma_1 against the alpha bound.
     """
 
     def __init__(self, pa: "PointAnalysis", y: np.ndarray):
@@ -83,6 +85,7 @@ class LagrangianGrad:
         self.matrix = pa.grad + pa.prob.affine.adjoint(y)
         self.norm = float(np.linalg.norm(self.matrix))
         self._svd = pa.svd
+        self._r = pa.prob.r
         self.frechet = self.tangential if pa.s == pa.prob.r else self.norm
 
     @lazy_attribute
@@ -92,6 +95,13 @@ class LagrangianGrad:
     @lazy_attribute
     def sigma(self) -> np.ndarray:
         return np.linalg.svd(self.matrix, compute_uv=False)
+
+    def excess(self, alpha: float) -> float:
+        """sigma_1(grad_X L) - sigma_r(X) / alpha, the spectral bound of the alpha
+        characterization; -inf at s < r and at r == 0, where no step alpha bounds it."""
+        if self._svd.rank < self._r or self._r == 0:
+            return -math.inf
+        return float(self.sigma[0]) - float(self._svd.sigma[self._r - 1]) / alpha
 
 
 class PointAnalysis:
@@ -119,6 +129,7 @@ class PointAnalysis:
                              "so no residual test can be made")
         # stationarity residuals are compared against tol * scale
         self.scale = _scale(grad_norm)
+        self.threshold = prob.tol * self.scale
         self.feasibility_residual = prob.affine.residual(self.X)
         self.feasible = (self.feasibility_residual <= prob.tol * prob.affine._rhs_scale
                          and self.s <= prob.r)
@@ -162,9 +173,7 @@ class PointAnalysis:
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
-    if not tangential:
-        return pa.prob.affine.fit_multiplier(-pa.grad, pa.prob.rank_tol)
-    return pa.constraints.tangent.solve(tangent_coordinates(pa.svd, -pa.grad), pa.prob.rank_tol)
+    return pa.constraints.fit(-pa.grad, tangential, pa.prob.rank_tol)
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
@@ -182,7 +191,7 @@ def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
     rep.y = y
     rep.f_residual = resid
     rep.grad_lagrangian = pa.at(y).matrix
-    rep.is_F = resid <= prob.tol * pa.scale
+    rep.is_F = resid <= pa.threshold
     return rep
 
 
@@ -210,17 +219,14 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
         best = float(np.sqrt(np.sum(sv[prob.r:] ** 2)))
         dist = alpha * grad_l.norm
         return abs(dist - best) <= prob.tol * _scale(float(np.linalg.norm(Z)))
-    if grad_l.frechet > prob.tol * pa.scale:
-        return False
-    return pa.s < prob.r or (
-        float(grad_l.sigma[0]) <= float(pa.svd.sigma[prob.r - 1]) / alpha + prob.tol)
+    return grad_l.frechet <= pa.threshold and grad_l.excess(alpha) <= prob.tol
 
 
 def beta_bound(prob: ProblemSpec, X, y) -> float:
     """sigma_r(X) / ||grad_X L||_2; infinity when the gradient vanishes."""
     pa = PointAnalysis.of(prob, X)
     grad_l = pa.at(y)
-    if grad_l.norm <= prob.tol * pa.scale or prob.r == 0:
+    if grad_l.norm <= pa.threshold or prob.r == 0:
         return math.inf
     return float(pa.svd.sigma[prob.r - 1]) / float(grad_l.sigma[0])
 
@@ -235,28 +241,8 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     if not pa.feasible:
         return False, None
     grad_l = pa.at(pa.multiplier(tangential=True)[0] if y_hint is None else y_hint)
-    if grad_l.tangential > prob.tol * pa.scale:
-        return False, grad_l.y
-    # at s == r N^M is the normal space (rank <= min(m, n) - r); O is in every cone
-    if pa.s == prob.r or grad_l.norm <= prob.tol * pa.scale:
-        return True, grad_l.y
-    return _mordukhovich_rank_ok(pa.svd, prob.r, grad_l.sigma), grad_l.y
-
-
-def _unique_minimizer(prob: ProblemSpec, pa: PointAnalysis, y, lf: float) -> bool:
-    """Thm 4.2 ii with a strict margin: X is alpha-stationary at some step above 1/l_f.
-
-    At alpha = 1/l_f strong convexity bounds f(Z) - f(X) below only by 0,
-    which admits ties, so at s == r the spectral bound must hold with room:
-    sigma_1(grad_X L) + tol * scale < l_f * sigma_r(X). At s < r every step
-    works once grad_X L vanishes.
-    """
-    grad_l = pa.at(y)
-    tol = prob.tol * pa.scale
-    if grad_l.frechet > tol:
-        return False
-    return pa.s < prob.r or prob.r == 0 or (
-        float(grad_l.sigma[0]) + tol < lf * float(pa.svd.sigma[prob.r - 1]))
+    return _in_mordukhovich(pa.svd, prob.r, grad_l.tangential, grad_l.norm,
+                            lambda: grad_l.sigma, pa.threshold), grad_l.y
 
 
 def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> StationarityReport:
@@ -264,8 +250,9 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
 
     ``is_alpha`` is tested at the supplied step, else at 1/l_f when the
     objective declares a strong-convexity modulus l_f. Uniqueness (Thm 4.2 ii)
-    is decided apart from it, by ``_unique_minimizer``'s strict margin at
-    1/l_f, whatever step the caller tests.
+    is decided apart from it: X must be alpha-stationary at a step above 1/l_f,
+    as at 1/l_f strong convexity bounds f(Z) - f(X) below only by 0, which
+    admits ties. So the excess at 1/l_f must be below -tol * scale.
     """
     pa = PointAnalysis.of(prob, X)
     rep = check_F_stationary(prob, pa)
@@ -289,7 +276,8 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
             cls.append("global minimizer (Thm 4.1 ii)")
         else:
             cls.append("global minimizer restricted on M_X(Γ) (Thm 4.1 ii)")
-    if lf and _unique_minimizer(prob, pa, rep.y, lf):
+    grad_l = pa.at(rep.y)
+    if lf and grad_l.frechet <= pa.threshold and grad_l.excess(1.0 / lf) < -pa.threshold:
         cls.append("unique global minimizer (Thm 4.2 ii)")
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")

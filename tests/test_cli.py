@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -521,21 +522,44 @@ def test_solve_divergence_exit_4(problem_files, tmp_path, capsys):
     assert code == 4
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_solve_affine_correction_overflow_exit_4(tmp_path, capsys):
-    # a finite gradient step whose constraint residual b - A(W) overflows
+def _huge_problem(tmp_path):
+    """x0 = H, at which the constraint residual b - A(X) overflows."""
     rng = np.random.default_rng(0)
     H = 1e150 * rng.standard_normal((4, 4))
     A = 1e160 * rng.standard_normal((2, 4, 4))
     path = tmp_path / "huge.prob"
     save_problem(ProblemSpec(FrobeniusDistance(H), AffineMap(A, [0, 0]), RankBound(1)),
                  path, named_points={"x0": H})
-    code = main(["solve", str(path), "--x0", "x0", "--iters", "3",
-                 "--out", str(tmp_path / "o")])
+    return path
+
+
+def _unwarned_main(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
+def test_solve_affine_correction_overflow_exit_4(tmp_path, capsys):
+    # a finite gradient step whose constraint residual b - A(W) overflows: the
+    # divergence line is all that is printed, with no NumPy warning ahead of it
+    code = _unwarned_main(["solve", str(_huge_problem(tmp_path)), "--x0", "x0", "--iters", "3",
+                           "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("divergence: ") and "iteration 1" in err
+
+
+def test_analyze_overflowing_constraint_residual_is_infinite(tmp_path, capsys):
+    # A(X) overflows to NaN: the residual is inf, so the point is infeasible, unwarned
+    path = str(_huge_problem(tmp_path))
+    assert _unwarned_main(["analyze", path, "--point", "x0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stationarity"]["feasibility_residual"] == "inf"
+    assert doc["stationarity"]["feasible"] is False
+    assert _unwarned_main(["analyze", path, "--point", "x0"]) == 0
+    assert "feasibility: INFEASIBLE  (residual inf" in capsys.readouterr().out
 
 
 def test_solve_out_is_a_file_exit_2_before_solving(problem_files, tmp_path, monkeypatch,

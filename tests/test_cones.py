@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rankmoa import (ConeQuery, IndexSetJ, enumerate_J, in_normal_MXJ,
+from rankmoa import (AffineMap, ConeQuery, FrobeniusDistance, IndexSetJ, ProblemSpec,
+                     RankBound, check_M_stationary, enumerate_J, in_normal_MXJ,
                      in_normal_frechet_MXr, in_normal_frechet_Mr,
                      in_normal_mordukhovich_Mr, in_tangent_bouligand_Mr,
                      orient_svd, project_low_rank, project_normal_fixed_rank,
@@ -107,6 +108,26 @@ def test_mordukhovich_normal_at_trace_candidates(trace_case):
     w2[2:, 2:] = np.diag([1.0, 2.0])  # rank 2 block exceeds min(m,n) - r = 1
     assert not in_normal_mordukhovich_Mr(q, w2)
     assert in_normal_mordukhovich_Mr(q, np.zeros((4, 4)))
+
+
+def _pinned_mordukhovich_input(case):
+    """(X, W) with r = 2 on which the rank of W counts values at rounding level."""
+    if case == "s=r":  # a tangential residual 1.2e-8 within tol * ||W||
+        W = np.diag([0.0, 0.0, 1.0, 1.0])
+        W[0, 1] = 1.2e-8
+        return np.diag([3.0, 2.0, 0.0, 0.0]), W
+    # s = 1 < r and W within tol of O
+    return np.diag([3.0, 0.0, 0.0, 0.0]), 1e-9 * np.random.default_rng(0).standard_normal((4, 4))
+
+
+@pytest.mark.parametrize("case", ["s=r", "s<r"])
+def test_mordukhovich_predicate_applies_the_stationarity_rule(case):
+    # At s == r N^M is the normal space, and O is in every cone, so neither W is ranked:
+    # the predicate agrees with check_M_stationary, here at grad f = -W, ||grad f|| = ||W||
+    X, W = _pinned_mordukhovich_input(case)
+    assert in_normal_mordukhovich_Mr(ConeQuery(orient_svd(X), 2), W)
+    prob = ProblemSpec(FrobeniusDistance(X + W), AffineMap([], [], shape=(4, 4)), RankBound(2))
+    assert check_M_stationary(prob, X)[0]
 
 
 def test_frechet_implies_mordukhovich(rng):

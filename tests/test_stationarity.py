@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound,
                      beta_bound, check_F_stationary, check_M_stationary,
                      check_alpha_stationary, classify_first_order, lagrangian,
                      lagrangian_grad, orient_svd)
+from rankmoa.model import CustomObjective
 from rankmoa.oracle import fd_gradient
+from rankmoa.stationarity import PointAnalysis
 
 from conftest import random_rank_matrix
 
@@ -226,6 +230,40 @@ def test_near_tie_is_not_labelled_unique():
     for h2, unique in ((1.0 - 1e-9, False), (1.0 - 1e-3, True)):
         rep = classify_first_order(_tie_problem(h2), np.diag([1.0, 0.0]))
         assert ("unique global minimizer (Thm 4.2 ii)" in rep.classification) == unique
+
+
+def _scaled_distance(H, lf):
+    """f = lf/2 ||X - H||^2, strongly convex with modulus lf."""
+    return CustomObjective("scaled-distance", H.shape,
+                           lambda X: 0.5 * lf * float(np.sum((X - H) ** 2)),
+                           lambda X: lf * (X - H), lambda X, Xi: lf * Xi,
+                           convex=True, strong_convexity_modulus=lf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-12.0, 0.0), st.integers(1, 2), st.booleans(),
+       st.integers(0, 10**6))
+def test_uniqueness_is_the_strict_margin_at_every_modulus(log_lf, log_gap, r, top, seed):
+    # Thm 4.2 ii's margin written as sigma_1(grad L) + tol * scale < l_f * sigma_r(X)
+    # decides the label at every l_f in [1e-3, 1e3]. X is the rank-r part of H on its
+    # top r singular pairs (top) or on pairs 1..r-1 and r+1; a relative gap 10^log_gap
+    # between sigma_r(H) and sigma_(r+1)(H) puts the margin on either side of tol
+    lf = 10.0 ** log_lf
+    rng = np.random.default_rng(seed)
+    P, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    h = np.sort(rng.uniform(1.0, 2.0, 4))[::-1]
+    h[r] = h[r - 1] * (1.0 - 10.0 ** log_gap)
+    keep = list(range(r)) if top else list(range(r - 1)) + [r]
+    X = (P[:, keep] * h[keep]) @ Q[:, keep].T
+    prob = ProblemSpec(_scaled_distance((P * h) @ Q.T, lf), AffineMap([], [], shape=(4, 4)),
+                       RankBound(r))
+    rep = classify_first_order(prob, X)
+    pa = PointAnalysis(prob, X)
+    grad_l, tol = pa.at(rep.y), prob.tol * pa.scale
+    margin = grad_l.frechet <= tol and (
+        pa.s < r or float(grad_l.sigma[0]) + tol < lf * float(pa.svd.sigma[r - 1]))
+    assert ("unique global minimizer (Thm 4.2 ii)" in rep.classification) == margin
 
 
 def test_classify_lrr_global(lrr_case):
