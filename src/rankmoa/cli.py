@@ -87,7 +87,6 @@ def cmd_analyze(args) -> int:
             check_positive(args.alpha, "--alpha")
         if args.samples < 0:
             raise ValueError(f"--samples must be nonnegative, got {args.samples}")
-        seed = _seed(args)
         X, label = _load_point(args.point, loaded.named_points,
                                (prob.m, prob.n))
         pa = PointAnalysis(prob, X)
@@ -99,7 +98,7 @@ def cmd_analyze(args) -> int:
     qual = pa.qualification
     second = None
     if rep.is_F:
-        second = check_second_order(prob, pa, rep.y, samples=args.samples, seed=seed)
+        second = check_second_order(prob, pa, rep.y, samples=args.samples)
 
     doc = {
         "problem": {
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--samples", type=int, default=2000,
                     help="most cone subspaces the rank-deficient second-order search examines, "
                          "where hess f has curvature below -tol on ker A")
-    pa.add_argument("--seed", type=int, default=None, help=SEED_HELP + "; the search ignores it")
 
     ps = sub.add_parser("solve", help="search for an alpha-stationary point")
     ps.add_argument("problem")

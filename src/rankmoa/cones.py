@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ThinSVD, _rank, _scale, as_matrix, as_shaped, check_positive
+from .linalg import (DEFAULT_TOL, ThinSVD, _rank, _scale, as_matrix, as_shaped, check_positive,
+                     spectral_norm)
 
 
 @dataclass(frozen=True)
@@ -128,24 +129,14 @@ def project_normal_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
     return up @ (up.T @ Z @ vp) @ vp.T
 
 
-def in_tangent_bouligand_Mr(q: ConeQuery, H):
+def in_tangent_bouligand_Mr(q: ConeQuery, H) -> bool:
     """H is tangent iff its normal block N = C[s:, s:] of C = compress(svd, H) has rank
-    at most r - s, counted against rank_tol * sigma_1(H): relative to H, not to its
-    (possibly vanishing) normal part, so exactly tangent directions and H = O pass.
-    sigma_1(N) <= sigma_1(H) <= ||H||_F brackets that cutoff: ranking N against
-    sigma_1(N) admits, against ||H||_F rejects, and only the matrices between pay for a
-    values-only SVD of C. H may be a (..., m, n) stack; the result is then a boolean
-    array of the leading shape.
-    """
-    C = compress(q.svd, as_shaped(H, (q.svd.m, q.svd.n), "H", stack=True))
-    k, tol = q.r - q.s, q.svd.rank_tol
-    sv = np.linalg.svd(C[..., q.s:, q.s:], compute_uv=False)
-    member = np.asarray(_rank(sv, tol) <= k)
-    between = ~member & (_rank(sv, tol, np.linalg.norm(C, axis=(-2, -1))) <= k)
-    if between.any():
-        top = np.linalg.svd(C[between], compute_uv=False)[..., 0]
-        member[between] = _rank(sv[between], tol, top) <= k
-    return bool(member) if C.ndim == 2 else member
+    at most r - s, counted against rank_tol * sigma_1(C) = rank_tol * sigma_1(H): relative
+    to H, not to its (possibly vanishing) normal part, so exactly tangent directions and
+    H = O pass."""
+    C = compress(q.svd, as_shaped(H, (q.svd.m, q.svd.n), "H"))
+    sv = np.linalg.svd(C[q.s:, q.s:], compute_uv=False)
+    return bool(_rank(sv, q.svd.rank_tol, spectral_norm(C)) <= q.r - q.s)
 
 
 def _frechet_residual(svd: ThinSVD, r: int, W) -> float:
@@ -192,15 +183,14 @@ def in_normal_mordukhovich_Mr(q: ConeQuery, W) -> bool:
 
 
 def in_normal_MXJ(svd: ThinSVD, J, W, tol: float = DEFAULT_TOL) -> bool:
-    """Normal-space test for the flat U B V_J^T through X: U^T W V_J = O."""
+    """Normal-space test for the flat U B V_J^T through X: U^T W V_J = O.
+
+    J, an ``IndexSetJ`` or its indices, is validated as an ``IndexSetJ`` of the
+    point's rank, and its columns must exist."""
     if svd.m < svd.n:
         return in_normal_MXJ(svd.transposed(), J, as_matrix(W, "W").T, tol)
     W = as_shaped(W, (svd.m, svd.n), "W")
-    idx = J.indices if isinstance(J, IndexSetJ) else tuple(int(i) for i in J)
-    if not set(range(svd.rank)).issubset(idx):
-        raise ValueError("index set must contain the rank prefix of the base point")
-    if idx and min(idx) < 0:
-        raise ValueError("index set has negative entries")
+    idx = IndexSetJ(J.indices if isinstance(J, IndexSetJ) else J, svd.rank).indices
     if idx and max(idx) >= svd.n:
         raise ValueError("index set exceeds the number of columns")
     vj = svd.v[:, list(idx)]

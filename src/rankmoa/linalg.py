@@ -82,7 +82,11 @@ class RankBound:
     r: int
 
     def __post_init__(self):
-        if int(self.r) != self.r or self.r < 0:
+        try:  # bool is an int subclass, but True is no rank
+            ok = not isinstance(self.r, (bool, np.bool_)) and int(self.r) == self.r >= 0
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise ValueError(f"rank bound must be a nonnegative integer, got {self.r!r}")
         object.__setattr__(self, "r", int(self.r))
 
@@ -91,10 +95,6 @@ class RankBound:
             raise ValueError(
                 f"rank bound r={self.r} must be smaller than min(m, n)={min(m, n)}"
             )
-
-
-def _coerce_rank(r) -> int:
-    return r.r if isinstance(r, RankBound) else int(r)
 
 
 @dataclass(frozen=True)
@@ -207,45 +207,39 @@ def project_low_rank(Z, r, rank_tol: float = DEFAULT_RANK_TOL):
 
     Returns (projection, tie_flag). The tie flag is set when
     sigma_r <= sigma_{r+1} + rank_tol * sigma_1, in which case the projection
-    is not unique. Z may be a (..., m, n) stack; each matrix is projected on
-    its own and the tie flag is then a boolean array of the leading shape.
-    Validation, then ``_truncate``, then the tie flag: callers that validated
-    Z themselves and ignore ties (the solver's inner rounds) call ``_truncate``.
+    is not unique. Validation, then ``_truncate``, then the tie flag: callers
+    that validated Z themselves and ignore ties (the solver's inner rounds)
+    call ``_truncate``.
     """
-    Z = as_stack(Z)
-    r = _coerce_rank(r)
-    k = min(Z.shape[-2:])
-    if not 0 <= r <= k:
+    Z = as_matrix(Z)
+    r = (r if isinstance(r, RankBound) else RankBound(r)).r
+    k = min(Z.shape)
+    if r > k:
         raise ValueError(f"rank bound r={r} out of range for shape {Z.shape}")
     check_positive(rank_tol, "rank_tol")
     P, sigma = _truncate(Z, r)
-    if 0 < r < k:
-        tie = sigma[..., r - 1] <= sigma[..., r] + _rank_cutoff(sigma, rank_tol)
-    else:
-        tie = np.zeros(Z.shape[:-2], dtype=bool)
-    return P, (bool(tie) if Z.ndim == 2 else tie)
+    tie = 0 < r < k and sigma[r - 1] <= sigma[r] + _rank_cutoff(sigma, rank_tol)
+    return P, bool(tie)
 
 
 def _truncate(Z: np.ndarray, r: int):
     """(sum of the top r triplets sigma_k u_k v_k^T, all singular values) of Z.
 
-    Z must already be a finite float (..., m, n) array with 0 <= r <= min(m, n);
+    Z must already be a finite 2-d float array with 0 <= r <= min(m, n);
     nothing is checked. A nonempty matrix goes straight to NumPy's thin-SVD
     gufunc, the dgesdd call np.linalg.svd(Z, full_matrices=False) dispatches
     to, so the factors are the same bits without numpy's Python wrapper
-    around them. A stack or an empty matrix (or a NumPy without the gufunc)
-    goes through np.linalg.svd. Only the r kept triplets enter the product,
-    and the singular vectors' signs cancel in it, so no orientation is applied.
-    The 2-d product indexes without the stack's broadcast axes: the same
-    float operations, fewer indexing steps.
+    around them. An empty matrix (or a NumPy without the gufunc) goes through
+    np.linalg.svd. Only the r kept triplets enter the product, and the
+    singular vectors' signs cancel in it, so no orientation is applied.
     """
-    if Z.ndim == 2 and Z.size and _svd_thin is not None:
+    if Z.size and _svd_thin is not None:
         u, sigma, vh = _svd_thin(Z, signature="d->ddd")
         if sigma[0] != sigma[0]:  # the gufunc fills its outputs with NaN when dgesdd fails
             raise np.linalg.LinAlgError("SVD did not converge")
-        return (u[:, :r] * sigma[:r]) @ vh[:r], sigma
-    u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
-    return (u[..., :r] * sigma[..., None, :r]) @ vh[..., :r, :], sigma
+    else:
+        u, sigma, vh = np.linalg.svd(Z, full_matrices=False)
+    return (u[:, :r] * sigma[:r]) @ vh[:r], sigma
 
 
 def spectral_norm(X) -> float:
@@ -265,22 +259,16 @@ def rank_estimate(X, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def _rank_cutoff(sigma: np.ndarray, rank_tol: float, top=None):
-    """rank_tol * top for each row of a (..., k) array of nonincreasing singular values.
-
-    top defaults to sigma_1, the row's first value (0.0 when k == 0). The
-    result has sigma's leading shape.
-    """
+    """rank_tol * top for nonincreasing singular values sigma; top defaults to
+    sigma_1 (0.0 when sigma is empty)."""
     if top is None:
-        top = sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
+        top = sigma[0] if sigma.size else 0.0
     return rank_tol * top
 
 
 def _rank(sigma: np.ndarray, rank_tol: float, top=None):
-    """Per row of sigma (..., k), the number of values above ``_rank_cutoff``."""
-    cut = _rank_cutoff(sigma, rank_tol, top)
-    if sigma.ndim == 1:  # one row: skip count_nonzero's Python-level axis path
-        return np.count_nonzero(sigma > cut)
-    return np.count_nonzero(sigma > cut[..., None], axis=-1)
+    """The number of values of sigma above ``_rank_cutoff``."""
+    return np.count_nonzero(sigma > _rank_cutoff(sigma, rank_tol, top))
 
 
 def _scale(ref: float) -> float:

@@ -271,7 +271,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         if not isinstance(self.rank_bound, RankBound):
-            object.__setattr__(self, "rank_bound", RankBound(int(self.rank_bound)))
+            object.__setattr__(self, "rank_bound", RankBound(self.rank_bound))
         if self.objective.shape != self.affine.shape:
             raise ValueError(
                 f"objective shape {self.objective.shape} disagrees with "

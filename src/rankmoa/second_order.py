@@ -165,18 +165,16 @@ def _cone_search(objective, X, cons: PointConstraints, ker, gram, r: int, tol: f
             F, left = np.linalg.qr(z.T if left else z)[0], not left
 
 
-def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000,
-                       seed: int = 0) -> SecondOrderReport:
+def check_second_order(prob: ProblemSpec, X, y, samples: int = 2000) -> SecondOrderReport:
     """Second-order necessary/sufficient verdicts at an F-stationary point.
 
     X may be a ``PointAnalysis`` of the point, whose SVD, gradient and record
     of grad_X L at y are reused. At s < r ``samples`` bounds the linear spaces
-    of the cone searched; the search is deterministic, ``seed`` only validated.
-    A point that is not feasible or a negative ``samples`` or ``seed`` raises
-    ValueError, a non-integer or boolean one TypeError, all before any work.
+    of the cone searched; the search is deterministic. A point that is not
+    feasible or a negative ``samples`` raises ValueError, a non-integer or
+    boolean one TypeError, all before any work.
     """
     samples = _count_arg(samples, "samples")
-    _count_arg(seed, "seed")
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         raise ValueError(

@@ -133,8 +133,6 @@ BIG_EDITS = {
     pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
     pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
     pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
-    pytest.param(["analyze", "--point", "X4", "--seed", "-1"], None, None,
-                 id="analyze-seed-negative"),
     pytest.param(["analyze", "--point", "X4"],
                  lambda doc: doc.update(objective={"kind": "registered_custom", "id": "x",
                                                    "params": 5}),
@@ -645,6 +643,17 @@ def test_env_seed_read_per_call(problem_files, tmp_path, monkeypatch, capsys):
     assert np.array_equal(start(3, env="3"), start(3))
     assert np.array_equal(start(5, env="5"), start(5))
     assert not np.array_equal(start(3), start(5))
+
+
+def test_analyze_rejects_seed(problem_files, monkeypatch, capsys):
+    # analyze draws nothing at random: --seed is an unknown option (argparse exits 2),
+    # and RANKMOA_SEED, even a negative one, is not read
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(problem_files["tr"]), "--point", "X4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    monkeypatch.setenv("RANKMOA_SEED", "-1")
+    assert main(["analyze", str(problem_files["tr"]), "--point", "X4"]) == 0
 
 
 @pytest.mark.parametrize("argv", [["--seed", "-1"], ["RANKMOA_SEED=-1"]])

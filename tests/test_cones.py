@@ -184,13 +184,27 @@ def test_index_set_validation():
     assert j.indices == (0, 2)
     with pytest.raises(ValueError, match="negative"):
         IndexSetJ((0, 1, -1), s=2)
-    # a raw tuple skips IndexSetJ: -1 must not index column n - 1
+    # a raw tuple is validated too: -1 must not index column n - 1
     svd = orient_svd(np.diag([3.0, 2.0, 0.0, 0.0]))
     W = np.zeros((4, 4))
     with pytest.raises(ValueError, match="negative"):
         in_normal_MXJ(svd, (0, 1, -1), W)
     with pytest.raises(ValueError, match="exceeds"):
         in_normal_MXJ(svd, (0, 1, 4), W)
+
+
+def test_in_normal_MXJ_validates_through_index_set_j():
+    # in_normal_MXJ builds IndexSetJ(J, svd.rank) from a raw or a given set, so it
+    # refuses what IndexSetJ refuses: a repeated column names no flat
+    svd = orient_svd(np.diag([3.0, 2.0, 0.0, 0.0]))
+    W = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="repeated"):
+        in_normal_MXJ(svd, (0, 1, 1), W)
+    for J in ((1, 2), IndexSetJ((0, 2), s=1)):  # the point's rank prefix is 0, 1
+        with pytest.raises(ValueError, match="rank prefix"):
+            in_normal_MXJ(svd, J, W)
+    assert in_normal_MXJ(svd, IndexSetJ((0, 1, 3), s=2), W)
+    assert in_normal_MXJ(svd, range(3), W)
 
 
 def test_in_normal_MXJ_hand_case(diagonal_case):
@@ -249,7 +263,7 @@ def test_cone_query_validates_rank():
             ConeQuery(low, 2, bad)
 
 
-def test_stacked_projections_and_bouligand_membership_match_slices(rng):
+def test_stacked_projections_match_slices(rng):
     for m, n, s, r in ((5, 4, 1, 3), (4, 6, 2, 3), (3, 3, 0, 2)):
         q = _query(rng, m, n, s, r)
         svd = q.svd
@@ -262,10 +276,10 @@ def test_stacked_projections_and_bouligand_membership_match_slices(rng):
             assert P.shape == stack.shape
             for i, h in enumerate(H):
                 assert np.array_equal(P[i, 0], project(svd, h))
-        mask = in_tangent_bouligand_Mr(q, stack)
-        assert mask.shape == (5, 1) and mask.dtype == bool
+        # the membership test takes one matrix
+        with pytest.raises(ValueError, match="2-d"):
+            in_tangent_bouligand_Mr(q, stack)
         want = [in_tangent_bouligand_Mr(q, h) for h in H]
-        assert mask[:, 0].tolist() == want
         assert want[:2] == [True, True] and want[3]
         assert not want[2]
 
@@ -273,15 +287,15 @@ def test_stacked_projections_and_bouligand_membership_match_slices(rng):
 def _reference_bouligand(q, H):
     """The membership test in original coordinates: the normal part and H ranked by two SVDs."""
     N = project_normal_fixed_rank(q.svd, H)
-    sv_h = np.linalg.svd(H, compute_uv=False)
-    top = sv_h[..., :1] if sv_h.shape[-1] else np.zeros(H.shape[:-2] + (1,))
+    top = np.linalg.svd(H, compute_uv=False)[0]
     sv = np.linalg.svd(N, compute_uv=False)
-    return np.count_nonzero(sv > q.svd.rank_tol * top, axis=-1) <= q.r - q.s
+    return bool(np.count_nonzero(sv > q.svd.rank_tol * top) <= q.r - q.s)
 
 
 def _planted_bouligand(rng, svd, r, member, tangent_scale):
-    """U C V^T whose normal block has r - s unit singular values and one more, ranked
-    against rank_tol * sigma_1(H) as a member or not but undecided by sigma_1(N) and ||H||_F."""
+    """U C V^T whose normal block has r - s unit singular values and one more, just above
+    or below rank_tol * sigma_1(H), strictly between rank_tol * sigma_1(N) and
+    rank_tol * ||H||_F."""
     m, n, s = svd.m, svd.n, svd.rank
     p = min(m, n) - s
     P = np.linalg.qr(rng.standard_normal((m - s, p)))[0]
@@ -298,7 +312,7 @@ def _planted_bouligand(rng, svd, r, member, tangent_scale):
 
 def test_compressed_bouligand_rule_matches_original_coordinates(rng):
     # tall, wide and s = 0 points; the planted normal spectra sit on both sides
-    # of rank_tol * sigma_1(H), inside the sigma_1(N) .. ||H||_F bracket
+    # of rank_tol * sigma_1(H), where neither sigma_1(N) nor ||H||_F would rank them
     for m, n, s, r in ((6, 4, 1, 3), (4, 6, 2, 3), (5, 5, 0, 2), (6, 3, 0, 2)):
         q = _query(rng, m, n, s, r)
         svd, k = q.svd, r - s
@@ -309,11 +323,9 @@ def test_compressed_bouligand_rule_matches_original_coordinates(rng):
         members = (True, False) if s else (False,)
         planted = [_planted_bouligand(rng, svd, r, member, scale)
                    for member in members for scale in (1.0, 10.0) for _ in range(3)]
-        H = np.stack(drawn + planted)
-        want = _reference_bouligand(q, H)
-        assert in_tangent_bouligand_Mr(q, H).tolist() == want.tolist()
-        assert [in_tangent_bouligand_Mr(q, h) for h in H] == want.tolist()
-        assert want[len(drawn):].tolist() == [mb for mb in members for _ in range(6)]
+        want = [_reference_bouligand(q, h) for h in drawn + planted]
+        assert [in_tangent_bouligand_Mr(q, h) for h in drawn + planted] == want
+        assert want[len(drawn):] == [mb for mb in members for _ in range(6)]
         C = compress(svd, np.stack(planted))
         sv = np.linalg.svd(C[:, s:, s:], compute_uv=False)
         fro = np.linalg.norm(C, axis=(1, 2))[:, None]

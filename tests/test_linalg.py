@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 from rankmoa import linalg
-from rankmoa import (RankBound, orient_svd, project_low_rank, pseudo_inverse,
-                     rank_estimate, spectral_norm, thin_svd)
+from rankmoa import (ProblemSpec, RankBound, build_trace_example, orient_svd,
+                     project_low_rank, pseudo_inverse, rank_estimate, spectral_norm, thin_svd)
 
 from conftest import random_rank_matrix
 
@@ -179,6 +179,20 @@ def test_project_low_rank_accepts_rank_bound_record():
 def test_rank_bound_validation():
     with pytest.raises(ValueError):
         RankBound(-1)
+    assert RankBound(np.int64(2)).r == 2 and type(RankBound(np.int64(2)).r) is int
+
+
+def test_every_rank_bound_goes_through_rank_bound():
+    # no bound is truncated (2.7 is not 2) or read from a boolean (True is not 1)
+    spec = build_trace_example()[0]
+    for bad in (2.7, True, np.bool_(True), "2", None, np.nan):
+        with pytest.raises(ValueError, match="rank bound must be a nonnegative integer"):
+            RankBound(bad)
+        with pytest.raises(ValueError, match="rank bound must be a nonnegative integer"):
+            project_low_rank(np.diag([3.0, 2.0, 1.0]), bad)
+        with pytest.raises(ValueError, match="rank bound must be a nonnegative integer"):
+            ProblemSpec(spec.objective, spec.affine, bad)
+    assert ProblemSpec(spec.objective, spec.affine, np.int64(2)).r == 2
     with pytest.raises(ValueError):
         RankBound(3).check_shape(4, 3)
     RankBound(2).check_shape(4, 3)
@@ -220,30 +234,28 @@ def test_spectral_norm_and_rank_estimate(hankel_case, trace_case):
     assert rank_estimate(hpoints["Xbar"]) == 2
 
 
-def test_project_low_rank_stack_matches_slices_and_oriented_truncation(rng):
-    # each slice of a stacked projection is bitwise the 2-d projection of that
-    # slice, and both equal the truncation of the sign-oriented factors
+def test_project_low_rank_matches_oriented_truncation(rng):
+    # the projection is bitwise the truncation of the sign-oriented factors
     for m, n in ((7, 6), (4, 5), (3, 3)):
         k = min(m, n)
-        Z = rng.standard_normal((2, 3, m, n))
-        Z[0, 0] = np.eye(m, n)  # sigma_r = sigma_{r+1}: a tie for every 0 < r < k
-        for r in range(k + 1):
-            P, tie = project_low_rank(Z, r)
-            assert P.shape == Z.shape and tie.shape == (2, 3)
-            for idx in np.ndindex(2, 3):
-                P1, tie1 = project_low_rank(Z[idx], r)
-                assert np.array_equal(P[idx], P1) and tie[idx] == tie1
-                assert isinstance(tie1, bool)
-                f = orient_svd(Z[idx])
+        mats = [np.eye(m, n)] + [rng.standard_normal((m, n)) for _ in range(5)]
+        for i, Z in enumerate(mats):
+            for r in range(k + 1):
+                P, tie = project_low_rank(Z, r)
+                assert isinstance(tie, bool)
+                if i == 0:  # sigma_r = sigma_{r+1}: a tie for every 0 < r < k
+                    assert tie == (0 < r < k)
+                f = orient_svd(Z)
                 kept = f.sigma.copy()
                 kept[r:] = 0.0
-                assert np.array_equal(P1, (f.u[:, :k] * kept) @ f.v[:, :k].T)
-            assert tie[0, 0] == (0 < r < k)
+                assert np.array_equal(P, (f.u[:, :k] * kept) @ f.v[:, :k].T)
 
 
 def test_project_low_rank_stack_validation():
     with pytest.raises(ValueError):
         project_low_rank(np.ones(3), 1)
+    with pytest.raises(ValueError, match="2-d"):  # one matrix, never a stack
+        project_low_rank(np.zeros((2, 3, 3)), 1)
     bad = np.zeros((2, 3, 3))
     bad[1, 0, 0] = np.nan
     with pytest.raises(ValueError):
@@ -288,14 +300,10 @@ def test_truncation_kernel_matches_numpy_svd_bitwise(rng):
         Z = rng.standard_normal((m, n))
         for r in sorted({0, 1, k // 2, max(k - 1, 0), k} & set(range(k + 1))):
             _check_truncation(Z, r)
-    for lead, (m, n) in (((3,), (7, 5)), ((2, 2), (4, 6)), ((5,), (3, 3)), ((1,), (20, 17))):
-        Z = rng.standard_normal(lead + (m, n))
-        for r in range(min(m, n) + 1):
-            _check_truncation(Z, r)
     # empty matrices take numpy's path: nothing to keep
-    for shape in ((0, 3), (3, 0), (2, 0, 4)):
+    for shape in ((0, 3), (3, 0)):
         P, sigma = linalg._truncate(np.zeros(shape), 0)
-        assert P.shape == shape and sigma.shape == shape[:-2] + (0,)
+        assert P.shape == shape and sigma.shape == (0,)
 
 
 def test_truncation_fallback_matches_gufunc_bitwise(rng, monkeypatch):
@@ -345,12 +353,13 @@ def test_null_space_matches_scipy_bitwise(rng):
 @pytest.mark.parametrize("shape", [(0,), (1,), (4,), (7,), (3, 0), (3, 4), (2, 3, 5)])
 @pytest.mark.parametrize("given_top", [False, True])
 def test_rank_count_matches_the_axis_count(rng, shape, given_top):
-    # the 1-d fast path and the stacked path against the one expression
+    # _rank on each row of sigma against one axis count over all the rows
     sigma = -np.sort(-rng.random(shape) * rng.choice([1e-10, 1.0], size=shape), axis=-1)
     if shape[-1] > 1:
         sigma[..., -1] = 1e-12  # one value below any cutoff
     top = rng.random(shape[:-1]) if given_top else None
-    cut = linalg._rank_cutoff(sigma, 1e-8, top)
-    want = np.count_nonzero(sigma > cut[..., None], axis=-1)
-    got = linalg._rank(sigma, 1e-8, top)
-    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+    ref = top if given_top else (sigma[..., 0] if shape[-1] else np.zeros(shape[:-1]))
+    want = np.count_nonzero(sigma > 1e-8 * ref[..., None], axis=-1)
+    for idx in np.ndindex(shape[:-1]):
+        got = linalg._rank(sigma[idx], 1e-8, None if top is None else top[idx])
+        assert got == want[idx]

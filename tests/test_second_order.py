@@ -191,7 +191,7 @@ def test_planted_saddles_violate_the_necessary_condition(N, r, l):
 def test_check_second_order_lrr_tier1(lrr_case):
     spec = lrr_case(3)
     wbar = np.full((3, 3), 1.0 / 3.0)
-    rep = check_second_order(spec, wbar, -np.ones(3) / 3.0, samples=500, seed=3)
+    rep = check_second_order(spec, wbar, -np.ones(3) / 3.0, samples=500)
     assert rep.case == "rank_deficient"
     assert rep.sufficient_ok and rep.necessary_ok
     assert rep.basis_dim == 6  # dim ker A = N^2 - N
@@ -261,7 +261,7 @@ def test_negative_curvature_detected_by_sampling(rng):
         hess_apply_fn=lambda Y, Xi: -Xi,
     )
     prob = ProblemSpec(obj, AffineMap([], [], shape=(n, n)), RankBound(2))
-    rep = check_second_order(prob, X, np.zeros(0), samples=200, seed=1)
+    rep = check_second_order(prob, X, np.zeros(0), samples=200)
     assert rep.case == "rank_deficient"
     assert not rep.sufficient_ok
     assert not rep.necessary_ok
@@ -270,7 +270,7 @@ def test_negative_curvature_detected_by_sampling(rng):
 
 
 def test_sufficient_certificate_forbids_violations(rng):
-    for trial in range(10):
+    for _ in range(10):
         m = n = 4
         r = 2
         s = int(rng.integers(0, r))
@@ -278,7 +278,7 @@ def test_sufficient_certificate_forbids_violations(rng):
         mats = [rng.standard_normal((m, n)) for _ in range(2)]
         amap = AffineMap(mats, [float(np.tensordot(a, X)) for a in mats])
         prob = ProblemSpec(FrobeniusDistance(X), amap, RankBound(r))
-        rep = check_second_order(prob, X, np.zeros(2), samples=300, seed=trial)
+        rep = check_second_order(prob, X, np.zeros(2), samples=300)
         assert rep.sufficient_ok
         assert rep.cone_violations == 0
 
@@ -495,7 +495,7 @@ def test_cone_search_skips_what_ker_A_decides(rng):
              (ProblemSpec(LinearTrace(zero), free, RankBound(2)), zero, np.zeros(0))]
     for prob, point, y in cases:
         for samples in (0, 1, 513, 2000):
-            rep = check_second_order(prob, point, y, samples=samples, seed=5)
+            rep = check_second_order(prob, point, y, samples=samples)
             assert rep.case == "rank_deficient" and rep.necessary_ok
             assert (rep.cone_samples_tested, rep.cone_violations) == (0, 0)
 
@@ -563,25 +563,17 @@ def test_check_second_order_rejects_negative_samples():
     prob = ProblemSpec(FrobeniusDistance(X), AffineMap([], [], shape=(4, 4)), RankBound(2))
     with pytest.raises(ValueError, match="samples"):
         check_second_order(prob, X, np.zeros(0), samples=-5)
-    # the seed is checked up front too, not where the sampler first uses it
-    with pytest.raises(ValueError, match="seed"):
-        check_second_order(prob, X, np.zeros(0), samples=0, seed=-1)
     assert check_second_order(prob, X, np.zeros(0), samples=0).cone_samples_tested == 0
     # non-integer and boolean counts are refused by name, before the point is read:
-    # 2.5 used to run 2 draws, True 1, and None or 1.5 as a seed failed inside numpy
+    # 2.5 used to run 2 draws and True 1
     for bad in (2.5, True, np.float64(3.0), "10", None):
         with pytest.raises(TypeError, match="samples"):
             check_second_order(prob, X, np.zeros(0), samples=bad)
-    for bad in (None, 1.5, False, np.bool_(True)):
-        with pytest.raises(TypeError, match="seed"):
-            check_second_order(prob, X, np.zeros(0), seed=bad)
-        with pytest.raises(TypeError, match="seed"):
-            check_second_order(prob, np.eye(4), np.zeros(0), samples=10, seed=bad)
     # hess f = 0 leaves the ker A certificate open, but no curvature on ker A is below
     # -tol, so nothing is searched
     flat = ProblemSpec(LinearTrace(np.zeros((4, 4))), AffineMap([], [], shape=(4, 4)),
                        RankBound(2))
-    rep = check_second_order(flat, X, np.zeros(0), samples=np.int64(5), seed=np.uint8(3))
+    rep = check_second_order(flat, X, np.zeros(0), samples=np.int64(5))
     assert rep.cone_samples_tested == 0 and rep.necessary_ok
 
 
@@ -604,13 +596,13 @@ def test_cone_sampler_concurrent_callers_get_the_serial_report(rng):
     import sys
     from concurrent.futures import ThreadPoolExecutor
     cases = _sampler_cases(rng)
-    want = [check_second_order(prob, X, y, samples=1100, seed=8) for prob, X, y in cases]
+    want = [check_second_order(prob, X, y, samples=1100) for prob, X, y in cases]
     assert want[2].cone_samples_tested > 0  # the planted case leaves the verdict open
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(6) as callers:
-            futures = [callers.submit(check_second_order, prob, X, y, samples=1100, seed=8)
+            futures = [callers.submit(check_second_order, prob, X, y, samples=1100)
                        for _ in range(2) for prob, X, y in cases]
             got = [f.result(timeout=120) for f in futures]
     finally:
