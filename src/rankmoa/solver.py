@@ -19,10 +19,23 @@ r-wide product; the tie flag of ``project_low_rank`` is not computed).
   re-enters the infeasible region by O(alpha * ||grad f||) every outer
   iteration, so the inner loop must re-converge rather than run a constant
   number of sweeps. The stopping test takes its norms inline as
-  sqrt(x @ x), the sum np.linalg.norm computes. The map's one SVD of its
-  stack gives the pseudo-inverse at lstsq's cutoff, the stopping tests'
-  full multiplier fit at rank_tol and ``AffineMap.consistent``, a verdict
-  of the map, not the point, warned about once per solve. The map's
+  sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
+  min(1e-13, 0.01 * stop_tol) floored at the rounding level
+  eps * max(m, n) of a round. With l > 0 the rounds run in two phases.
+  While the step ||T(x) - x|| of a round T (correction, then truncation)
+  is above sqrt(inner_tol) times the scale of ||T(x)||, the next input is
+  T(x). Below it the rounds converge linearly (Lewis, Luke & Malick, 2009),
+  and the next input is the one-memory Anderson (secant) extrapolation
+  T(x) - gamma (T(x) - T(x_prev)), gamma = <df, f> / <df, df> for
+  f = T(x) - x and df its change since the last round (Walker & Ni, 2011).
+  A round whose step is longer than the last one's drops the memory and
+  takes T(x). The residuals f are orthogonal to the fixed set to first
+  order, so the extrapolation keeps the plain rounds' limit up to
+  O(step^2) = O(inner_tol); the returned iterate is always a truncation
+  output, of rank at most r. With l = 0 every input is T(x). The map's one
+  SVD of its stack gives the pseudo-inverse at lstsq's cutoff, the stopping
+  tests' full multiplier fit at rank_tol and ``AffineMap.consistent``, a
+  verdict of the map, not the point, warned about once per solve. The map's
   constraint array is read-only, so neither cache can go stale.
 * quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient; the
   step is one uncorrected round.
@@ -125,7 +138,10 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     amap, r = prob.affine, prob.r
     exact = cfg.affine_mode == MODE_EXACT
     rounds = _INNER_CAP if exact else 1
-    inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
+    # a round's step has a rounding floor near eps * max(m, n) * ||W||: a tolerance
+    # below it would run every iteration's rounds up to _INNER_CAP
+    inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
+    switch_tol = math.sqrt(inner_tol)
     stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if exact and amap.l else (None,) * 3
     if stack is not None and not amap.consistent:
         _warn_inconsistent(2)
@@ -142,14 +158,13 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         if not math.isfinite(np.linalg.norm(W)):
             raise DivergenceError(f"gradient step norm overflowed at iteration {k} "
                                   f"(alpha = {cfg.alpha:g})")
-        # validated once here; each round's arrays are the previous round's output
+        # validated once here; each round's input is built from earlier rounds' outputs
         W = as_shaped(W, amap.shape, "X")
         # an overflowing correction is reported below, not warned about round by round
         with np.errstate(over="ignore", invalid="ignore"):
+            x, memory, last = W, None, math.inf
             for j in range(rounds):
-                prev = W
-                if stack is not None:
-                    W = _corrected(W, stack, pinv, rhs)
+                W = x if stack is None else _corrected(x, stack, pinv, rhs)
                 try:
                     W, _ = _truncate(W, r)
                 except np.linalg.LinAlgError:
@@ -157,10 +172,21 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                         raise
                     msg = f"affine projection overflowed at iteration {k}"
                     raise DivergenceError(msg) from None
-                if j + 1 >= _INNER_MIN:
-                    d, w = (W - prev).ravel(), W.ravel()
-                    if math.sqrt(d @ d) <= inner_tol * _scale(math.sqrt(w @ w)):
-                        break
+                d, w = (W - x).ravel(), W.ravel()
+                step, scale = math.sqrt(d @ d), _scale(math.sqrt(w @ w))
+                if j + 1 >= _INNER_MIN and step <= inner_tol * scale:
+                    break
+                x = W
+                # past the switch, the secant step x = T(x) - gamma (T(x) - T(x_prev));
+                # a step longer than the last drops the memory and stays plain
+                if (stack is not None and memory is not None
+                        and step <= min(last, switch_tol * scale)):
+                    W_prev, d_prev = memory
+                    df = d - d_prev
+                    dd = df @ df
+                    if dd:
+                        x = W - ((df @ d) / dd) * (W - W_prev)
+                memory, last = (W, d), step
         X = W
         f = prob.objective.value(X)
         if not np.isfinite(f) or f > _DIVERGENCE_LIMIT:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
@@ -435,18 +435,28 @@ def _ravel_norm(x):
 
 
 def _reference_solve(prob, X0, cfg):
-    """solve's exact_projection loop as first written: every round is
-    project_affine, then the rank-r truncation by np.linalg.svd with the
-    broadcast product, then the norm test."""
+    """solve's loop as first written, with plain rounds only: an
+    exact_projection round is project_affine, then the rank-r truncation by
+    np.linalg.svd with the broadcast product, then the norm test; a
+    quadratic_penalty step is one uncorrected truncation. Returns X, the log,
+    converged, iterations, the report and each iteration's number of rounds."""
     X = as_matrix(X0)
-    log, converged, iterations = [], False, 0
+    exact = cfg.affine_mode == MODE_EXACT
+    amap = prob.affine
+    inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
+    log, converged, iterations, rounds = [], False, 0, []
     for k in range(1, cfg.max_iters + 1):
         iterations = k
-        W = X - cfg.alpha * prob.objective.grad(X)
-        inner_tol = min(1e-13, 0.01 * cfg.stop_tol)
-        for j in range(solver._INNER_CAP):
+        g = prob.objective.grad(X)
+        if not exact:
+            g = g + cfg.rho * amap.adjoint(amap.apply(X) - amap.rhs)
+        W = X - cfg.alpha * g
+        rounds.append(0)
+        for j in range(solver._INNER_CAP if exact else 1):
+            rounds[-1] += 1
             prev = W
-            u, sigma, vh = np.linalg.svd(project_affine(prob.affine, W), full_matrices=False)
+            u, sigma, vh = np.linalg.svd(project_affine(amap, W) if exact else W,
+                                         full_matrices=False)
             W = (u[..., :prob.r] * sigma[..., None, :prob.r]) @ vh[..., :prob.r, :]
             if (j + 1 >= solver._INNER_MIN
                     and _ravel_norm(W - prev) <= inner_tol * max(1.0, _ravel_norm(W))):
@@ -454,51 +464,193 @@ def _reference_solve(prob, X0, cfg):
         X = W
         f = prob.objective.value(X)
         stat, _ = stationarity_residual(prob, X, cfg.alpha)
-        log.append((k, f, prob.affine.residual(X), stat))
+        log.append((k, f, amap.residual(X), stat))
         if stat <= cfg.stop_tol:
             converged = True
             break
-    X = project_affine(prob.affine, X)
-    return X, log, converged, iterations, classify_first_order(prob, X, alpha=cfg.alpha)
+    if exact:
+        X = project_affine(amap, X)
+    return (X, log, converged, iterations, classify_first_order(prob, X, alpha=cfg.alpha),
+            rounds)
 
 
 def _reference_cases():
+    """(name, problem, x0, SolverConfig fields besides alpha and stop_tol)."""
     rng = np.random.default_rng(24)
     prob8, x8 = _reference_hankel()
     hk, hk_points = build_hankel_example()
     tr, tr_points = build_trace_example()
-    cases = [("hankel8", prob8, x8, 3), ("hankel3-Xtilde", hk, hk_points["Xtilde"], 200),
-             ("trace-H", tr, tr_points["H"], 200)]
+    cases = [("hankel8", prob8, x8, {"max_iters": 3}),
+             ("hankel3-Xtilde", hk, hk_points["Xtilde"], {"max_iters": 200}),
+             ("trace-H", tr, tr_points["H"], {"max_iters": 200})]
     for l in (0, 2, 3, 4):
         amap = (_consistent_map(rng, 4, 3, range(l)) if l
                 else AffineMap([], [], shape=(4, 3)))
         H = rng.standard_normal((4, 3))
         prob = ProblemSpec(FrobeniusDistance(H), amap, RankBound(1))
-        cases.append((f"random-l{l}", prob, project_low_rank(H, 1)[0], 40))
+        cases.append((f"random-l{l}", prob, project_low_rank(H, 1)[0], {"max_iters": 40}))
     eye = np.eye(2)
     inconsistent = ProblemSpec(FrobeniusDistance(np.diag([2.0, 1.0])),
                                AffineMap([eye, eye], [0.0, 1.0]), RankBound(1))
-    cases.append(("inconsistent", inconsistent, np.diag([1.0, 0.0]), 20))
+    cases.append(("inconsistent", inconsistent, np.diag([1.0, 0.0]), {"max_iters": 20}))
+    cases.append(("penalty-hankel3", hk, hk_points["Xtilde"],
+                  {"max_iters": 40, "affine_mode": MODE_PENALTY, "rho": 1.0}))
     return cases
 
 
+def _verdicts(doc, path=""):
+    """The report's non-float leaves, by path: its booleans, counts, labels and notes."""
+    if isinstance(doc, dict):
+        return {k: v for key in doc for k, v in _verdicts(doc[key], f"{path}.{key}").items()}
+    if isinstance(doc, list):
+        return {k: v for i, x in enumerate(doc) for k, v in _verdicts(x, f"{path}[{i}]").items()}
+    return {} if isinstance(doc, float) else {path: doc}
+
+
+def _assert_reaches_the_reference_limit(result, ref, name):
+    """The extrapolated rounds' contract: the reference's iterations, convergence
+    and verdicts, with X and the log's floats within 1e-10 * max(1, |ref|)."""
+    ref_x, ref_log, ref_converged, ref_iters, ref_report, _ = ref
+    assert (result.iterations, result.converged) == (ref_iters, ref_converged), name
+    assert _verdicts(result.report.to_dict()) == _verdicts(ref_report.to_dict()), name
+    assert _ravel_norm(result.x - ref_x) <= 1e-10 * max(1.0, _ravel_norm(ref_x)), name
+    assert [row[0] for row in result.log] == [row[0] for row in ref_log], name
+    for row, ref_row in zip(result.log, ref_log):
+        for got, want in zip(row[1:], ref_row[1:]):
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), name
+
+
+# l = 0 and quadratic_penalty run only plain rounds, so every output bit is the reference's
+_PLAIN_CASES = ("random-l0", "penalty-hankel3")
+
+
 @pytest.mark.parametrize("stop_tol", [SolverConfig().stop_tol, 1e-12])
-def test_solve_matches_the_per_round_reference_bitwise(stop_tol):
+def test_solve_matches_the_per_round_reference(stop_tol):
     # the rounds read the map's arrays once per solve and validate once per
-    # iteration; the float operations, and so every output bit, are the reference's
-    for name, prob, x0, iters in _reference_cases():
-        cfg = SolverConfig(alpha=0.5, max_iters=iters, stop_tol=stop_tol)
+    # iteration; constrained rounds are extrapolated once they converge linearly
+    for name, prob, x0, fields in _reference_cases():
+        cfg = SolverConfig(alpha=0.5, stop_tol=stop_tol, **fields)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = solve(prob, x0, cfg)
-            ref_x, ref_log, ref_converged, ref_iters, ref_report = _reference_solve(
-                prob, x0, cfg)
+            ref = _reference_solve(prob, x0, cfg)
         warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert bool(warned) == (name == "inconsistent"), name
+        if name not in _PLAIN_CASES:
+            _assert_reaches_the_reference_limit(result, ref, name)
+            continue
+        ref_x, ref_log, ref_converged, ref_iters, ref_report, _ = ref
         assert result.x.tobytes() == ref_x.tobytes(), name
         assert result.log == ref_log, name
         assert (result.iterations, result.converged) == (ref_iters, ref_converged), name
         assert _dumps(result.report.to_dict()) == _dumps(ref_report.to_dict()), name
+
+
+def _counting_truncate(monkeypatch):
+    calls = Counter()
+    truncate = solver._truncate
+
+    def counting(*args, **kwargs):
+        calls["round"] += 1
+        return truncate(*args, **kwargs)
+    monkeypatch.setattr(solver, "_truncate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("max_iters", [3, 200])
+def test_reference_hankel_extrapolation_saves_a_quarter_of_the_rounds(max_iters, monkeypatch):
+    # the plain rounds contract at a rate near 0.4 here; past the switch the
+    # secant steps reach the stopping test in about half as many
+    prob, x0 = _reference_hankel()
+    cfg = SolverConfig(alpha=0.5, max_iters=max_iters)
+    calls = _counting_truncate(monkeypatch)
+    solve(prob, x0, cfg)
+    assert calls["round"] <= 0.75 * sum(_reference_solve(prob, x0, cfg)[-1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(3, 5), st.integers(3, 5), st.integers(1, 2), st.integers(1, 4),
+       st.integers(0, 10**6))
+def test_extrapolated_rounds_reach_the_reference_limit(m, n, r, l, seed):
+    # constraints consistent with a rank-r point, so M_r meets the affine set.
+    # Where the plain rounds contract at a rate near 1 they reach _INNER_CAP
+    # short of their own limit (by 4.5e-9 at m, n, r, l, seed = 4, 3, 1, 2, 931,
+    # where the extrapolated rounds stop 2.9e-10 from it): no oracle there
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((l, m, n))
+    Xr, _ = project_low_rank(rng.standard_normal((m, n)), r)
+    H = rng.standard_normal((m, n))
+    prob = ProblemSpec(FrobeniusDistance(H), AffineMap(A, np.tensordot(A, Xr)), RankBound(r))
+    x0, _ = project_low_rank(H, r)
+    cfg = SolverConfig(alpha=0.5, max_iters=10)
+    ref = _reference_solve(prob, x0, cfg)
+    assume(max(ref[-1]) < solver._INNER_CAP)
+    result = solve(prob, x0, cfg)
+    assert rank_estimate(result.x) <= r
+    _assert_reaches_the_reference_limit(result, ref, seed)
+
+
+def test_a_growing_step_falls_back_to_the_plain_round(monkeypatch):
+    # past the switch, a round whose step is longer than the previous round's
+    # drops the secant memory: the next round's input is that round's own
+    # truncation, bit for bit. Near the rounding floor of stop_tol = 1e-16 the
+    # steps of this case stop shrinking monotonically
+    _, prob, x0, fields = next(c for c in _reference_cases() if c[0] == "random-l3")
+    cfg = SolverConfig(alpha=0.5, stop_tol=1e-16, **fields)
+    iterations = [[]]
+    corrected, truncate, residual = solver._corrected, solver._truncate, solver.stationarity_residual
+
+    def recording_corrected(x, *args):
+        iterations[-1].append([x])
+        return corrected(x, *args)
+
+    def recording_truncate(Z, r):
+        out = truncate(Z, r)
+        iterations[-1][-1].append(out[0])
+        return out
+
+    def marking_residual(*args):
+        iterations.append([])
+        return residual(*args)
+
+    monkeypatch.setattr(solver, "_corrected", recording_corrected)
+    monkeypatch.setattr(solver, "_truncate", recording_truncate)
+    monkeypatch.setattr(solver, "stationarity_residual", marking_residual)
+    solve(prob, x0, cfg)
+    switch = math.sqrt(np.finfo(float).eps * max(prob.m, prob.n))  # the floored inner_tol's
+    fallbacks = extrapolated = 0
+    for rounds in iterations[:-1]:  # the last holds the final project_affine
+        steps = [_ravel_norm(T - x) for x, T in rounds]
+        for j in range(1, len(rounds) - 1):
+            T, following = rounds[j][1], rounds[j + 1][0]
+            if steps[j] > switch * max(1.0, _ravel_norm(T)):
+                continue
+            if steps[j] > steps[j - 1]:
+                fallbacks += 1
+                assert following is T
+            elif following is not T:
+                extrapolated += 1
+    assert fallbacks >= 1
+    assert extrapolated > fallbacks
+
+
+def test_a_tolerance_below_rounding_never_runs_the_rounds_to_the_cap(monkeypatch):
+    # stop_tol = 1e-16 asks for an inner tolerance of 1e-18, below what one
+    # round's SVD can resolve; floored at eps * max(m, n), the rounds still stop
+    prob, x0 = _reference_hankel()
+    calls = _counting_truncate(monkeypatch)
+    per_iteration = []
+    residual = solver.stationarity_residual
+
+    def marking_residual(*args):
+        per_iteration.append(calls["round"])
+        calls["round"] = 0
+        return residual(*args)
+
+    monkeypatch.setattr(solver, "stationarity_residual", marking_residual)
+    result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=10, stop_tol=1e-16))
+    assert len(per_iteration) == result.iterations == 10
+    assert max(per_iteration) < solver._INNER_CAP
 
 
 def test_solve_warns_once_for_an_inconsistent_map():
