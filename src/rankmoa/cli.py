@@ -26,7 +26,7 @@ from .problems import _float_array, load_problem
 from .qualification import CASE_NOT_CERTIFIED
 from .report import _dumps, _savetxt, jsonable
 from .second_order import check_second_order
-from .solver import MODE_EXACT, MODE_PENALTY, SolverConfig, solve, write_iterate_log
+from .solver import MODE_EXACT, SolverConfig, solve, write_iterate_log
 from .stationarity import PointAnalysis, classify_first_order
 
 EXIT_OK = 0
@@ -179,6 +179,9 @@ def _print_analysis(doc, rep, qual, second):
 
 
 def cmd_solve(args) -> int:
+    if args.mode is not None or args.rho is not None:
+        print(f"warning: --mode and --rho are ignored; solve always runs {MODE_EXACT}",
+              file=sys.stderr)
     try:
         seed = _seed(args)
         loaded = load_problem(args.problem)
@@ -188,8 +191,7 @@ def cmd_solve(args) -> int:
         else:
             X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
         cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
-                           stop_tol=args.stop_tol, affine_mode=args.mode,
-                           rho=args.rho)
+                           stop_tol=args.stop_tol)
         out = Path(args.out) if args.out else \
             Path(args.problem).parent / (Path(args.problem).stem + "_solve")
         # made before solving, so an unusable --out costs no solve
@@ -214,7 +216,7 @@ def cmd_solve(args) -> int:
         "f": prob.objective.value(result.x),
         "feasibility_residual": prob.affine.residual(result.x),
         "alpha": cfg.alpha,
-        "affine_mode": cfg.affine_mode,
+        "affine_mode": MODE_EXACT,
         "affine_handling_note": (
             "gradient step followed by alternating affine/rank projections is a "
             "heuristic extension for nonempty constraints"
@@ -273,10 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--iters", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     ps.add_argument("--stop-tol", type=float, default=1e-10)
-    ps.add_argument("--mode", choices=[MODE_EXACT, MODE_PENALTY],
-                    default=MODE_EXACT)
-    ps.add_argument("--rho", type=float, default=10.0,
-                    help="penalty weight in quadratic_penalty mode")
+    # the deleted quadratic_penalty mode's options, accepted and ignored for one release
+    ps.add_argument("--mode", help=argparse.SUPPRESS)
+    ps.add_argument("--rho", help=argparse.SUPPRESS)
     ps.add_argument("--out", default=None, help="output directory")
 
     po = sub.add_parser("oracle", help="run an independent verification suite")

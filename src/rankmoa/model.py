@@ -9,6 +9,7 @@ these flags, never re-derives them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +164,8 @@ class CustomObjective(Objective):
     """Registered user objective; hess_apply must be a symmetric linear map.
 
     ``hess_apply_fn(X, Xi)`` takes one m x n direction; ``hess_apply`` calls
-    it once per slice of a (..., m, n) stack.
+    it once per slice of a (..., m, n) stack. ``strong_convexity_modulus`` is
+    None or a finite positive real: 1 / modulus is the step alpha tested.
     """
 
     kind = "registered_custom"
@@ -176,6 +178,12 @@ class CustomObjective(Objective):
         self._grad = grad_fn
         self._hess_apply = hess_apply_fn
         self.convex = bool(convex)
+        if strong_convexity_modulus is not None:
+            if (isinstance(strong_convexity_modulus, bool)
+                    or not isinstance(strong_convexity_modulus, numbers.Real)):
+                raise TypeError("strong_convexity_modulus must be a real number, "
+                                f"got {strong_convexity_modulus!r}")
+            check_positive(strong_convexity_modulus, "strong_convexity_modulus")
         self.strong_convexity_modulus = strong_convexity_modulus
         self.init_params = dict(init_params or {})
 

@@ -32,6 +32,8 @@ from .report import JsonReport
 CASE_FULL_RANK = "eq_full_rank"
 CASE_RANK_DEFICIENT = "eq_rank_deficient"
 CASE_NOT_CERTIFIED = "not_certified"
+# the Assumption whose independence certifies each case; not_certified has none
+CASE_ASSUMPTION = {CASE_FULL_RANK: 1, CASE_RANK_DEFICIENT: 2}
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,12 @@ def frechet_normal_decomposition(svd: ThinSVD, amap: AffineMap, r: int, W,
     if s > r:
         raise QualificationError(f"base point has rank {s} above the bound r={r}")
     cons = PointConstraints(svd, amap)
-    ok, _, _ = _independent(1 if s == r else 2, cons, min(tol, svd.rank_tol))
+    k = CASE_ASSUMPTION[CASE_FULL_RANK if s == r else CASE_RANK_DEFICIENT]
+    ok, _, _ = _independent(k, cons, min(tol, svd.rank_tol))
     if not ok:
         raise QualificationError(
             "intersection rule is not certified at this point: "
-            f"Assumption {1 if s == r else 2} fails (s={s}, r={r})"
+            f"Assumption {k} fails (s={s}, r={r})"
         )
     W = as_shaped(W, (svd.m, svd.n), "W")
     y, resid = cons.fit(W, s == r, svd.rank_tol)

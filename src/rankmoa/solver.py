@@ -1,44 +1,42 @@
 """Projected-gradient search for alpha-stationary points.
 
 The base iteration is the rank-r projection of a gradient step. Nonempty
-affine constraints are handled by one of two heuristics, clearly labeled as
-such in the result. Both run one loop of rounds over the map's cached
-arrays, bound once per solve. The gradient step is validated once per outer
-iteration, and its rounds run under one ``np.errstate`` that silences
-overflow: a round whose correction overflows raises ``DivergenceError``,
-with no warning ahead of it. A round is the affine correction, if any, and
-one ``linalg._truncate`` call (one call of NumPy's thin-SVD kernel and an
-r-wide product; the tie flag of ``project_low_rank`` is not computed).
+affine constraints are handled by a heuristic, exact_projection, labeled as
+such in the result: the rounds of one loop alternate the closed-form affine
+projection with the rank-r truncation, over the map's cached arrays, bound
+once per solve. The gradient step is validated once per outer iteration,
+and its rounds run under one ``np.errstate`` that silences overflow: a
+round whose correction overflows raises ``DivergenceError``, with no
+warning ahead of it. A round is the affine correction (two matrix-vector
+products with the constraint stack and its pseudo-inverse
+``AffineMap.stack_pinv``, none when l = 0) and one ``linalg._truncate``
+call (one call of NumPy's thin-SVD kernel and an r-wide product; the tie
+flag of ``project_low_rank`` is not computed).
 
-* exact_projection: the correction is the closed-form affine projection
-  (two matrix-vector products with the constraint stack and its
-  pseudo-inverse ``AffineMap.stack_pinv``, none when l = 0), and rounds
-  repeat until the inner iterate stops moving (at least three, capped); the
-  returned iterate is affine-projected last so feasibility holds at report
-  time. A fixed round count leaves an error floor: the gradient step
-  re-enters the infeasible region by O(alpha * ||grad f||) every outer
-  iteration, so the inner loop must re-converge rather than run a constant
-  number of sweeps. The stopping test takes its norms inline as
-  sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
-  min(1e-13, 0.01 * stop_tol) floored at the rounding level
-  eps * max(m, n) of a round. With l > 0 the rounds run in two phases.
-  While the step ||T(x) - x|| of a round T (correction, then truncation)
-  is above sqrt(inner_tol) times the scale of ||T(x)||, the next input is
-  T(x). Below it the rounds converge linearly (Lewis, Luke & Malick, 2009),
-  and the next input is the one-memory Anderson (secant) extrapolation
-  T(x) - gamma (T(x) - T(x_prev)), gamma = <df, f> / <df, df> for
-  f = T(x) - x and df its change since the last round (Walker & Ni, 2011).
-  A round whose step is longer than the last one's drops the memory and
-  takes T(x). The residuals f are orthogonal to the fixed set to first
-  order, so the extrapolation keeps the plain rounds' limit up to
-  O(step^2) = O(inner_tol); the returned iterate is always a truncation
-  output, of rank at most r. With l = 0 every input is T(x). The map's one
-  SVD of its stack gives the pseudo-inverse at lstsq's cutoff, the stopping
-  tests' full multiplier fit at rank_tol and ``AffineMap.consistent``, a
-  verdict of the map, not the point, warned about once per solve. The map's
-  constraint array is read-only, so neither cache can go stale.
-* quadratic_penalty: fold rho/2 * ||A(X) - b||^2 into the gradient; the
-  step is one uncorrected round.
+Rounds repeat until the inner iterate stops moving (at least three,
+capped); the returned iterate is affine-projected last so feasibility holds
+at report time. A fixed round count leaves an error floor: the gradient
+step re-enters the infeasible region by O(alpha * ||grad f||) every outer
+iteration, so the inner loop must re-converge rather than run a constant
+number of sweeps. The stopping test takes its norms inline as
+sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
+min(1e-13, 0.01 * stop_tol) floored at the rounding level eps * max(m, n)
+of a round. With l > 0 the rounds run in two phases. While the step
+||T(x) - x|| of a round T (correction, then truncation) is above
+sqrt(inner_tol) times the scale of ||T(x)||, the next input is T(x). Below
+it the rounds converge linearly (Lewis, Luke & Malick, 2009), and the next
+input is the one-memory Anderson (secant) extrapolation
+T(x) - gamma (T(x) - T(x_prev)), gamma = <df, f> / <df, df> for
+f = T(x) - x and df its change since the last round (Walker & Ni, 2011).
+A round whose step is longer than the last one's drops the memory and takes
+T(x). The residuals f are orthogonal to the fixed set to first order, so
+the extrapolation keeps the plain rounds' limit up to
+O(step^2) = O(inner_tol); the returned iterate is always a truncation
+output, of rank at most r. With l = 0 every input is T(x). The map's one
+SVD of its stack gives the pseudo-inverse at lstsq's cutoff, the stopping
+tests' full multiplier fit at rank_tol and ``AffineMap.consistent``, a
+verdict of the map, not the point, warned about once per solve. The map's
+constraint array is read-only, so neither cache can go stale.
 
 Termination uses the alpha-stationarity residual with a freshly recovered
 multiplier; the final point is classified by the first-order machinery.
@@ -59,7 +57,6 @@ from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
 MODE_EXACT = "exact_projection"
-MODE_PENALTY = "quadratic_penalty"
 _INNER_MIN = 3
 _INNER_CAP = 500
 _DIVERGENCE_LIMIT = 1e12
@@ -70,17 +67,12 @@ class SolverConfig:
     alpha: float = 0.5
     max_iters: int = 10000
     stop_tol: float = 1e-10
-    affine_mode: str = MODE_EXACT
-    rho: float = 10.0
 
     def __post_init__(self):
         check_positive(self.alpha, "step alpha")
         if _count_arg(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
         check_positive(self.stop_tol, "stop_tol")
-        if self.affine_mode not in (MODE_EXACT, MODE_PENALTY):
-            raise ValueError(f"unknown affine_mode {self.affine_mode!r}")
-        check_positive(self.rho, "penalty weight rho")
 
 
 @dataclass
@@ -136,13 +128,11 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     """Iterate projected gradient steps until alpha-stationarity or max_iters."""
     X = as_shaped(X0, (prob.m, prob.n), "X0")
     amap, r = prob.affine, prob.r
-    exact = cfg.affine_mode == MODE_EXACT
-    rounds = _INNER_CAP if exact else 1
     # a round's step has a rounding floor near eps * max(m, n) * ||W||: a tolerance
     # below it would run every iteration's rounds up to _INNER_CAP
     inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
     switch_tol = math.sqrt(inner_tol)
-    stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if exact and amap.l else (None,) * 3
+    stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if amap.l else (None,) * 3
     if stack is not None and not amap.consistent:
         _warn_inconsistent(2)
     log = []
@@ -150,10 +140,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         iterations = k
-        g = prob.objective.grad(X)
-        if not exact:
-            g = g + cfg.rho * amap.adjoint(amap.apply(X) - amap.rhs)
-        W = X - cfg.alpha * g
+        W = X - cfg.alpha * prob.objective.grad(X)
         # an overflowing ||W|| catches inf or NaN entries and steps too large to project
         if not math.isfinite(np.linalg.norm(W)):
             raise DivergenceError(f"gradient step norm overflowed at iteration {k} "
@@ -163,7 +150,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         # an overflowing correction is reported below, not warned about round by round
         with np.errstate(over="ignore", invalid="ignore"):
             x, memory, last = W, None, math.inf
-            for j in range(rounds):
+            for j in range(_INNER_CAP):
                 W = x if stack is None else _corrected(x, stack, pinv, rhs)
                 try:
                     W, _ = _truncate(W, r)
@@ -196,8 +183,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         if stat <= cfg.stop_tol:
             converged = True
             break
-    if exact:
-        X = project_affine(amap, X)
+    X = project_affine(amap, X)
     report = classify_first_order(prob, X, alpha=cfg.alpha)
     return SolveResult(x=X, report=report, log=log, converged=converged,
                        iterations=iterations)

@@ -36,8 +36,8 @@ from .cones import _frechet_residual, _in_mordukhovich
 from .lazy import lazy_attribute
 from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
-from .qualification import (CASE_FULL_RANK, CASE_RANK_DEFICIENT, PointConstraints,
-                            QualificationReport, bq_certificates)
+from .qualification import (CASE_ASSUMPTION, PointConstraints, QualificationReport,
+                            bq_certificates)
 from .report import JsonReport
 
 
@@ -282,13 +282,7 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     if rep.is_M and convex and not rep.is_F:
         cls.append("global minimizer restricted on M_X(Γ) (Cor 4.1 ii)")
 
-    qual = pa.qualification
-    if qual.intersection_rule_case == CASE_FULL_RANK:
-        k = 1
-    elif qual.intersection_rule_case == CASE_RANK_DEFICIENT:
-        k = 2
-    else:
-        k = None
+    k = CASE_ASSUMPTION.get(pa.qualification.intersection_rule_case)
     if k is not None:
         state = "satisfied" if rep.is_F else "violated"
         cls.append(f"necessary conditions {state} under Assumption {k} (Thm 4.1 i)")

@@ -92,6 +92,15 @@ BIG_EDITS = {
 }
 
 
+def _negative_modulus(doc):
+    """A registered objective whose factory declares the strong-convexity modulus -1."""
+    register_objective("negative-modulus", lambda: CustomObjective(
+        "negative-modulus", (4, 4), value_fn=lambda X: float(np.sum(X * X)),
+        grad_fn=lambda X: 2.0 * X, hess_apply_fn=lambda X, Xi: 2.0 * Xi,
+        strong_convexity_modulus=-1.0))
+    doc["objective"] = {"kind": "registered_custom", "id": "negative-modulus", "params": {}}
+
+
 @pytest.mark.parametrize("argv, edit, point_row", [
     pytest.param(["solve"], _set_rhs("abc"), None, id="solve-rhs-not-a-number"),
     pytest.param(["solve"], _set_rhs(None), None, id="solve-rhs-null"),
@@ -126,10 +135,6 @@ BIG_EDITS = {
     pytest.param(["analyze", "--point", "X4", "--samples", "-5"], None, None,
                  id="analyze-samples-negative"),
     pytest.param(["solve", "--alpha", "nan"], None, None, id="solve-alpha-nan"),
-    pytest.param(["solve", "--mode", "quadratic_penalty", "--rho", "nan"], None, None,
-                 id="solve-rho-nan"),
-    # exact_projection never reads rho, but the option's contract holds in every mode
-    pytest.param(["solve", "--rho", "nan"], None, None, id="solve-exact-rho-nan"),
     pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
     pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
     pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
@@ -139,6 +144,9 @@ BIG_EDITS = {
                  None, id="objective-params-not-an-object"),
     pytest.param(["analyze", "--point", "X4"], lambda doc: doc.update(objective=5), None,
                  id="objective-not-an-object"),
+    # 1 / modulus is the step alpha tested: a bad one must fail the load, not the analysis
+    pytest.param(["analyze", "--point", "X4"], _negative_modulus, None,
+                 id="objective-modulus-negative"),
     pytest.param(["solve"], lambda doc: doc["objective"].pop("target"), None,
                  id="objective-target-missing"),
     *[pytest.param(argv, edit, None, id=f"{argv[0]}-{field}-beyond-double-range")
@@ -510,6 +518,21 @@ def test_solve_writes_outputs(problem_files, tmp_path, capsys):
     assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert report["converged"] is True
     assert report["report"]["is_F"] is True
+
+
+def test_solve_ignores_the_penalty_options(problem_files, tmp_path, capsys):
+    # --mode and --rho are parsed for one release and change nothing but a stderr line
+    base = ["solve", str(problem_files["tr"]), "--x0", "H", "--out"]
+    assert main(base + [str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().err == ""
+    for i, extra in enumerate((["--mode", "quadratic_penalty", "--rho", "10"],
+                               ["--rho", "nan"])):
+        out = tmp_path / f"ignored{i}"
+        assert main(base + [str(out)] + extra) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--mode and --rho are ignored" in err
+        for name in ("report.json", "x_star.txt", "iterates.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_solve_divergence_exit_4(problem_files, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,25 @@ def test_lrr_instance_keeps_the_objective_array(rng):
     inst = LRRInstance(given, 1)
     assert inst.b_mats.shape == (3, 3, 3) and not inst.b_mats.flags.writeable
     assert np.array_equal(inst.build().objective.mats, np.stack(given))
+
+
+def _well(modulus):
+    return CustomObjective("well", (2, 2), value_fn=lambda X: float(np.sum(X * X)),
+                           grad_fn=lambda X: 2.0 * X, hess_apply_fn=lambda X, Xi: 2.0 * Xi,
+                           convex=True, strong_convexity_modulus=modulus)
+
+
+@pytest.mark.parametrize("modulus, error", [
+    (-1.0, ValueError), (0.0, ValueError), (math.nan, ValueError), (math.inf, ValueError),
+    ("1", TypeError), (True, TypeError), (np.bool_(True), TypeError),
+])
+def test_custom_objective_rejects_a_bad_strong_convexity_modulus(modulus, error):
+    # classify_first_order tests alpha = 1 / modulus, so a bad one must fail here,
+    # not there as an alpha the caller never passed
+    with pytest.raises(error, match="strong_convexity_modulus"):
+        _well(modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 0.5, np.float64(2.0)])
+def test_custom_objective_keeps_a_valid_strong_convexity_modulus(modulus):
+    assert _well(modulus).strong_convexity_modulus == modulus

@@ -14,8 +14,7 @@ from rankmoa import (AffineMap, DivergenceError, FrobeniusDistance, ProblemSpec,
 from rankmoa import cones, linalg, solver
 from rankmoa.linalg import DEFAULT_TOL, as_matrix
 from rankmoa.report import _dumps
-from rankmoa.solver import (MODE_EXACT, MODE_PENALTY, stationarity_residual,
-                            write_iterate_log)
+from rankmoa.solver import stationarity_residual, write_iterate_log
 from rankmoa.stationarity import classify_first_order
 
 
@@ -154,14 +153,10 @@ def test_solver_config_validation():
         with pytest.raises(TypeError, match="max_iters"):
             SolverConfig(max_iters=bad)
     assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
-    with pytest.raises(ValueError):
-        SolverConfig(affine_mode="bogus")
-    with pytest.raises(ValueError):
-        SolverConfig(affine_mode=MODE_PENALTY, rho=0.0)
-    # rho is checked in every mode, as the CLI's --rho promises
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="rho"):
-            SolverConfig(rho=bad)
+    # solve has one constraint handling, so it takes no mode and no penalty weight
+    for field, value in (("affine_mode", "quadratic_penalty"), ("rho", 10.0)):
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: value})
 
 
 def test_solve_hankel_recovers_target(hankel_case):
@@ -209,31 +204,18 @@ def test_solve_invariants(hankel_case, trace_case):
         assert stats[-1] <= 1e-10
 
 
-def test_solve_penalty_mode(trace_case):
-    # stability needs alpha below 2 / (1 + 4*rho) for the trace constraint
-    spec, points = trace_case
-    cfg = SolverConfig(alpha=0.008, affine_mode=MODE_PENALTY, rho=50.0,
-                       stop_tol=1e-7, max_iters=5000)
-    result = solve(spec, points["H"], cfg)
-    # penalty mode only approximately enforces the constraint; the penalized
-    # minimizer sits at diag(t, t, 0, t) with t = 100/151
-    assert np.linalg.norm(result.x - points["X4"]) <= 2e-2
-    assert spec.affine.residual(result.x) <= 2e-2
-
-
 def test_solve_divergence(trace_case):
     spec, _ = trace_case
     with pytest.raises(DivergenceError):
         solve(spec, 1e5 * np.eye(4), SolverConfig(alpha=50.0, max_iters=200))
 
 
-@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_PENALTY])
-def test_solve_overflowing_step_raises_divergence(hankel_case, mode):
+def test_solve_overflowing_step_raises_divergence(hankel_case):
     # alpha * grad overflows to inf in the first step; the projections used to
     # reject it with a ValueError that no caller expects
     spec, points = hankel_case
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="iteration 1"):
-        solve(spec, points["Xbar"] + 1.0, SolverConfig(alpha=1e308, affine_mode=mode))
+        solve(spec, points["Xbar"] + 1.0, SolverConfig(alpha=1e308))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -435,28 +417,22 @@ def _ravel_norm(x):
 
 
 def _reference_solve(prob, X0, cfg):
-    """solve's loop as first written, with plain rounds only: an
-    exact_projection round is project_affine, then the rank-r truncation by
-    np.linalg.svd with the broadcast product, then the norm test; a
-    quadratic_penalty step is one uncorrected truncation. Returns X, the log,
-    converged, iterations, the report and each iteration's number of rounds."""
+    """solve's loop as first written, with plain rounds only: a round is
+    project_affine, then the rank-r truncation by np.linalg.svd with the
+    broadcast product, then the norm test. Returns X, the log, converged,
+    iterations, the report and each iteration's number of rounds."""
     X = as_matrix(X0)
-    exact = cfg.affine_mode == MODE_EXACT
     amap = prob.affine
     inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
     log, converged, iterations, rounds = [], False, 0, []
     for k in range(1, cfg.max_iters + 1):
         iterations = k
-        g = prob.objective.grad(X)
-        if not exact:
-            g = g + cfg.rho * amap.adjoint(amap.apply(X) - amap.rhs)
-        W = X - cfg.alpha * g
+        W = X - cfg.alpha * prob.objective.grad(X)
         rounds.append(0)
-        for j in range(solver._INNER_CAP if exact else 1):
+        for j in range(solver._INNER_CAP):
             rounds[-1] += 1
             prev = W
-            u, sigma, vh = np.linalg.svd(project_affine(amap, W) if exact else W,
-                                         full_matrices=False)
+            u, sigma, vh = np.linalg.svd(project_affine(amap, W), full_matrices=False)
             W = (u[..., :prob.r] * sigma[..., None, :prob.r]) @ vh[..., :prob.r, :]
             if (j + 1 >= solver._INNER_MIN
                     and _ravel_norm(W - prev) <= inner_tol * max(1.0, _ravel_norm(W))):
@@ -468,8 +444,7 @@ def _reference_solve(prob, X0, cfg):
         if stat <= cfg.stop_tol:
             converged = True
             break
-    if exact:
-        X = project_affine(amap, X)
+    X = project_affine(amap, X)
     return (X, log, converged, iterations, classify_first_order(prob, X, alpha=cfg.alpha),
             rounds)
 
@@ -493,8 +468,6 @@ def _reference_cases():
     inconsistent = ProblemSpec(FrobeniusDistance(np.diag([2.0, 1.0])),
                                AffineMap([eye, eye], [0.0, 1.0]), RankBound(1))
     cases.append(("inconsistent", inconsistent, np.diag([1.0, 0.0]), {"max_iters": 20}))
-    cases.append(("penalty-hankel3", hk, hk_points["Xtilde"],
-                  {"max_iters": 40, "affine_mode": MODE_PENALTY, "rho": 1.0}))
     return cases
 
 
@@ -520,8 +493,8 @@ def _assert_reaches_the_reference_limit(result, ref, name):
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), name
 
 
-# l = 0 and quadratic_penalty run only plain rounds, so every output bit is the reference's
-_PLAIN_CASES = ("random-l0", "penalty-hankel3")
+# l = 0 runs only plain rounds, so every output bit is the reference's
+_PLAIN_CASES = ("random-l0",)
 
 
 @pytest.mark.parametrize("stop_tol", [SolverConfig().stop_tol, 1e-12])
