@@ -113,8 +113,6 @@ def project_tangent_fixed_rank(svd: ThinSVD, Z) -> np.ndarray:
     Z may be a (..., m, n) stack; every matrix in it is projected.
     """
     Z = as_shaped(Z, (svd.m, svd.n), "Z", stack=True)
-    if svd.rank == 0:
-        return np.zeros_like(Z)
     ug, vg = svd.u_gamma, svd.v_gamma
     zu = ug @ (ug.T @ Z)          # Pu Z
     zv = (Z @ vg) @ vg.T          # Z Pv

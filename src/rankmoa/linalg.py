@@ -196,9 +196,7 @@ def _column_signs(a: np.ndarray) -> np.ndarray:
 
 
 def pseudo_inverse(svd: ThinSVD) -> np.ndarray:
-    """Moore-Penrose inverse from the ranked factors; zero matrix when rank 0."""
-    if svd.rank == 0:
-        return np.zeros((svd.n, svd.m))
+    """Moore-Penrose inverse from the ranked factors; the zero matrix at rank 0."""
     return (svd.v_gamma / svd.sigma_gamma) @ svd.u_gamma.T
 
 

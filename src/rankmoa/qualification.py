@@ -170,10 +170,7 @@ def bq_certificates(svd: ThinSVD, amap: AffineMap, r: int, tol: float = DEFAULT_
 
 
 def _rank_fragile(svd: ThinSVD) -> bool:
-    cut = svd.threshold
-    if cut == 0.0:
-        return False
-    sig = svd.sigma
+    cut, sig = svd.threshold, svd.sigma
     return bool(np.any((sig > cut / 10.0) & (sig <= cut * 10.0)))
 
 

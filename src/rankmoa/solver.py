@@ -9,34 +9,35 @@ and its rounds run under one ``np.errstate`` that silences overflow: a
 round whose correction overflows raises ``DivergenceError``, with no
 warning ahead of it. A round is the affine correction (two matrix-vector
 products with the constraint stack and its pseudo-inverse
-``AffineMap.stack_pinv``, none when l = 0) and one ``linalg._truncate``
-call (one call of NumPy's thin-SVD kernel and an r-wide product; the tie
-flag of ``project_low_rank`` is not computed).
+``AffineMap.stack_pinv``) and one ``linalg._truncate`` call (one call of
+NumPy's thin-SVD kernel and an r-wide product; the tie flag of
+``project_low_rank`` is not computed).
 
-Rounds repeat until the inner iterate stops moving (at least three,
-capped); the returned iterate is affine-projected last so feasibility holds
-at report time. A fixed round count leaves an error floor: the gradient
-step re-enters the infeasible region by O(alpha * ||grad f||) every outer
+Rounds repeat until the inner iterate stops moving, up to a cap; the
+returned iterate is affine-projected last so feasibility holds at report
+time. A fixed round count leaves an error floor: the gradient step
+re-enters the infeasible region by O(alpha * ||grad f||) every outer
 iteration, so the inner loop must re-converge rather than run a constant
 number of sweeps. The stopping test takes its norms inline as
 sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
 min(1e-13, 0.01 * stop_tol) floored at the rounding level eps * max(m, n)
-of a round. With l > 0 the rounds run in two phases. While the step
-||T(x) - x|| of a round T (correction, then truncation) is above
-sqrt(inner_tol) times the scale of ||T(x)||, the next input is T(x). Below
-it the rounds converge linearly (Lewis, Luke & Malick, 2009), and the next
-input is the one-memory Anderson (secant) extrapolation
-T(x) - gamma (T(x) - T(x_prev)), gamma = <df, f> / <df, df> for
-f = T(x) - x and df its change since the last round (Walker & Ni, 2011).
-A round whose step is longer than the last one's drops the memory and takes
-T(x). The residuals f are orthogonal to the fixed set to first order, so
-the extrapolation keeps the plain rounds' limit up to
-O(step^2) = O(inner_tol); the returned iterate is always a truncation
-output, of rank at most r. With l = 0 every input is T(x). The map's one
-SVD of its stack gives the pseudo-inverse at lstsq's cutoff, the stopping
-tests' full multiplier fit at rank_tol and ``AffineMap.consistent``, a
-verdict of the map, not the point, warned about once per solve. The map's
-constraint array is read-only, so neither cache can go stale.
+of a round. At l = 0 a round is one truncation, an exact projection, so
+the second round repeats the first up to rounding. Otherwise the rounds
+run in two phases. While the step ||T(x) - x|| of a round T (correction,
+then truncation) is above sqrt(inner_tol) times the scale of ||T(x)||,
+the next input is T(x). Below it the rounds converge linearly (Lewis,
+Luke & Malick, 2009), and the next input is the one-memory Anderson
+(secant) extrapolation T(x) - gamma (T(x) - T(x_prev)),
+gamma = <df, f> / <df, df> for f = T(x) - x and df its change since the
+last round (Walker & Ni, 2011). A round whose step is longer than the last
+one's drops the memory and takes T(x). The residuals f are orthogonal to
+the fixed set to first order, so the extrapolation keeps the plain rounds'
+limit up to O(step^2) = O(inner_tol); the returned iterate is always a
+truncation output, of rank at most r. The map's one SVD of its stack gives
+the pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier
+fit at rank_tol and ``AffineMap.consistent``, a verdict of the map, not
+the point, warned about once per solve. The map's constraint array is
+read-only, so neither cache can go stale.
 
 Termination uses the alpha-stationarity residual with a freshly recovered
 multiplier; the final point is classified by the first-order machinery.
@@ -57,7 +58,6 @@ from .model import ProblemSpec
 from .stationarity import PointAnalysis, StationarityReport, classify_first_order
 
 MODE_EXACT = "exact_projection"
-_INNER_MIN = 3
 _INNER_CAP = 500
 _DIVERGENCE_LIMIT = 1e12
 
@@ -93,8 +93,6 @@ def project_affine(amap: AffineMap, X) -> np.ndarray:
     cached verdict ``AffineMap.consistent`` says the system is inconsistent.
     """
     X = as_shaped(X, amap.shape, "X")
-    if amap.l == 0:
-        return X
     if not amap.consistent:
         _warn_inconsistent(3)
     return _corrected(X, amap.stack, amap.stack_pinv, amap.rhs)
@@ -115,11 +113,10 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
 
     Combines the tangential (or full) Lagrangian-gradient norm, the positive
     part of its ``excess`` over the alpha bound, and the feasibility residual.
+    X may be a ``PointAnalysis`` of the point.
     """
-    pa = PointAnalysis(prob, X)
+    pa = PointAnalysis.of(prob, X)
     feas = pa.feasibility_residual / prob.affine._rhs_scale
-    if prob.r == 0:
-        return feas, np.zeros(prob.l)
     grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r)[0])
     return (grad_l.frechet + max(0.0, grad_l.excess(alpha))) / pa.scale + feas, grad_l.y
 
@@ -132,8 +129,8 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     # below it would run every iteration's rounds up to _INNER_CAP
     inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
     switch_tol = math.sqrt(inner_tol)
-    stack, pinv, rhs = (amap.stack, amap.stack_pinv, amap.rhs) if amap.l else (None,) * 3
-    if stack is not None and not amap.consistent:
+    stack, pinv, rhs = amap.stack, amap.stack_pinv, amap.rhs
+    if not amap.consistent:
         _warn_inconsistent(2)
     log = []
     converged = False
@@ -150,8 +147,8 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         # an overflowing correction is reported below, not warned about round by round
         with np.errstate(over="ignore", invalid="ignore"):
             x, memory, last = W, None, math.inf
-            for j in range(_INNER_CAP):
-                W = x if stack is None else _corrected(x, stack, pinv, rhs)
+            for _ in range(_INNER_CAP):
+                W = _corrected(x, stack, pinv, rhs)
                 try:
                     W, _ = _truncate(W, r)
                 except np.linalg.LinAlgError:
@@ -161,13 +158,12 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                     raise DivergenceError(msg) from None
                 d, w = (W - x).ravel(), W.ravel()
                 step, scale = math.sqrt(d @ d), _scale(math.sqrt(w @ w))
-                if j + 1 >= _INNER_MIN and step <= inner_tol * scale:
+                if step <= inner_tol * scale:
                     break
                 x = W
                 # past the switch, the secant step x = T(x) - gamma (T(x) - T(x_prev));
                 # a step longer than the last drops the memory and stays plain
-                if (stack is not None and memory is not None
-                        and step <= min(last, switch_tol * scale)):
+                if memory is not None and step <= min(last, switch_tol * scale):
                     W_prev, d_prev = memory
                     df = d - d_prev
                     dd = df @ df
@@ -178,8 +174,9 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         f = prob.objective.value(X)
         if not np.isfinite(f) or f > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"objective reached {f:.3e} at iteration {k}")
-        stat, _ = stationarity_residual(prob, X, cfg.alpha)
-        log.append((k, f, amap.residual(X), stat))
+        pa = PointAnalysis(prob, X)
+        stat, _ = stationarity_residual(prob, pa, cfg.alpha)
+        log.append((k, f, pa.feasibility_residual, stat))
         if stat <= cfg.stop_tol:
             converged = True
             break

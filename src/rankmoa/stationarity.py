@@ -211,8 +211,6 @@ def check_alpha_stationary(prob: ProblemSpec, X, y, alpha: float,
     if not pa.feasible:
         return False
     grad_l = pa.at(y)
-    if prob.r == 0:
-        return True  # the only rank-0 matrix is X = O, a fixed point of any step
     if method == "projection":
         Z = pa.X - alpha * grad_l.matrix
         sv = np.linalg.svd(Z, compute_uv=False)
@@ -258,9 +256,8 @@ def classify_first_order(prob: ProblemSpec, X, alpha: float | None = None) -> St
     rep = check_F_stationary(prob, pa)
     if not rep.feasible:
         return rep
-    # at s == r the retry would recover the same tangential multiplier as F
     rep.is_M = (check_M_stationary(prob, pa, y_hint=rep.y)[0]
-                or (rep.s < prob.r and check_M_stationary(prob, pa)[0]))
+                or check_M_stationary(prob, pa)[0])
     rep.beta = beta_bound(prob, pa, rep.y)
 
     lf = prob.objective.strong_convexity_modulus

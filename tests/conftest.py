@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rankmoa import (AffineMap, bq_certificates, build_diagonal_example,
-                     build_hankel_example, build_lrr, build_trace_example, orient_svd)
+from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound, bq_certificates,
+                     build_diagonal_example, build_hankel_example, build_lrr,
+                     build_trace_example, orient_svd)
 from rankmoa.qualification import CASE_NOT_CERTIFIED
 
 
@@ -44,6 +45,13 @@ def random_rank_matrix(rng, m, n, rank, scale=1.0):
     v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
     s = scale * (1.0 + rng.random(rank))
     return (u * s) @ v.T
+
+
+def rank_zero_problem(l, seed=0):
+    """A 3 x 4 Frobenius problem with rank bound 0 and l random constraints, b = 0."""
+    rng = np.random.default_rng(seed)
+    amap = AffineMap(rng.standard_normal((l, 3, 4)), np.zeros(l), shape=(3, 4))
+    return ProblemSpec(FrobeniusDistance(rng.standard_normal((3, 4))), amap, RankBound(0))
 
 
 def certified_instance(rng):

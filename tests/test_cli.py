@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec, RankBound,
-                     build_hankel, save_problem)
+                     RowQuadratic, build_hankel, save_problem)
 from rankmoa.cli import main
 from rankmoa.model import CustomObjective, make_custom, register_objective
 
@@ -81,6 +81,15 @@ def _set(*keys, value):
     return edit
 
 
+def _drop(*keys):
+    """An edit that deletes doc[k0][k1]...[kn]."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
 BIG = 10 ** 400  # json.dumps writes every digit: an integer literal beyond double range
 BIG_EDITS = {
     "matrix": _set("constraints", 0, "matrix", 1, 2, value=BIG),
@@ -101,7 +110,30 @@ def _negative_modulus(doc):
     doc["objective"] = {"kind": "registered_custom", "id": "negative-modulus", "params": {}}
 
 
+def _names(fault, edit):
+    """``edit``, marked so that the error message must contain ``fault``."""
+    edit.fault = fault
+    return edit
+
+
 @pytest.mark.parametrize("argv, edit, point_row", [
+    # an edit that returns a document replaces the whole one
+    pytest.param(["solve"], _names("top level must be an object", lambda doc: [doc]), None,
+                 id="top-level-not-an-object"),
+    pytest.param(["solve"], _names("missing field 'r'", _drop("r")), None,
+                 id="rank-bound-missing"),
+    pytest.param(["solve"], _names("m and n must be positive", _set("m", value=0)), None,
+                 id="m-below-1"),
+    pytest.param(["solve"], _names("constraints[0] needs 'matrix' and 'rhs'",
+                                   _drop("constraints", 0, "rhs")),
+                 None, id="constraint-rhs-missing"),
+    pytest.param(["solve"], _names("objective shape (3, 4) differs from (4, 4)",
+                                   _set("objective", "target", value=[[0.0] * 4] * 3)),
+                 None, id="objective-shape-differs"),
+    pytest.param(["analyze", "--point", "X4"],
+                 _names("named_points[0] needs 'label' and 'matrix'",
+                        _drop("named_points", 0, "label")),
+                 None, id="named-point-label-missing"),
     pytest.param(["solve"], _set_rhs("abc"), None, id="solve-rhs-not-a-number"),
     pytest.param(["solve"], _set_rhs(None), None, id="solve-rhs-null"),
     pytest.param(["analyze", "--point", "X4"], _set_rhs(None), None, id="analyze-rhs-null"),
@@ -174,7 +206,7 @@ def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, ar
         argv = argv[1:]
     doc = json.loads(problem_files["tr"].read_text())
     if edit is not None:
-        edit(doc)
+        doc = edit(doc) or doc
     path = tmp_path / "case.prob"
     path.write_text(json.dumps(doc))
     args = [argv[0], str(path), *argv[1:]]
@@ -190,6 +222,7 @@ def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, ar
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+    assert getattr(edit, "fault", "") in err
 
 
 def test_analyze_strict_uncertified_exit_3(problem_files, capsys):
@@ -500,6 +533,32 @@ def test_analyze_cone_search_call_counts(tmp_path, monkeypatch, capsys):
             assert (second["cone_samples_tested"], second["necessary_ok"]) == (tested, ok)
             assert second["cone_violations"] == int(not ok)
             assert calls_added == {"svd": tested, "hess_apply": tested}
+
+
+def test_analyze_text_reports_the_cone_search(tmp_path, capsys):
+    # rank 1 < r = 2, and normal directions such as e4 e4^T lie in ker A (its
+    # matrices vanish in the last column) with curvature -1: one space, one violation
+    B = [np.diag([0.0, 1.0, 1.0, 1.0])] + [np.diag([0.0, 1.0, 1.0, -1.0])] * 3
+    X = np.zeros((4, 4))
+    X[0, 0] = 2.0
+    A = np.random.default_rng(0).standard_normal((3, 4, 4))
+    A[:, :, -1] = 0.0
+    path = tmp_path / "rdc.prob"
+    save_problem(ProblemSpec(RowQuadratic(B), AffineMap(A, np.tensordot(A, X)), RankBound(2)),
+                 path, named_points={"X": X})
+    assert main(["analyze", str(path), "--point", "X"]) == 0
+    out = capsys.readouterr().out
+    assert "necessary: VIOLATED" in out
+    assert "cone subspaces searched 1, violations 1" in out
+
+
+def test_solve_without_out_writes_beside_the_problem(problem_files, capsys):
+    path = problem_files["tr"]
+    assert main(["solve", str(path), "--x0", "H"]) == 0
+    out = path.parent / "tr_solve"
+    assert f"outputs in {out}/" in capsys.readouterr().out
+    for name in ("report.json", "x_star.txt", "iterates.csv"):
+        assert (out / name).is_file()
 
 
 def test_solve_writes_outputs(problem_files, tmp_path, capsys):

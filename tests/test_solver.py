@@ -17,6 +17,8 @@ from rankmoa.report import _dumps
 from rankmoa.solver import stationarity_residual, write_iterate_log
 from rankmoa.stationarity import classify_first_order
 
+from conftest import rank_zero_problem
+
 
 def _hankel_average(X):
     """Closed-form projection onto 3x3 Hankel matrices: anti-diagonal means."""
@@ -300,7 +302,8 @@ def test_reference_hankel_solve_factors_the_projector_once(monkeypatch):
     monkeypatch.setattr(solver, "_truncate", counting_truncate)
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
-    assert calls["round"] >= 3 * solver._INNER_MIN
+    # x0 is not stationary: an iteration's first round moves, and a second one stops
+    assert calls["round"] >= 2 * result.iterations
     assert calls["lstsq"] <= result.iterations + 1
     solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert calls["factor"] <= 1  # cached on the AffineMap
@@ -357,7 +360,7 @@ def test_reference_hankel_solve_projects_with_two_products(monkeypatch):
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
     assert len(verdicts) == 1
-    assert len(per_round) >= 3 * solver._INNER_MIN
+    assert len(per_round) >= 2 * result.iterations
     assert set(per_round) == {2}
 
 
@@ -402,7 +405,7 @@ def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
         monkeypatch.setattr(linalg, "_svd_thin", counting_gufunc)
     result = solve(prob, x0, SolverConfig(alpha=0.5, max_iters=3))
     assert result.iterations == 3
-    assert calls["round"] >= 3 * solver._INNER_MIN
+    assert calls["round"] >= 2 * result.iterations
     assert calls["svd in a round"] == 0
     if gufunc is not None:
         assert calls["gufunc"] == calls["round"]
@@ -417,10 +420,11 @@ def _ravel_norm(x):
 
 
 def _reference_solve(prob, X0, cfg):
-    """solve's loop as first written, with plain rounds only: a round is
-    project_affine, then the rank-r truncation by np.linalg.svd with the
-    broadcast product, then the norm test. Returns X, the log, converged,
-    iterations, the report and each iteration's number of rounds."""
+    """solve's loop as first written, with plain rounds only and no round
+    minimum: a round is project_affine, then the rank-r truncation by
+    np.linalg.svd with the broadcast product, then the norm test. Returns X,
+    the log, converged, iterations, the report and each iteration's number
+    of rounds."""
     X = as_matrix(X0)
     amap = prob.affine
     inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
@@ -429,13 +433,12 @@ def _reference_solve(prob, X0, cfg):
         iterations = k
         W = X - cfg.alpha * prob.objective.grad(X)
         rounds.append(0)
-        for j in range(solver._INNER_CAP):
+        for _ in range(solver._INNER_CAP):
             rounds[-1] += 1
             prev = W
             u, sigma, vh = np.linalg.svd(project_affine(amap, W), full_matrices=False)
             W = (u[..., :prob.r] * sigma[..., None, :prob.r]) @ vh[..., :prob.r, :]
-            if (j + 1 >= solver._INNER_MIN
-                    and _ravel_norm(W - prev) <= inner_tol * max(1.0, _ravel_norm(W))):
+            if _ravel_norm(W - prev) <= inner_tol * max(1.0, _ravel_norm(W)):
                 break
         X = W
         f = prob.objective.value(X)
@@ -635,6 +638,16 @@ def test_solve_warns_once_for_an_inconsistent_map():
         solve(prob, np.diag([1.0, 0.0]), SolverConfig(max_iters=5))
     # one for the rounds, one from the final project_affine
     assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True, True]
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_rank_zero_solve_stops_after_one_iteration(l):
+    # one truncation to rank 0 reaches O, the only feasible point
+    prob = rank_zero_problem(l)
+    for x0 in (np.zeros((3, 4)), np.random.default_rng(1).standard_normal((3, 4))):
+        result = solve(prob, x0)
+        assert result.converged and result.iterations == 1
+        assert not result.x.any() and result.report.is_alpha
 
 
 def test_write_iterate_log(tmp_path, hankel_case):

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound,
                      beta_bound, check_F_stationary, check_M_stationary,
-                     check_alpha_stationary, classify_first_order, lagrangian,
-                     lagrangian_grad, orient_svd)
+                     check_alpha_stationary, check_second_order, classify_first_order,
+                     lagrangian, lagrangian_grad, orient_svd)
 from rankmoa.model import CustomObjective
 from rankmoa.oracle import fd_gradient
+from rankmoa.solver import stationarity_residual
 from rankmoa.stationarity import PointAnalysis
 
-from conftest import random_rank_matrix
+from conftest import random_rank_matrix, rank_zero_problem
 
 
 def _e(i, j, n=3):
@@ -118,6 +119,32 @@ def test_alpha_stationarity_rejects_unknown_method(trace_case):
                        (zero, np.zeros((3, 3)), [])):
         with pytest.raises(ValueError, match="unknown method"):
             check_alpha_stationary(prob, X, y, 1.0, method="bogus")
+
+
+def test_checks_at_an_infeasible_point_return_false(trace_case):
+    spec, _ = trace_case
+    X = np.eye(4)  # trace 4 != 2
+    assert check_M_stationary(spec, X) == (False, None)
+    assert check_M_stationary(spec, X, y_hint=[0.0]) == (False, None)
+    for method in ("characterization", "projection"):
+        assert check_alpha_stationary(spec, X, [0.0], 1.0, method=method) is False
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_rank_zero_origin_passes_every_check(l):
+    # with r = 0 the only feasible point is O: the tangent space there is {O}, so
+    # the tangential fit is y = 0, and O is a fixed point of every projected step
+    prob = rank_zero_problem(l)
+    O = np.zeros((3, 4))
+    rep = classify_first_order(prob, O, alpha=1.0)
+    assert rep.is_F and rep.is_M and rep.is_alpha
+    assert np.array_equal(rep.y, np.zeros(l))
+    for alpha in (0.1, 1.0, 10.0):
+        for method in ("characterization", "projection"):
+            assert check_alpha_stationary(prob, O, rep.y, alpha, method=method)
+    stat, y = stationarity_residual(prob, O, 1.0)
+    assert stat == 0.0 and np.array_equal(y, np.zeros(l))
+    assert check_second_order(prob, O, rep.y).basis_dim == 0
 
 
 def test_alpha_stationarity_lrr_any_step(lrr_case):
