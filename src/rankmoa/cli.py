@@ -167,8 +167,10 @@ def _print_analysis(doc, rep, qual, second):
     if second is None:
         print("second-order: skipped (point is not F-stationary)")
         return
-    print(f"second-order: case {second.case}, basis dim {second.basis_dim}, "
-          f"eig range [{second.min_eig:.6g}, {second.max_eig:.6g}]")
+    # an empty basis leaves the form's range at the inverted [inf, -inf]
+    span = (f"eig range [{second.min_eig:.6g}, {second.max_eig:.6g}]" if second.basis_dim
+            else "the form has no directions")
+    print(f"second-order: case {second.case}, basis dim {second.basis_dim}, {span}")
     print(f"  necessary: {'ok' if second.necessary_ok else 'VIOLATED'}; "
           f"sufficient: {'ok' if second.sufficient_ok else 'not certified'}")
     if second.case == "rank_deficient":

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths it is meant to check:
 finite differences touch only objective values, the projection cross-check
-re-derives the truncation from an eigendecomposition, the curvature
+re-derives the truncation from an eigendecomposition, the rank-1 Hankel
+minimum is exact over the whole 3 x 3 family, from the roots of one
+polynomial in the family's ratio q plus the q -> inf limit, the curvature
 cross-check assembles the correction term from the factored form with its
 own projectors, and the curvature replay reads the second-order form off
 second differences of f along feasible curves it builds itself. Oracle
@@ -97,15 +99,18 @@ def _line_value(H, M):
     return 0.5 * float(np.sum((H - t * M) ** 2)), t * M
 
 
-def rank1_hankel_min(H, grid: int = 10001, refine_iters: int = 60,
-                     family: str = "full"):
-    """Global search of 0.5 ||H - X||^2 over rank-1 Hankel 3 x 3 matrices.
+def rank1_hankel_min(H, family: str = "full"):
+    """Exact minimum of 0.5 ||H - X||^2 over rank-1 Hankel 3 x 3 matrices.
 
     family="lines" restricts to the three coordinate lines t*e1e1^T, t*ee^T,
-    t*e3e3^T. family="full" adds the geometric family c * u u^T with
-    u = (1, q, q^2), which covers every rank-1 Hankel matrix except the
-    t*e3e3^T line (the q -> inf limit); the search grids q over [-10, 10]
-    and refines the best bracket. Returns (value, minimizer).
+    t*e3e3^T. family="full" is the whole rank-1 Hankel set: the geometric
+    family c * u u^T with u = (1, q, q^2), q real, and its q -> +-inf limit,
+    the t*e3e3^T line. On u, the best c leaves
+    f(q) = 0.5 (||H||^2 - p(q)^2 / w(q)^2) with p(q) = u^T H u = sum_k c_k q^k
+    (c_k the k-th anti-diagonal sum of H) and w(q) = ||u||^2 = 1 + q^2 + q^4.
+    f is smooth on the real line, so its minimum sits at a real root of
+    p'w - pw' or in the limit; every root's real part and the three lines
+    are scored with the same line minimization. Returns (value, minimizer).
     """
     H = as_matrix(H, "H")
     if H.shape != (3, 3):
@@ -119,25 +124,18 @@ def rank1_hankel_min(H, grid: int = 10001, refine_iters: int = 60,
     if family not in ("full", "lines"):
         raise ValueError(f"unknown family {family!r}")
     if family == "full":
-        from scipy.optimize import minimize_scalar  # ~0.3 s to import; only this search needs it
-
-        def value_at(q):
+        # c_4, ..., c_0 (c_k sums H_ij over i + j = k): highest power first, as np.roots reads
+        p = np.array([np.trace(H[:, ::-1], offset=2 - k) for k in range(4, -1, -1)])
+        w = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+        stationary = np.polysub(np.polymul(np.polyder(p), w), np.polymul(p, np.polyder(w)))
+        # coefficients within rounding of the largest are noise, and a tiny leading one
+        # wrecks the companion matrix (H[2, 2] = 1e-200 loses every root); zeroed, they
+        # lower the degree, sending roots to the q -> inf limit, or put roots at 0
+        small = np.abs(stationary) <= np.finfo(float).eps * np.abs(stationary).max()
+        stationary[small] = 0.0
+        for q in np.roots(stationary).real:
             u = np.array([1.0, q, q * q])
-            uhu = float(u @ H @ u)
-            norm4 = float(u @ u) ** 2
-            return 0.5 * (float(np.sum(H * H)) - uhu * uhu / norm4)
-
-        qs = np.linspace(-10.0, 10.0, int(grid))
-        vals = np.array([value_at(q) for q in qs])
-        i = int(np.argmin(vals))
-        lo = qs[max(i - 1, 0)]
-        hi = qs[min(i + 1, len(qs) - 1)]
-        res = minimize_scalar(value_at, bounds=(lo, hi), method="bounded",
-                              options={"maxiter": int(refine_iters), "xatol": 1e-14})
-        q = float(res.x) if res.fun < vals[i] else float(qs[i])
-        u = np.array([1.0, q, q * q])
-        M = np.outer(u, u)
-        candidates.append(_line_value(H, M))
+            candidates.append(_line_value(H, np.outer(u, u)))
     value, X = min(candidates, key=lambda c: c[0])
     return value, X
 

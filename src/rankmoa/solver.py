@@ -14,9 +14,10 @@ NumPy's thin-SVD kernel and an r-wide product; the tie flag of
 ``project_low_rank`` is not computed).
 
 Rounds repeat until the inner iterate stops moving, up to a cap; the
-returned iterate is affine-projected last so feasibility holds at report
-time. A fixed round count leaves an error floor: the gradient step
-re-enters the infeasible region by O(alpha * ||grad f||) every outer
+first iteration whose rounds reach the cap is warned about, once per
+solve. The returned iterate is affine-projected last so feasibility holds
+at report time. A fixed round count leaves an error floor: the gradient
+step re-enters the infeasible region by O(alpha * ||grad f||) every outer
 iteration, so the inner loop must re-converge rather than run a constant
 number of sweeps. The stopping test takes its norms inline as
 sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
@@ -133,7 +134,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
     if not amap.consistent:
         _warn_inconsistent(2)
     log = []
-    converged = False
+    converged = capped = False
     iterations = 0
     for k in range(1, cfg.max_iters + 1):
         iterations = k
@@ -170,6 +171,12 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                     if dd:
                         x = W - ((df @ d) / dd) * (W - W_prev)
                 memory, last = (W, d), step
+            else:
+                if not capped:
+                    capped = True
+                    warnings.warn(f"inner rounds stopped at the cap of {_INNER_CAP} at "
+                                  f"iteration {k} before they converged", RuntimeWarning,
+                                  stacklevel=2)
         X = W
         f = prob.objective.value(X)
         if not np.isfinite(f) or f > _DIVERGENCE_LIMIT:

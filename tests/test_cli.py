@@ -14,7 +14,7 @@ from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec, Ran
 from rankmoa.cli import main
 from rankmoa.model import CustomObjective, make_custom, register_objective
 
-from conftest import planted_curvature, random_rank_matrix
+from conftest import planted_curvature, random_rank_matrix, rank_zero_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -550,6 +550,16 @@ def test_analyze_text_reports_the_cone_search(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "necessary: VIOLATED" in out
     assert "cone subspaces searched 1, violations 1" in out
+
+
+def test_analyze_text_at_rank_zero_names_the_empty_form(tmp_path, capsys):
+    # the CI step's r0.prob: r = 0, l = 2, b = 0, where O is the only feasible point
+    path = tmp_path / "r0.prob"
+    save_problem(rank_zero_problem(2), path, named_points={"O": np.zeros((3, 4))})
+    assert main(["analyze", str(path), "--point", "O"]) == 0
+    out = capsys.readouterr().out
+    assert "basis dim 0, the form has no directions" in out
+    assert "eig range" not in out
 
 
 def test_solve_without_out_writes_beside_the_problem(problem_files, capsys):

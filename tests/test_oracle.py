@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,53 @@ def test_rank1_hankel_min_exact_recovery():
     geom = np.outer([1.0, 0.5, 0.25], [1.0, 0.5, 0.25])
     v, X = rank1_hankel_min(3.0 * geom)
     assert v <= 1e-10 and np.allclose(X, 3.0 * geom, atol=1e-5)
+
+
+@pytest.mark.parametrize("q", [12.0, 20.0, -50.0])
+def test_rank1_hankel_min_recovers_planted_targets_at_any_ratio(q):
+    u = np.array([1.0, q, q * q])
+    H = 3.0 * np.outer(u, u)
+    v, _ = rank1_hankel_min(H)
+    assert v <= 1e-12 * max(1.0, float(np.sum(H * H)))
+
+
+def _rank1_hankel_sweep(H, points=200001):
+    """min over a dense sweep of u = (cos^2, sin cos, sin^2)(theta), theta in [-pi/2, pi/2].
+
+    That is (1, q, q^2) scaled by cos^2 theta at q = tan theta, so the sweep
+    covers all of R and, at theta = +-pi/2, the e3 e3^T line.
+    """
+    theta = np.linspace(-np.pi / 2, np.pi / 2, points)
+    c, s = np.cos(theta), np.sin(theta)
+    U = np.stack([c * c, s * c, s * s], axis=1)
+    p = np.einsum("ki,ij,kj->k", U, H, U)
+    w = np.sum(U * U, axis=1)
+    # the best c on u u^T leaves 0.5 (||H||^2 - <H, u u^T>^2 / ||u u^T||^2); the
+    # three lines' terms follow
+    best = max(float(np.max(p * p / (w * w))), H[0, 0] ** 2, H[2, 2] ** 2, np.sum(H) ** 2 / 9)
+    return 0.5 * (float(np.sum(H * H)) - best)
+
+
+def test_rank1_hankel_min_is_global_against_a_dense_sweep():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        G = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-2, 2)
+        H = G + G.T if trial % 2 else G
+        v, X = rank1_hankel_min(H)
+        tol = 1e-12 * max(1.0, float(np.sum(H * H)))
+        assert v <= _rank1_hankel_sweep(H) + tol
+        assert abs(0.5 * float(np.sum((H - X) ** 2)) - v) <= tol
+
+
+def test_rank1_hankel_min_survives_a_negligible_corner():
+    # a corner entry of 1e-200 leads or ends the stationary polynomial with a
+    # coefficient near 1e-200, which left alone breaks its companion matrix
+    for H in (np.array([[1.0, 0.5, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1e-200]]),
+              np.array([[1e-200, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 1.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, _ = rank1_hankel_min(H)
+        assert v <= _rank1_hankel_sweep(H) + 1e-12
 
 
 def test_rank1_hankel_min_validation():

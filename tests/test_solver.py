@@ -629,6 +629,25 @@ def test_a_tolerance_below_rounding_never_runs_the_rounds_to_the_cap(monkeypatch
     assert max(per_iteration) < solver._INNER_CAP
 
 
+def test_rounds_stopped_at_the_cap_warn_once_per_solve(monkeypatch):
+    prob, x0 = _reference_hankel()
+    monkeypatch.setattr(solver, "_INNER_CAP", 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(prob, x0, SolverConfig(max_iters=3))
+    assert [str(w.message) for w in caught] == [
+        "inner rounds stopped at the cap of 2 at iteration 1 before they converged"]
+    assert caught[0].category is RuntimeWarning
+
+
+def test_default_solve_rounds_stay_below_the_cap():
+    # the CLI's `solve --iters 3` on the same instance
+    prob, x0 = _reference_hankel()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve(prob, x0, SolverConfig(max_iters=3))
+
+
 def test_solve_warns_once_for_an_inconsistent_map():
     eye = np.eye(2)
     prob = ProblemSpec(FrobeniusDistance(np.diag([2.0, 1.0])),
