@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lazy import lazy_attribute
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, _full_row_rank, _scale, as_shaped
 
 
@@ -30,9 +30,10 @@ class AffineMap:
     stack rank is reported so qualification checks can warn. ``shape`` is
     required when there are no constraints.
 
-    The stack's SVD, ``stack_pinv``, ``consistent`` and ``_rhs_scale``, the
-    scale of every feasibility test, are computed on first use and cached;
-    ``mats`` and ``rhs`` are read-only copies, which keeps them valid.
+    ``_rhs_scale``, the scale of every feasibility test, is set on
+    construction; the stack's SVD, ``stack_pinv`` and ``consistent`` are
+    computed on first use and cached. ``mats`` and ``rhs`` are read-only
+    copies, which keeps them valid.
     """
 
     mats: np.ndarray
@@ -69,31 +70,24 @@ class AffineMap:
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "shape", shape)
+        # l x (m*n) view of mats: row i is the vectorized A^i
+        object.__setattr__(self, "stack", mats.reshape(len(mats), shape[0] * shape[1]))
+        object.__setattr__(self, "_rhs_scale", _scale(float(np.linalg.norm(rhs))))
 
     @property
     def l(self) -> int:
         return len(self.mats)
 
-    @lazy_attribute
-    def stack(self) -> np.ndarray:
-        """l x (m*n) view of ``mats``: row i is the vectorized A^i."""
-        return self.mats.reshape(self.l, self.shape[0] * self.shape[1])
-
-    @lazy_attribute
+    @cached_property
     def _stack_svd(self) -> StackSVD:
         return StackSVD(self.stack)
 
-    @lazy_attribute
+    @cached_property
     def stack_pinv(self) -> np.ndarray:
         """(m*n) x l pseudo-inverse: ``stack_pinv @ t`` is lstsq's solution at rcond=None."""
         return self._stack_svd.pinv()
 
-    @lazy_attribute
-    def _rhs_scale(self) -> float:
-        """``linalg._scale`` of ||b||."""
-        return _scale(float(np.linalg.norm(self.rhs)))
-
-    @lazy_attribute
+    @cached_property
     def consistent(self) -> bool:
         """Whether some X satisfies A(X) = b, to ``DEFAULT_TOL`` relative to max(1, ||b||).
 

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,20 +32,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_STRICT = 3
 EXIT_DIVERGED = 4
-SEED_HELP = "random seed (default: RANKMOA_SEED, else 0)"
-
-
-def _seed(args) -> int:
-    """--seed, else RANKMOA_SEED read now (0 when unset or not an integer); never negative."""
-    seed = args.seed
-    if seed is None:
-        try:
-            seed = int(os.environ.get("RANKMOA_SEED", "0"))
-        except ValueError:
-            seed = 0
-    if seed < 0:
-        raise ValueError(f"--seed (or RANKMOA_SEED) must be nonnegative, got {seed}")
-    return seed
+SEED_HELP = "random seed (default 0)"
 
 
 def _load_point(label: str, named: dict, shape):
@@ -185,11 +171,12 @@ def cmd_solve(args) -> int:
         print(f"warning: --mode and --rho are ignored; solve always runs {MODE_EXACT}",
               file=sys.stderr)
     try:
-        seed = _seed(args)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         loaded = load_problem(args.problem)
         prob = loaded.spec
         if args.x0 == "rand":
-            X0 = np.random.default_rng(seed).standard_normal((prob.m, prob.n))
+            X0 = np.random.default_rng(args.seed).standard_normal((prob.m, prob.n))
         else:
             X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
         cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
@@ -236,7 +223,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import run_suite
     try:
-        ok, lines = run_suite(args.suite, seed=_seed(args))
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        ok, lines = run_suite(args.suite, seed=args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -275,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'rand', a named point label, or a matrix file")
     ps.add_argument("--alpha", type=float, default=0.5)
     ps.add_argument("--iters", type=int, default=10000)
-    ps.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    ps.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     ps.add_argument("--stop-tol", type=float, default=1e-10)
     # the deleted quadratic_penalty mode's options, accepted and ignored for one release
     ps.add_argument("--mode", help=argparse.SUPPRESS)
@@ -284,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="run an independent verification suite")
     po.add_argument("suite", help="fd | projection | hankel-rank1 | diag-embed | curvature")
-    po.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    po.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     return parser
 
 

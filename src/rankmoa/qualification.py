@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .affine import AffineMap
 from .cones import compress, tangent_coordinates, tangent_mask
 from .errors import QualificationError
-from .lazy import lazy_attribute
 from .linalg import (DEFAULT_RANK_TOL, DEFAULT_TOL, StackSVD, ThinSVD, _scale, as_shaped,
                      rank_estimate)
 from .report import JsonReport
@@ -61,7 +61,7 @@ class PointConstraints:
         self.amap = amap
         self.compressed = compress(svd, amap.mats)
 
-    @lazy_attribute
+    @cached_property
     def tangent(self) -> StackSVD:
         return StackSVD(self.compressed[:, tangent_mask(self.svd)])
 

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .cones import _frechet_residual, _in_mordukhovich
-from .lazy import lazy_attribute
 from .linalg import _scale, as_matrix, check_positive, orient_svd
 from .model import ProblemSpec
 from .qualification import (CASE_ASSUMPTION, PointConstraints, QualificationReport,
@@ -88,11 +88,11 @@ class LagrangianGrad:
         self._r = pa.prob.r
         self.frechet = self.tangential if pa.s == pa.prob.r else self.norm
 
-    @lazy_attribute
+    @cached_property
     def tangential(self) -> float:
         return _frechet_residual(self._svd, self._svd.rank, self.matrix)
 
-    @lazy_attribute
+    @cached_property
     def sigma(self) -> np.ndarray:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
@@ -159,12 +159,12 @@ class PointAnalysis:
             self._records[key] = LagrangianGrad(self, y)
         return self._records[key]
 
-    @lazy_attribute
+    @cached_property
     def constraints(self) -> PointConstraints:
         """U^T A^i V and its tangent SVD, which every constraint test here reads."""
         return PointConstraints(self.svd, self.prob.affine)
 
-    @lazy_attribute
+    @cached_property
     def qualification(self) -> QualificationReport:
         prob = self.prob
         return bq_certificates(self.svd, prob.affine, prob.r, min(prob.tol, prob.rank_tol),

@@ -169,7 +169,6 @@ def _names(fault, edit):
     pytest.param(["solve", "--alpha", "nan"], None, None, id="solve-alpha-nan"),
     pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
     pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
-    pytest.param(["RANKMOA_SEED=-2", "solve"], None, None, id="solve-env-seed-negative"),
     pytest.param(["analyze", "--point", "X4"],
                  lambda doc: doc.update(objective={"kind": "registered_custom", "id": "x",
                                                    "params": 5}),
@@ -198,12 +197,7 @@ def _names(fault, edit):
     pytest.param(["solve"], lambda doc: doc.update(l=0, constraints=[], m=2 ** 40, n=2 ** 40),
                  None, id="dimensions-m-n-2-pow-40"),
 ])
-def test_malformed_input_exit_2(problem_files, tmp_path, capsys, monkeypatch, argv, edit,
-                                point_row):
-    while "=" in argv[0]:  # leading NAME=value entries set the environment, as in a shell
-        name, value = argv[0].split("=", 1)
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_malformed_input_exit_2(problem_files, tmp_path, capsys, argv, edit, point_row):
     doc = json.loads(problem_files["tr"].read_text())
     if edit is not None:
         doc = edit(doc) or doc
@@ -706,55 +700,36 @@ def test_oracle_help_names_every_suite():
     assert suite.help.split(" | ") == list(SUITES)
 
 
-def test_env_seed_respected(problem_files, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RANKMOA_SEED", "11")
-    out = tmp_path / "env"
-    code = main(["solve", str(problem_files["hankel33"]), "--iters", "4000",
-                 "--out", str(out)])
-    assert code == 0
-    monkeypatch.setenv("RANKMOA_SEED", "not-an-int")
-    code = main(["oracle", "projection"])
-    capsys.readouterr()
-    assert code == 0
-
-
-def test_env_seed_read_per_call(problem_files, tmp_path, monkeypatch, capsys):
-    # the parser is built once per process, so the default seed must not be
-    # frozen into it
-    def start(seed, env=None):
-        out = tmp_path / f"{seed}-{env}"
-        if env is None:
-            argv = ["--seed", str(seed)]
-        else:
+def test_seed_has_one_source(problem_files, tmp_path, monkeypatch, capsys):
+    # the seed comes from --seed (default 0) alone: RANKMOA_SEED changes no byte
+    def outputs(env):
+        if env is not None:
             monkeypatch.setenv("RANKMOA_SEED", env)
-            argv = []
-        assert main(["solve", str(problem_files["hankel33"]), "--iters", "1",
-                     "--out", str(out), *argv]) == 0
-        return np.loadtxt(out / "x_star.txt")
+        out = tmp_path / f"out-{env}"
+        assert main(["solve", str(problem_files["hankel33"]), "--x0", "rand", "--iters", "5",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["oracle", "projection"]) == 0
+        files = [(out / f).read_bytes() for f in ("report.json", "x_star.txt", "iterates.csv")]
+        return files, capsys.readouterr().out
 
-    assert np.array_equal(start(3, env="3"), start(3))
-    assert np.array_equal(start(5, env="5"), start(5))
-    assert not np.array_equal(start(3), start(5))
+    unset = outputs(None)
+    for env in ("11", "-1", "x"):
+        assert outputs(env) == unset
 
 
-def test_analyze_rejects_seed(problem_files, monkeypatch, capsys):
-    # analyze draws nothing at random: --seed is an unknown option (argparse exits 2),
-    # and RANKMOA_SEED, even a negative one, is not read
+def test_analyze_rejects_seed(problem_files, capsys):
+    # analyze draws nothing at random: --seed is an unknown option (argparse exits 2)
     with pytest.raises(SystemExit) as exc:
         main(["analyze", str(problem_files["tr"]), "--point", "X4", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-    monkeypatch.setenv("RANKMOA_SEED", "-1")
-    assert main(["analyze", str(problem_files["tr"]), "--point", "X4"]) == 0
 
 
-@pytest.mark.parametrize("argv", [["--seed", "-1"], ["RANKMOA_SEED=-1"]])
-def test_oracle_negative_seed_exit_2(monkeypatch, capsys, argv):
-    if argv[0].startswith("RANKMOA_SEED="):
-        monkeypatch.setenv("RANKMOA_SEED", argv[0].split("=", 1)[1])
-        argv = []
-    assert main(["oracle", "fd", *argv]) == 2
-    assert capsys.readouterr().err.startswith("error: --seed (or RANKMOA_SEED) must be")
+@pytest.mark.parametrize("argv", [["fd", "--seed", "-1"], ["projection", "--seed", "-2"]])
+def test_oracle_negative_seed_exit_2(capsys, argv):
+    assert main(["oracle", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed must be nonnegative")
 
 
 def test_module_entry_point(problem_files):

@@ -117,27 +117,29 @@ def test_assumption_cardinality_warnings(rng):
 
 def test_concurrent_bq_certificates_keep_their_own_notes(rng, monkeypatch):
     # thread "many" (l = 4 > both row widths) is inside bq_certificates while
-    # thread "one" (l = 1) enters it, and finishes first; each keeps its notes
+    # thread "one" (l = 1) enters it, and finishes first; each keeps its notes.
+    # The gate sits between the two qualifications, outside the cached_property
+    # PointConstraints.tangent, whose lock spans instances on Python 3.11
     svd = orient_svd(np.diag([1.0, 0.0]))
     many = AffineMap([rng.standard_normal((2, 2)) for _ in range(4)], np.zeros(4))
     one = AffineMap([rng.standard_normal((2, 2))], np.zeros(1))
     many_inside, one_inside, many_done = (threading.Event() for _ in range(3))
-    mask = qualification.tangent_mask
-    gated = set()
+    slice_R = qualification._slice_R
+    gated, waited = set(), []
 
-    def gate(svd_):
+    def gate(svd_, C):
         name = threading.current_thread().name
         if name not in gated:
             gated.add(name)
             if name == "many":
                 many_inside.set()
-                one_inside.wait(10)
+                waited.append(one_inside.wait(10))
             else:
                 one_inside.set()
-                many_done.wait(10)
-        return mask(svd_)
+                waited.append(many_done.wait(10))
+        return slice_R(svd_, C)
 
-    monkeypatch.setattr(qualification, "tangent_mask", gate)
+    monkeypatch.setattr(qualification, "_slice_R", gate)
     reports = {}
 
     def run_many():
@@ -157,6 +159,7 @@ def test_concurrent_bq_certificates_keep_their_own_notes(rng, monkeypatch):
     for t in threads:
         t.join(20)
         assert not t.is_alive()
+    assert waited == [True, True]  # neither thread ran on after a timeout
     assert reports["one"].warnings == ()
     notes = reports["many"].warnings
     assert len(notes) == 2

@@ -463,38 +463,50 @@ def test_to_dict_matches_jsonable_asdict(trace_case, hankel_case):
                 == json.dumps(ref, sort_keys=True, allow_nan=False))
 
 
-def test_lazy_point_attributes_do_not_serialize_points(rng, monkeypatch):
-    # a thread held inside one point's ``constraints`` must not block another
-    # point's: Python 3.11's functools.cached_property locks across instances
+def test_concurrent_analyses_match_sequential(rng):
+    # two threads read the computed-once attributes of one problem's map and of
+    # its points at once: of two different points, then both of one shared
+    # analysis. Each report must equal its sequential twin
+    import sys
     import threading
-    from rankmoa import stationarity
-    from rankmoa.stationarity import PointAnalysis
-    X = random_rank_matrix(rng, 5, 4, 2)
+    # each point keeps two of H's four singular triplets, so both are F-stationary
+    # for the nearest rank-2 matrix; constraints orthogonal to their difference keep
+    # both feasible
+    u, _, vt = np.linalg.svd(rng.standard_normal((5, 4)), full_matrices=False)
+    H = (u * [4.0, 3.0, 2.0, 1.0]) @ vt
+    points = [(u[:, :2] * [4.0, 3.0]) @ vt[:2], (u[:, ::2] * [4.0, 2.0]) @ vt[::2]]
+    D = points[0] - points[1]
     mats = rng.standard_normal((2, 5, 4))
-    prob = ProblemSpec(FrobeniusDistance(X), AffineMap(mats, np.tensordot(mats, X)),
-                       RankBound(2))
-    held, free = PointAnalysis(prob, X), PointAnalysis(prob, X)
-    entered, release = threading.Event(), threading.Event()
-    point_constraints = stationarity.PointConstraints
+    mats -= np.tensordot(mats, D)[:, None, None] * D / np.vdot(D, D)
 
-    def constraints(svd, amap):
-        if svd is held.svd:
-            entered.set()
-            release.wait(30)
-        return point_constraints(svd, amap)
-    monkeypatch.setattr(stationarity, "PointConstraints", constraints)
-    read = {}
-    holder = threading.Thread(target=lambda: read.setdefault("held", held.constraints))
-    reader = threading.Thread(target=lambda: read.setdefault("free", free.constraints))
-    holder.start()
+    def problem():
+        return ProblemSpec(FrobeniusDistance(H), AffineMap(mats, np.tensordot(mats, points[0])),
+                           RankBound(2))
+
+    def analyze(prob, pa):
+        first = classify_first_order(prob, pa, alpha=0.5)
+        return first.to_dict(), check_second_order(prob, pa, first.y, samples=50).to_dict()
+
+    seq = problem()
+    want = [analyze(seq, PointAnalysis(seq, X)) for X in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        assert entered.wait(10)
-        reader.start()
-        reader.join(5)
-        assert not reader.is_alive(), "reading one point's constraints waited for another's"
+        for _ in range(5):
+            prob = problem()
+            shared = PointAnalysis(prob, points[0])
+            for which, pas in (([0, 1], [PointAnalysis(prob, X) for X in points]),
+                               ([0, 0], [shared, shared])):
+                start, got = threading.Barrier(2), [None, None]
+
+                def run(i):
+                    start.wait(10)
+                    got[i] = analyze(prob, pas[i])
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert got == [want[k] for k in which]
     finally:
-        release.set()
-        holder.join(10)
-        reader.join(10)
-    assert not holder.is_alive() and not reader.is_alive()
-    assert read["free"] is free.constraints and read["held"] is held.constraints
+        sys.setswitchinterval(interval)
