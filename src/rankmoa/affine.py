@@ -4,8 +4,8 @@ The l x mn stack is factored at most once per map, by one cached thin
 ``StackSVD`` (O(l mn) numbers): its pseudo-inverse and kernel cut at lstsq's
 default eps * max(l, mn) * sigma_1, its multiplier fit and rank at
 rank_tol * sigma_1; only ``kernel_basis`` at l < mn takes full factors.
-``stack_rank`` first tries to prove full row rank by one Cholesky of the
-l x l Gram matrix, without an SVD.
+``stack_rank`` reads that SVD when the map holds one, else first tries to
+prove full row rank by one Cholesky of the l x l Gram matrix, without one.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ class AffineMap:
         return self._stack_svd.solve(np.ravel(W), rank_tol)
 
     def stack_rank(self, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-        """``rank_estimate(stack, rank_tol)``: l when ``linalg._full_row_rank`` proves
-        it, else (no constraints, l > m*n, dependent or ill-conditioned rows) by the SVD."""
-        if _full_row_rank(self.stack, rank_tol):
+        """``rank_estimate(stack, rank_tol)``: from the map's SVD if held, else l when
+        ``_full_row_rank`` proves it, else (l = 0, l > m*n, dependent rows...) by the SVD."""
+        if "_stack_svd" not in self.__dict__ and _full_row_rank(self.stack, rank_tol):
             return self.l
         return self._stack_svd.rank(rank_tol)

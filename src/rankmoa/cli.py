@@ -202,8 +202,8 @@ def cmd_solve(args) -> int:
     summary = {
         "converged": result.converged,
         "iterations": result.iterations,
-        "f": prob.objective.value(result.x),
-        "feasibility_residual": prob.affine.residual(result.x),
+        "f": result.log[-1][1],
+        "feasibility_residual": result.report.feasibility_residual,
         "alpha": cfg.alpha,
         "affine_mode": MODE_EXACT,
         "affine_handling_note": (

@@ -15,8 +15,7 @@ NumPy's thin-SVD kernel and an r-wide product; the tie flag of
 
 Rounds repeat until the inner iterate stops moving, up to a cap; the
 first iteration whose rounds reach the cap is warned about, once per
-solve. The returned iterate is affine-projected last so feasibility holds
-at report time. A fixed round count leaves an error floor: the gradient
+solve. A fixed round count leaves an error floor: the gradient
 step re-enters the infeasible region by O(alpha * ||grad f||) every outer
 iteration, so the inner loop must re-converge rather than run a constant
 number of sweeps. The stopping test takes its norms inline as
@@ -33,15 +32,18 @@ gamma = <df, f> / <df, df> for f = T(x) - x and df its change since the
 last round (Walker & Ni, 2011). A round whose step is longer than the last
 one's drops the memory and takes T(x). The residuals f are orthogonal to
 the fixed set to first order, so the extrapolation keeps the plain rounds'
-limit up to O(step^2) = O(inner_tol); the returned iterate is always a
-truncation output, of rank at most r. The map's one SVD of its stack gives
+limit up to O(step^2) = O(inner_tol); the next gradient step starts from
+a truncation output, of rank at most r. The map's one SVD of its stack gives
 the pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier
-fit at rank_tol and ``AffineMap.consistent``, a verdict of the map, not
+fit and ``AffineMap.stack_rank`` at rank_tol and ``consistent``, a verdict of the map, not
 the point, warned about once per solve. The map's constraint array is
 read-only, so neither cache can go stale.
 
-Termination uses the alpha-stationarity residual with a freshly recovered
-multiplier; the final point is classified by the first-order machinery.
+Each iteration's one ``PointAnalysis`` is of the candidate it would return,
+the affine correction of its truncation: the divergence check, the log row,
+the stopping test (the alpha-stationarity residual with a freshly recovered
+multiplier) and the final ``classify_first_order`` all read it, so every
+logged column and the report describe the point returned.
 """
 
 from __future__ import annotations
@@ -135,9 +137,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         _warn_inconsistent(2)
     log = []
     converged = capped = False
-    iterations = 0
     for k in range(1, cfg.max_iters + 1):
-        iterations = k
         W = X - cfg.alpha * prob.objective.grad(X)
         # an overflowing ||W|| catches inf or NaN entries and steps too large to project
         if not math.isfinite(np.linalg.norm(W)):
@@ -177,20 +177,20 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                     warnings.warn(f"inner rounds stopped at the cap of {_INNER_CAP} at "
                                   f"iteration {k} before they converged", RuntimeWarning,
                                   stacklevel=2)
-        X = W
-        f = prob.objective.value(X)
+            X, C = W, _corrected(W, stack, pinv, rhs)  # the next step starts from W
+        if not np.isfinite(C).all():
+            raise DivergenceError(f"affine projection overflowed at iteration {k}")
+        f = prob.objective.value(C)
         if not np.isfinite(f) or f > _DIVERGENCE_LIMIT:
             raise DivergenceError(f"objective reached {f:.3e} at iteration {k}")
-        pa = PointAnalysis(prob, X)
+        pa = PointAnalysis(prob, C)
         stat, _ = stationarity_residual(prob, pa, cfg.alpha)
         log.append((k, f, pa.feasibility_residual, stat))
         if stat <= cfg.stop_tol:
             converged = True
             break
-    X = project_affine(amap, X)
-    report = classify_first_order(prob, X, alpha=cfg.alpha)
-    return SolveResult(x=X, report=report, log=log, converged=converged,
-                       iterations=iterations)
+    return SolveResult(x=C, report=classify_first_order(prob, pa, alpha=cfg.alpha), log=log,
+                       converged=converged, iterations=k)
 
 
 def write_iterate_log(path, log) -> None:

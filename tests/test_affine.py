@@ -133,6 +133,28 @@ def test_stack_rank_equals_rank_estimate(rng, monkeypatch):
     assert 0 < len(ranked) < asked
 
 
+def test_stack_rank_reads_a_held_svd(rng, monkeypatch):
+    # once the map holds its SVD (solve factors it for stack_pinv), stack_rank
+    # ranks from it: no Cholesky proof, and still rank_estimate's answer
+    calls, cholesky = [], np.linalg.cholesky
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cholesky(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    kinds = ("generic", "near-dependent", "dependent", "row-scaled", "overall-scaled",
+             "graded")
+    for draw in range(120):
+        m, n = (int(k) for k in rng.integers(1, 5, size=2))
+        l = int(rng.integers(0, m * n + 3))
+        amap = AffineMap(_stack_draw(rng, kinds[draw % len(kinds)], l, m, n), np.zeros(l),
+                         shape=(m, n))
+        amap.stack_pinv
+        for tol in (1e-8, 1e-3, 0.3):
+            assert amap.stack_rank(tol) == rank_estimate(amap.stack, tol)
+    assert calls == []
+
+
 def test_stack_rank_certifies_hankel_stacks_without_an_svd(monkeypatch):
     monkeypatch.setattr(StackSVD, "__init__",
                         lambda *a: pytest.fail("full row rank should be certified"))

@@ -472,9 +472,10 @@ def test_each_constraint_system_is_factored_once_per_request(problem_files, tmp_
     assert main(["solve", str(hankel), "--x0", "Xtilde", "--iters", "3",
                  "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["iterations"] == 3
-    # three stopping tests and the final classification, each at a rank-2 point
-    assert calls == {"analyses": 4}
-    assert shapes.count((4, 9)) == 1 and shapes.count((4, 8)) == 4 and len(shapes) == 5
+    # one analysis per iteration, of the rank-2 point it would return: the stopping
+    # test and the final classification read the same one
+    assert calls == {"analyses": 3}
+    assert shapes.count((4, 9)) == 1 and shapes.count((4, 8)) == 3 and len(shapes) == 4
 
 
 def test_analyze_cone_search_call_counts(tmp_path, monkeypatch, capsys):

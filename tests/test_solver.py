@@ -233,6 +233,23 @@ def test_solve_overflowing_affine_correction_raises_divergence():
         solve(prob, H, SolverConfig(max_iters=3))
 
 
+def test_a_non_finite_candidate_raises_divergence(monkeypatch):
+    # the candidate is corrected after the rounds, outside their SVD's check: an
+    # unconstrained iteration runs two rounds, so the third correction is its candidate
+    corrected, calls = solver._corrected, Counter()
+
+    def overflowing(x, *args):
+        calls["corrected"] += 1
+        out = corrected(x, *args)
+        return np.full_like(out, np.inf) if calls["corrected"] == 3 else out
+    monkeypatch.setattr(solver, "_corrected", overflowing)
+    H = np.random.default_rng(0).standard_normal((4, 3))
+    prob = ProblemSpec(FrobeniusDistance(H), AffineMap([], [], shape=(4, 3)), RankBound(1))
+    with pytest.raises(DivergenceError, match="affine projection overflowed at iteration 1"):
+        solve(prob, H, SolverConfig(max_iters=3))
+    assert calls["corrected"] == 3
+
+
 def test_stationarity_residual_at_solution(trace_case):
     spec, points = trace_case
     res, y = stationarity_residual(spec, points["X4"], alpha=0.5)
@@ -368,7 +385,8 @@ def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
     # a round is the affine correction, then one linalg._truncate call (one
     # call of numpy's thin-SVD gufunc); np.linalg.svd is left to the
     # per-iteration analysis. The step is validated once per iteration, and
-    # project_affine, the validated public entry, runs once: the final projection
+    # project_affine, the validated public entry, never runs: each iteration
+    # corrects its own truncation into the candidate it analyzes
     prob, x0 = _reference_hankel()
     assert prob.affine.consistent  # factors the map's pseudo-inverse up front
     calls = Counter()
@@ -410,8 +428,8 @@ def test_reference_hankel_inner_round_is_one_kernel_call(monkeypatch):
     if gufunc is not None:
         assert calls["gufunc"] == calls["round"]
     assert 0 < calls["svd"] < calls["round"]
-    assert calls["project"] == 1
-    assert calls["validate X"] == result.iterations + 1  # the last by project_affine
+    assert calls["project"] == 0
+    assert calls["validate X"] == result.iterations
 
 
 def _ravel_norm(x):
@@ -595,7 +613,8 @@ def test_a_growing_step_falls_back_to_the_plain_round(monkeypatch):
     solve(prob, x0, cfg)
     switch = math.sqrt(np.finfo(float).eps * max(prob.m, prob.n))  # the floored inner_tol's
     fallbacks = extrapolated = 0
-    for rounds in iterations[:-1]:  # the last holds the final project_affine
+    for rounds in iterations[:-1]:  # the last is empty: solve returned after its residual
+        *rounds, (_candidate,) = rounds  # the last correction is untruncated: the candidate
         steps = [_ravel_norm(T - x) for x, T in rounds]
         for j in range(1, len(rounds) - 1):
             T, following = rounds[j][1], rounds[j + 1][0]
@@ -655,8 +674,32 @@ def test_solve_warns_once_for_an_inconsistent_map():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         solve(prob, np.diag([1.0, 0.0]), SolverConfig(max_iters=5))
-    # one for the rounds, one from the final project_affine
-    assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True, True]
+    # the rounds and the candidates read the map's arrays, so one warning per solve
+    assert [issubclass(w.category, RuntimeWarning) for w in caught] == [True]
+
+
+@pytest.mark.parametrize("name", ["hankel3-Xtilde", "random-l3"])
+def test_solve_analyzes_and_reports_one_point_per_iteration(name, monkeypatch):
+    # each iteration's one PointAnalysis is of the point it would return, so the
+    # report and the last log row describe result.x as a fresh classification does
+    from rankmoa.stationarity import PointAnalysis
+    _, prob, x0, fields = next(c for c in _reference_cases() if c[0] == name)
+    cfg = SolverConfig(alpha=0.5, **fields)
+    calls, init = Counter(), PointAnalysis.__init__
+
+    def counted(self, *args):
+        calls["analyses"] += 1
+        init(self, *args)
+    monkeypatch.setattr(PointAnalysis, "__init__", counted)
+    result = solve(prob, x0, cfg)
+    monkeypatch.undo()
+    assert prob.affine.l
+    assert calls["analyses"] == result.iterations
+    fresh = classify_first_order(prob, result.x, alpha=cfg.alpha)
+    assert _dumps(result.report.to_dict()) == _dumps(fresh.to_dict())
+    _, f, feas, _ = result.log[-1]
+    assert f == prob.objective.value(result.x)
+    assert feas == result.report.feasibility_residual
 
 
 @pytest.mark.parametrize("l", [0, 2])
