@@ -179,8 +179,7 @@ def cmd_solve(args) -> int:
             X0 = np.random.default_rng(args.seed).standard_normal((prob.m, prob.n))
         else:
             X0, _ = _load_point(args.x0, loaded.named_points, (prob.m, prob.n))
-        cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters,
-                           stop_tol=args.stop_tol)
+        cfg = SolverConfig(alpha=args.alpha, max_iters=args.iters)
         out = Path(args.out) if args.out else \
             Path(args.problem).parent / (Path(args.problem).stem + "_solve")
         # made before solving, so an unusable --out costs no solve
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--alpha", type=float, default=0.5)
     ps.add_argument("--iters", type=int, default=10000)
     ps.add_argument("--seed", type=int, default=0, help=SEED_HELP)
-    ps.add_argument("--stop-tol", type=float, default=1e-10)
     # the deleted quadratic_penalty mode's options, accepted and ignored for one release
     ps.add_argument("--mode", help=argparse.SUPPRESS)
     ps.add_argument("--rho", help=argparse.SUPPRESS)

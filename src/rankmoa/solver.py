@@ -20,20 +20,19 @@ step re-enters the infeasible region by O(alpha * ||grad f||) every outer
 iteration, so the inner loop must re-converge rather than run a constant
 number of sweeps. The stopping test takes its norms inline as
 sqrt(x @ x), the sum np.linalg.norm computes, against inner_tol =
-min(1e-13, 0.01 * stop_tol) floored at the rounding level eps * max(m, n)
-of a round. At l = 0 a round is one truncation, an exact projection, so
-the second round repeats the first up to rounding. Otherwise the rounds
-run in two phases. While the step ||T(x) - x|| of a round T (correction,
-then truncation) is above sqrt(inner_tol) times the scale of ||T(x)||,
-the next input is T(x). Below it the rounds converge linearly (Lewis,
-Luke & Malick, 2009), and the next input is the one-memory Anderson
-(secant) extrapolation T(x) - gamma (T(x) - T(x_prev)),
+min(1e-13, 1e-4 * tol), for the problem's tol, floored at the rounding
+level eps * max(m, n) of a round. At l = 0 a round is one truncation, an
+exact projection, so the second round repeats the first up to rounding.
+Otherwise the rounds run in two phases. While the step ||T(x) - x|| of a
+round T (correction, then truncation) is above sqrt(inner_tol) times the
+scale of ||T(x)||, the next input is T(x). Below it the rounds converge
+linearly (Lewis, Luke & Malick, 2009), and the next input is the one-memory
+Anderson (secant) extrapolation T(x) - gamma (T(x) - T(x_prev)),
 gamma = <df, f> / <df, df> for f = T(x) - x and df its change since the
-last round (Walker & Ni, 2011). A round whose step is longer than the last
-one's drops the memory and takes T(x). The residuals f are orthogonal to
-the fixed set to first order, so the extrapolation keeps the plain rounds'
-limit up to O(step^2) = O(inner_tol); the next gradient step starts from
-a truncation output, of rank at most r. The map's one SVD of its stack gives
+last round (Walker & Ni, 2011). The residuals f are orthogonal to the fixed
+set to first order, so the extrapolation keeps the plain rounds' limit up
+to O(step^2) = O(inner_tol); the next gradient step starts from a
+truncation output, of rank at most r. The map's one SVD of its stack gives
 the pseudo-inverse at lstsq's cutoff, the stopping tests' full multiplier
 fit and ``AffineMap.stack_rank`` at rank_tol and ``consistent``, a verdict of the map, not
 the point, warned about once per solve. The map's constraint array is
@@ -43,7 +42,10 @@ Each iteration's one ``PointAnalysis`` is of the candidate it would return,
 the affine correction of its truncation: the divergence check, the log row,
 the stopping test (the alpha-stationarity residual with a freshly recovered
 multiplier) and the final ``classify_first_order`` all read it, so every
-logged column and the report describe the point returned.
+logged column and the report describe the point returned. The stopping test
+passes at tol / 100 for the problem's tol. It reads the same Frechet residual
+as the certifier's F test, which passes at tol, so a converged point passes
+that test with a margin of 100.
 """
 
 from __future__ import annotations
@@ -69,13 +71,11 @@ _DIVERGENCE_LIMIT = 1e12
 class SolverConfig:
     alpha: float = 0.5
     max_iters: int = 10000
-    stop_tol: float = 1e-10
 
     def __post_init__(self):
         check_positive(self.alpha, "step alpha")
         if _count_arg(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
-        check_positive(self.stop_tol, "stop_tol")
 
 
 @dataclass
@@ -120,17 +120,18 @@ def stationarity_residual(prob: ProblemSpec, X, alpha: float):
     """
     pa = PointAnalysis.of(prob, X)
     feas = pa.feasibility_residual / prob.affine._rhs_scale
-    grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r)[0])
+    grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r))
     return (grad_l.frechet + max(0.0, grad_l.excess(alpha))) / pa.scale + feas, grad_l.y
 
 
 def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveResult:
-    """Iterate projected gradient steps until alpha-stationarity or max_iters."""
+    """Iterate projected gradient steps until alpha-stationarity at tol / 100 or max_iters."""
     X = as_shaped(X0, (prob.m, prob.n), "X0")
     amap, r = prob.affine, prob.r
+    stop_tol = prob.tol / 100
     # a round's step has a rounding floor near eps * max(m, n) * ||W||: a tolerance
     # below it would run every iteration's rounds up to _INNER_CAP
-    inner_tol = max(min(1e-13, 0.01 * cfg.stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
+    inner_tol = max(min(1e-13, 0.01 * stop_tol), np.finfo(float).eps * max(prob.m, prob.n))
     switch_tol = math.sqrt(inner_tol)
     stack, pinv, rhs = amap.stack, amap.stack_pinv, amap.rhs
     if not amap.consistent:
@@ -147,7 +148,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         W = as_shaped(W, amap.shape, "X")
         # an overflowing correction is reported below, not warned about round by round
         with np.errstate(over="ignore", invalid="ignore"):
-            x, memory, last = W, None, math.inf
+            x, memory = W, None
             for _ in range(_INNER_CAP):
                 W = _corrected(x, stack, pinv, rhs)
                 try:
@@ -162,15 +163,14 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
                 if step <= inner_tol * scale:
                     break
                 x = W
-                # past the switch, the secant step x = T(x) - gamma (T(x) - T(x_prev));
-                # a step longer than the last drops the memory and stays plain
-                if memory is not None and step <= min(last, switch_tol * scale):
+                # past the switch, the secant step x = T(x) - gamma (T(x) - T(x_prev))
+                if memory is not None and step <= switch_tol * scale:
                     W_prev, d_prev = memory
                     df = d - d_prev
                     dd = df @ df
                     if dd:
                         x = W - ((df @ d) / dd) * (W - W_prev)
-                memory, last = (W, d), step
+                memory = (W, d)
             else:
                 if not capped:
                     capped = True
@@ -186,7 +186,7 @@ def solve(prob: ProblemSpec, X0, cfg: SolverConfig = SolverConfig()) -> SolveRes
         pa = PointAnalysis(prob, C)
         stat, _ = stationarity_residual(prob, pa, cfg.alpha)
         log.append((k, f, pa.feasibility_residual, stat))
-        if stat <= cfg.stop_tol:
+        if stat <= stop_tol:
             converged = True
             break
     return SolveResult(x=C, report=classify_first_order(prob, pa, alpha=cfg.alpha), log=log,

@@ -14,14 +14,15 @@ Three nested notions are certified at a feasible point X of rank s:
   part vanishes and rank(grad_X L) <= min(m, n) - r.
 
 Multipliers are recovered by minimum-norm least squares truncated at
-rank_tol; M-stationarity over the affine family of multipliers is only
-certified at the tested y values. All tests at one point read a single
-``PointAnalysis`` of it, and the F, alpha, beta, M, second-order and
-solver-stopping tests at one y apply their cone rules to one record,
-``PointAnalysis.at(y)``: grad_X L, its norm and Frechet residual and, on
-first use, its tangential residual and singular values. M applies the rule
-of ``cones.in_normal_mordukhovich_Mr`` to it; alpha, uniqueness and the
-solver's stopping test read its ``excess`` over the alpha bound.
+rank_tol, whose own residual decides no verdict; M-stationarity over the
+affine family of multipliers is only certified at the tested y values. All
+tests at one point read a single ``PointAnalysis`` of it, and the F, alpha,
+beta, M, second-order and solver-stopping tests at one y apply their cone
+rules to one record, ``PointAnalysis.at(y)``: grad_X L, its norm and
+Frechet residual and, on first use, its tangential residual and singular
+values. F's verdict and ``f_residual`` are its Frechet residual; M applies
+the rule of ``cones.in_normal_mordukhovich_Mr`` to it; alpha, uniqueness
+and the solver's stopping test read its ``excess`` over the alpha bound.
 Infeasible inputs produce reports with all verdicts false, never exceptions.
 """
 
@@ -145,8 +146,8 @@ class PointAnalysis:
             raise ValueError("the point analysis belongs to another problem")
         return X
 
-    def multiplier(self, tangential: bool):
-        """(y, residual) minimizing the tangential part of grad L, or all of it."""
+    def multiplier(self, tangential: bool) -> np.ndarray:
+        """The minimum-norm y minimizing the tangential part of grad L, or all of it."""
         if tangential not in self._multipliers:
             self._multipliers[tangential] = _recover_multiplier(self, tangential)
         return self._multipliers[tangential]
@@ -173,7 +174,7 @@ class PointAnalysis:
 
 def _recover_multiplier(pa: PointAnalysis, tangential: bool):
     """Minimum-norm minimizer of the (projected) Lagrangian-gradient norm."""
-    return pa.constraints.fit(-pa.grad, tangential, pa.prob.rank_tol)
+    return pa.constraints.fit(-pa.grad, tangential, pa.prob.rank_tol)[0]
 
 
 def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
@@ -181,17 +182,16 @@ def check_F_stationary(prob: ProblemSpec, X) -> StationarityReport:
 
     s == r: minimize the tangential norm of grad f + adjoint(y) over y.
     s <  r: minimize the full norm (the Frechet cone collapses to {O}).
+    The verdict is the Frechet residual of grad L at that y against the threshold.
     """
     pa = PointAnalysis.of(prob, X)
     rep = StationarityReport(feasible=pa.feasible,
                              feasibility_residual=pa.feasibility_residual, s=pa.s)
     if not rep.feasible:
         return rep
-    y, resid = pa.multiplier(tangential=pa.s == prob.r)
-    rep.y = y
-    rep.f_residual = resid
-    rep.grad_lagrangian = pa.at(y).matrix
-    rep.is_F = resid <= pa.threshold
+    grad_l = pa.at(pa.multiplier(tangential=pa.s == prob.r))
+    rep.y, rep.grad_lagrangian, rep.f_residual = grad_l.y, grad_l.matrix, grad_l.frechet
+    rep.is_F = grad_l.frechet <= pa.threshold
     return rep
 
 
@@ -238,7 +238,7 @@ def check_M_stationary(prob: ProblemSpec, X, y_hint=None):
     pa = PointAnalysis.of(prob, X)
     if not pa.feasible:
         return False, None
-    grad_l = pa.at(pa.multiplier(tangential=True)[0] if y_hint is None else y_hint)
+    grad_l = pa.at(pa.multiplier(tangential=True) if y_hint is None else y_hint)
     return _in_mordukhovich(pa.svd, prob.r, grad_l.tangential, grad_l.norm,
                             lambda: grad_l.sigma, pa.threshold), grad_l.y
 

@@ -278,13 +278,12 @@ def test_criterion_7_solver_reproduction(hankel_case, trace_case, tmp_path,
     with criterion(7, "solver reproduces the two reference points"):
         spec, points = hankel_case
         x0, _ = project_low_rank(spec.objective.target, 2, spec.rank_tol)
-        result = solve(spec, x0, SolverConfig(alpha=0.5, stop_tol=1e-10))
+        result = solve(spec, x0, SolverConfig(alpha=0.5))
         assert result.converged and result.iterations < 10**4
         assert np.linalg.norm(result.x - points["Xbar"]) <= 1e-6
 
         tspec, tpoints = trace_case
-        result = solve(tspec, tpoints["H"], SolverConfig(alpha=0.5,
-                                                         stop_tol=1e-10))
+        result = solve(tspec, tpoints["H"], SolverConfig(alpha=0.5))
         assert result.converged and result.iterations < 10**4
         assert np.linalg.norm(result.x - tpoints["X4"]) <= 1e-6
 

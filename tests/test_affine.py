@@ -267,15 +267,18 @@ def test_tangential_fit_solves_in_tangent_coordinates(monkeypatch):
                        hankel_constraints(16, 16), RankBound(2))
     shapes = []
     _spy_factorizations(monkeypatch, shapes)
-    solve = StackSVD.solve
+    solve, fits = StackSVD.solve, []
 
     def spy(self, t, rank_tol):
         shapes.append(np.shape(t))
-        return solve(self, t, rank_tol)
+        fits.append(solve(self, t, rank_tol))
+        return fits[-1]
 
     monkeypatch.setattr(StackSVD, "solve", spy)
     pa = PointAnalysis(prob, X)
     assert pa.feasible and pa.s == 2
-    y, resid = pa.multiplier(tangential=True)
+    y = pa.multiplier(tangential=True)
     assert shapes == [(225, 60), (60,)]
+    (fit_y, resid), = fits
+    assert fit_y is y
     assert np.isclose(resid, pa.at(y).tangential, rtol=1e-10, atol=1e-12)

@@ -13,6 +13,7 @@ from rankmoa import (AffineMap, FrobeniusDistance, LinearTrace, ProblemSpec, Ran
                      RowQuadratic, build_hankel, save_problem)
 from rankmoa.cli import main
 from rankmoa.model import CustomObjective, make_custom, register_objective
+from rankmoa.oracle import planted_stationary
 
 from conftest import planted_curvature, random_rank_matrix, rank_zero_problem
 
@@ -167,7 +168,6 @@ def _names(fault, edit):
     pytest.param(["analyze", "--point", "X4", "--samples", "-5"], None, None,
                  id="analyze-samples-negative"),
     pytest.param(["solve", "--alpha", "nan"], None, None, id="solve-alpha-nan"),
-    pytest.param(["solve", "--stop-tol", "nan"], None, None, id="solve-stop-tol-nan"),
     pytest.param(["solve", "--seed", "-1"], None, None, id="solve-seed-negative"),
     pytest.param(["analyze", "--point", "X4"],
                  lambda doc: doc.update(objective={"kind": "registered_custom", "id": "x",
@@ -309,6 +309,20 @@ def test_analyze_certifies_the_hankel_stack_without_factoring_it(tmp_path, monke
     assert doc["problem"]["l"] == 49 and doc["stationarity"]["feasible"]
     assert "constraint matrices are linearly dependent" not in doc["qualification"]["warnings"]
     assert (49, 64) not in shapes
+
+
+def test_analyze_at_a_tol_between_the_fit_and_the_record_exits_0(tmp_path, capsys):
+    # the tol of test_stationarity's FIT_BELOW_RECORD_TOL case: the multiplier
+    # fit's residual passes it and grad L's Frechet residual does not, so the
+    # point is not F-stationary and no second-order check runs
+    prob, X, _ = planted_stationary(np.random.default_rng(0), 5, 4, 2, 3)
+    path = tmp_path / "planted.prob"
+    save_problem(prob, path, named_points={"X": X})
+    code = main(["analyze", str(path), "--point", "X", "--tol", "3.2025550076875577e-16",
+                 "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["stationarity"]["is_F"] is False and doc["second_order"] is None
 
 
 def test_analyze_notes_duplicated_constraints(problem_files, tmp_path, monkeypatch, capsys):
@@ -725,6 +739,14 @@ def test_analyze_rejects_seed(problem_files, capsys):
         main(["analyze", str(problem_files["tr"]), "--point", "X4", "--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_solve_rejects_stop_tol(problem_files, capsys):
+    # solve stops at the problem's tol / 100: --stop-tol is an unknown option (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(problem_files["tr"]), "--x0", "H", "--stop-tol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --stop-tol 1e-10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["fd", "--seed", "-1"], ["projection", "--seed", "-2"]])

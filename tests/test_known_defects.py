@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rankmoa import (AffineMap, ProblemSpec, RankBound, SolverConfig, build_hankel,
-                     check_second_order, classify_first_order, orient_svd, project_low_rank,
-                     solve)
+from rankmoa import (AffineMap, ProblemSpec, RankBound, SolverConfig, beta_bound,
+                     build_hankel, check_alpha_stationary, check_second_order,
+                     classify_first_order, orient_svd, project_low_rank, solve)
 from rankmoa.cones import project_normal_fixed_rank
 from rankmoa.oracle import saddle_3x3
 
@@ -40,6 +40,31 @@ def test_first_order_verdict_is_scale_invariant():
     def is_F(c):
         return classify_first_order(build_hankel(c * H, 2), c * x30).is_F
     assert is_F(1e-8) == is_F(1.0)
+
+
+def _planted_hankel_t0():
+    """The planted 8x8 Hankel point t = 0: X of rank 2 with h_k = 0.9^k + (-0.7)^k,
+    H = X + A*(y), so grad L vanishes at the planted y; (prob, X, y)."""
+    k = np.add.outer(np.arange(8), np.arange(8))
+    X = 0.9 ** k + (-0.7) ** k
+    rng = np.random.default_rng(1)
+    rng.standard_normal((6, 6))  # the normal block M, scaled by t = 0
+    y = rng.standard_normal(49)
+    return build_hankel(X + build_hankel(X, 2).affine.adjoint(y), 2), X, y
+
+
+def test_the_planted_hankel_multiplier_witnesses_alpha_stationarity():
+    prob, X, y = _planted_hankel_t0()
+    assert beta_bound(prob, X, y) == np.inf
+    assert check_alpha_stationary(prob, X, y, 0.5, method="projection")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 6")
+def test_alpha_verdict_searches_the_multiplier_family():
+    # the witness above exists, yet the minimum-norm multiplier of the
+    # 25-dimensional family reads beta = 0.418 < 0.5, and only it is tested
+    prob, X, _ = _planted_hankel_t0()
+    assert classify_first_order(prob, X, alpha=0.5).is_alpha
 
 
 def _least_curvature_alternation(prob, F, spaces=60):

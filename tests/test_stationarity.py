@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from rankmoa import (AffineMap, FrobeniusDistance, ProblemSpec, RankBound,
                      check_alpha_stationary, check_second_order, classify_first_order,
                      lagrangian, lagrangian_grad, orient_svd)
 from rankmoa.model import CustomObjective
-from rankmoa.oracle import fd_gradient
+from rankmoa.oracle import fd_gradient, planted_stationary
 from rankmoa.solver import stationarity_residual
 from rankmoa.stationarity import PointAnalysis
 
@@ -96,6 +98,26 @@ def test_check_F_infeasible_inputs(trace_case):
     assert not rep.feasible and not rep.is_F
     rep = check_F_stationary(spec, points["H"] + 3.0 * np.eye(4))  # full rank
     assert not rep.feasible
+
+
+# a tol (relative to the gradient scale) between the tangential fit's residual,
+# 1.737e-15, and the Frechet residual of grad L at the fitted y, 1.768e-15, at
+# the planted point below; seeds 3 and 5 also fall between the two
+FIT_BELOW_RECORD_TOL = 3.2025550076875577e-16
+
+
+def test_is_F_reads_the_record_every_other_test_reads():
+    prob, X, _ = planted_stationary(np.random.default_rng(0), 5, 4, 2, 3)
+    prob = replace(prob, tol=FIT_BELOW_RECORD_TOL)
+    pa = PointAnalysis(prob, X)
+    rep = classify_first_order(prob, pa)
+    grad_l = pa.at(rep.y)
+    _, fit_residual = pa.constraints.fit(-pa.grad, True, prob.rank_tol)
+    assert fit_residual <= pa.threshold < grad_l.frechet
+    assert rep.is_F == (grad_l.frechet <= pa.threshold)
+    assert rep.f_residual == grad_l.frechet
+    if rep.is_F:
+        check_second_order(prob, pa, rep.y)  # its F precondition reads the same record
 
 
 def test_alpha_stationarity_trace_example(trace_case):
